@@ -11,12 +11,12 @@ exactly, and hunt for such fooling pairs on cycle instances.
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InternalConsistencyError
+from .families import canonical_cycle
 from .sim import KT0, BccInstance, simulate
 
 
@@ -103,37 +103,6 @@ def cross(instance, e1, e2):
     )
 
 
-def crossed_counterparts(e1, e2):
-    """The two directed edges whose crossing undoes cross(inst, e1, e2)."""
-    return (
-        DirectedInputEdge(e1.head, e2.tail, e1.head_port, e2.tail_port),
-        DirectedInputEdge(e2.head, e1.tail, e2.head_port, e1.tail_port),
-    )
-
-
-def edge_label(instance, algorithm, t, edge, coins=()):
-    """2t-symbol label: head broadcasts for rounds 1..t, then tail's."""
-    run = simulate(instance, algorithm, t, coins)
-    return label_from_run(run, edge, t)
-
-
-def label_from_run(run, edge, t):
-    return run.sent_sequence(edge.head, t) + run.sent_sequence(edge.tail, t)
-
-
-def active_edges(instance, algorithm, t, x, y, coins=()):
-    """Directed input edges whose head broadcast x and tail broadcast y."""
-    x, y = tuple(x), tuple(y)
-    if len(x) != t or len(y) != t:
-        raise ValueError(f"need |x| = |y| = t = {t}")
-    run = simulate(instance, algorithm, t, coins)
-    return tuple(
-        e
-        for e in directed_input_edges(instance)
-        if run.sent_sequence(e.head, t) == x and run.sent_sequence(e.tail, t) == y
-    )
-
-
 @dataclass(frozen=True)
 class StateDifference:
     vertex: int
@@ -207,6 +176,39 @@ def cycle_orientation(instance):
     return tuple(seq)
 
 
+def splitting_pairs(positions, n, min_len=3):
+    """Position pairs whose same-direction crossing splits an n-cycle.
+
+    Position p of an oriented cycle c is the edge c[p] -> c[p+1 mod n].
+    Crossing the same-direction edges at positions i < k is independent
+    and splits c into the cycles c[i+1:k+1] and c[k+1:] + c[:i+1], both of
+    at least m = max(3, min_len) vertices, exactly when
+    m <= k - i <= n - m (distances 1 and 2 and their mirrors fail
+    independence). Reversing both edges yields the same crossed instance,
+    and a mixed-direction pair merges into a single cycle, so neither adds
+    a split.
+
+    ``positions`` must be ascending; the result is an (p, 2) int64 array
+    of the qualifying (i, k) in lexicographic order.
+    """
+    pos = np.asarray(positions, dtype=np.int64)
+    dist = pos - pos[:, None]  # dist[a, b] = pos[b] - pos[a], > 0 iff a < b
+    m = max(3, min_len)
+    a, b = np.nonzero((dist >= m) & (dist <= n - m))
+    return np.column_stack((pos[a], pos[b]))
+
+
+def split_key(cycle, i, k):
+    """Two-cycle key left by crossing positions i < k of ``cycle``.
+
+    The pair must satisfy :func:`splitting_pairs`; the key is sorted as
+    :func:`bcclab.families.cycles_of_instance` sorts it.
+    """
+    c1 = canonical_cycle(cycle[i + 1:k + 1])
+    c2 = canonical_cycle(cycle[k + 1:] + cycle[:i + 1])
+    return (c1, c2) if (len(c1), c1) <= (len(c2), c2) else (c2, c1)
+
+
 @dataclass(frozen=True)
 class FoolingPairReport:
     """All crossing pairs that the algorithm provably cannot detect.
@@ -262,10 +264,9 @@ def find_fooling_pairs(
 
     Simulates once, labels each canonically oriented cycle edge with the
     2t symbols its endpoints broadcast, buckets edges by label, and emits
-    every same-bucket independent pair whose crossing splits the cycle.
-    On a canonically oriented cycle those are exactly the position pairs
-    at cyclic distance 3..n-3 (distances 1, 2 and their mirrors fail
-    independence), a fact the unit tests re-derive from the definitions.
+    every same-bucket independent pair whose crossing splits the cycle:
+    the position pairs :func:`splitting_pairs` selects, a fact the unit
+    tests re-derive from the definitions.
 
     verify="sampled" re-checks `sample` random emitted pairs end to end
     with :func:`states_identical` (full second simulation); "full" checks
@@ -288,22 +289,9 @@ def find_fooling_pairs(
     buckets = {}
     for pos, label in enumerate(labels):
         buckets.setdefault(label, []).append(pos)
-    chunks = []
-    for positions in buckets.values():
-        if len(positions) < 2:
-            continue
-        pos = np.asarray(positions, dtype=np.int64)
-        ii, kk = np.triu_indices(len(pos), k=1)
-        a, b = pos[ii], pos[kk]
-        dist = b - a
-        mask = (dist >= 3) & (dist <= n - 3)
-        if mask.any():
-            chunks.append(np.column_stack((a[mask], b[mask])))
-    if chunks:
-        pairs = np.vstack(chunks)
-        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
+    chunks = [splitting_pairs(p, n) for p in buckets.values() if len(p) > 1]
+    pairs = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
     verification = {"mode": verify, "checked": 0, "failures": 0}
     if verify != "none" and len(pairs):

@@ -2,28 +2,19 @@
 
 Left vertices are one-cycle instances, right vertices two-cycle
 instances, and an edge joins I1 to I2 whenever some pair of active
-independent directed edges of I1 crosses into I2. The graph itself is
-simple; crossing multiplicity is tracked separately as "operations",
-where a pair of directed edges and its both-orientations-reversed twin
-count as one operation (they produce the identical crossed instance).
+independent directed edges of I1 crosses into I2. An operation is a
+crossing up to reversing both edges (the twin yields the identical
+crossed instance). Every graph edge carries exactly one operation: the
+removed edges E(I1) - E(I2) fix the crossed pair, so ``op_counts`` is 1
+on every edge and operation totals equal edge totals.
 """
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 
-from .crossing import are_independent, cross, directed_input_edges
+from .crossing import oriented_edge, split_key, splitting_pairs
 from .errors import InternalConsistencyError
-from .families import cycles_of_instance
-from .matching import hall_check as _bipartite_hall_check
-from .sim import KT0, simulate
-
-
-def _op_key(f1, f2):
-    """Canonical representative of {f1, f2} under both-edge reversal."""
-    a = tuple(sorted((tuple(f1), tuple(f2))))
-    b = tuple(sorted((tuple(f1.reversed()), tuple(f2.reversed()))))
-    return min(a, b)
+from .sim import simulate
 
 
 @dataclass(frozen=True)
@@ -35,10 +26,10 @@ class IndistGraph:
     algorithm_name: str
     adjacency: dict  # one-cycle key -> frozenset of two-cycle keys
     right_adjacency: dict  # two-cycle key -> frozenset of one-cycle keys
-    op_counts: dict  # (one-cycle key, two-cycle key) -> operation count
+    op_counts: dict  # (one-cycle key, two-cycle key) -> operations, always 1
     active_directed: dict  # one-cycle key -> number of active directed edges
     active_undirected: dict  # one-cycle key -> edges with an active orientation
-    witnesses: dict  # (lk, rk) -> a witnessing directed pair, when recorded
+    witnesses: dict  # (lk, rk) -> the first witnessing directed pair
 
     @property
     def left(self):
@@ -77,69 +68,82 @@ class IndistGraph:
         }
 
 
-def build_indist_graph(family, algorithm, t, x=(), y=(), mode=KT0, coins=()):
-    """Construct the graph for the given broadcast strings x, y.
+def build_indist_graph(family, algorithm, t, x=(), y=(), coins=()):
+    """Construct the KT0 graph for the given broadcast strings x, y.
 
-    For every one-cycle instance the active directed edges (head
-    broadcast x, tail broadcast y over rounds 1..t) are paired up; each
-    independent pair whose crossing yields a two-cycle instance inside
-    the family contributes the crossed instance's canonical key as a
-    neighbor. Crossings that merge or that leave the family's minimum
-    cycle length are discarded; a crossed two-cycle key absent from the
-    family indicates a bug and raises InternalConsistencyError.
+    Each one-cycle key is an oriented cycle whose position p is the input
+    edge key[p] -- key[p+1]; a directed edge is active when its head
+    broadcast x and its tail y over rounds 1..t. One simulation per member
+    marks each position active forward, backward or neither. The member's
+    neighbors are the keys :func:`bcclab.crossing.split_key` gives for the
+    :func:`bcclab.crossing.splitting_pairs` of all positions (cycles of at
+    least the family's minimum length) whose two edges are active in a
+    common direction. A crossed key absent from the family indicates a bug
+    and raises InternalConsistencyError.
     """
     x, y = tuple(x), tuple(y)
     if len(x) != t or len(y) != t:
         raise ValueError(f"need |x| = |y| = t = {t}")
+    n = family.n
+    pairs = splitting_pairs(range(n), n, family.min_cycle_len).tolist()
     right_index = set(family.all_two_cycle_keys())
     adjacency = {}
     right_adjacency = {rk: set() for rk in right_index}
-    op_counts = {}
     active_directed = {}
     active_undirected = {}
     witnesses = {}
     for lk in family.one_cycles:
-        inst = family.one_cycle_instance(lk, mode=mode)
-        run = simulate(inst, algorithm, t, coins)
-        sent = run.sent
-        active = [
-            f
-            for f in directed_input_edges(inst)
-            if sent[f.head][:t] == x and sent[f.tail][:t] == y
-        ]
-        active_directed[lk] = len(active)
-        active_undirected[lk] = len(
-            {(f.head, f.tail) if f.head < f.tail else (f.tail, f.head) for f in active}
-        )
-        ops = {}
-        for f1, f2 in combinations(active, 2):
-            if not are_independent(inst, f1, f2):
+        inst = family.one_cycle_instance(lk)
+        sent = simulate(inst, algorithm, t, coins).sent
+        heads = [sent[v] == x for v in lk]
+        tails = [sent[v] == y for v in lk]
+        forward = [heads[p] and tails[(p + 1) % n] for p in range(n)]
+        backward = [heads[(p + 1) % n] and tails[p] for p in range(n)]
+        active_directed[lk] = sum(forward) + sum(backward)
+        active_undirected[lk] = sum(f or b for f, b in zip(forward, backward))
+        neighbors = set()
+        made = {}
+        for i, k in pairs:
+            fwd, bwd = forward[i] and forward[k], backward[i] and backward[k]
+            if not (fwd or bwd):
                 continue
-            crossed = cross(inst, f1, f2)
-            key = cycles_of_instance(crossed)
-            if len(key) != 2:
-                continue  # merged back into a single cycle
-            if len(key[0]) < family.min_cycle_len:
-                continue
+            key = split_key(lk, i, k)
             if key not in right_index:
                 raise InternalConsistencyError(
                     f"crossed instance {key} missing from the enumerated family"
                 )
-            bucket = ops.setdefault(key, set())
-            if not bucket:
-                witnesses[(lk, key)] = (f1, f2)
-            bucket.add(_op_key(f1, f2))
-        if ops:
-            adjacency[lk] = frozenset(ops)
-            for rk, reps in ops.items():
-                op_counts[(lk, rk)] = len(reps)
-                right_adjacency[rk].add(lk)
+            neighbors.add(key)
+            right_adjacency[key].add(lk)
+            witnesses[(lk, key)] = _witness(inst, lk, i, k, fwd, bwd, made)
+        if neighbors:
+            adjacency[lk] = frozenset(neighbors)
     right_adjacency = {rk: frozenset(v) for rk, v in right_adjacency.items()}
     return IndistGraph(
         family, t, x, y, getattr(algorithm, "name", "?"),
-        adjacency, right_adjacency, op_counts, active_directed,
-        active_undirected, witnesses,
+        adjacency, right_adjacency, dict.fromkeys(witnesses, 1),
+        active_directed, active_undirected, witnesses,
     )
+
+
+def _witness(instance, cycle, i, k, forward_ok, backward_ok, made):
+    """First pair of combinations(directed_input_edges(instance), 2) that
+    crosses positions i < k of ``cycle`` in a qualifying direction.
+
+    ``made`` maps (head, tail) to the member's directed edges built so
+    far, so that its witnesses share them.
+    """
+    n = len(cycle)
+    # directed_input_edges lists undirected edges in sorted order, each
+    # low -> high before high -> low
+    ends = sorted(((cycle[p], cycle[(p + 1) % n]) for p in (i, k)), key=sorted)
+    forward = forward_ok and (not backward_ok or ends[0][0] < ends[0][1])
+    pair = []
+    for u, v in ends:
+        head, tail = (u, v) if forward else (v, u)
+        if (head, tail) not in made:
+            made[head, tail] = oriented_edge(instance, head, tail)
+        pair.append(made[head, tail])
+    return tuple(pair)
 
 
 @dataclass(frozen=True)
@@ -227,9 +231,3 @@ def degree_stats(graph):
         len(graph.left), len(graph.right), left_edges,
         left_hist, right_hist, ti_edges, ti_ops, ops_left, handshake, rows,
     )
-
-
-def hall_check(graph, subset, k):
-    """Polygamous Hall condition |N(S)| >= k|S| on the left subset S."""
-    adjacency = {lk: graph.adjacency.get(lk, frozenset()) for lk in subset}
-    return _bipartite_hall_check(adjacency, subset, k)

@@ -16,6 +16,36 @@ from bcclab.algorithms import AlwaysSilent, IdExchange, RandomTable
 from bcclab.sim import KT1, Symbol, make_instance, random_kt0_ports, simulate
 
 
+def crossed_counterparts(e1, e2):
+    """The two directed edges whose crossing undoes cross(inst, e1, e2)."""
+    return (
+        cx.DirectedInputEdge(e1.head, e2.tail, e1.head_port, e2.tail_port),
+        cx.DirectedInputEdge(e2.head, e1.tail, e2.head_port, e1.tail_port),
+    )
+
+
+def label_from_run(run, edge, t):
+    """2t-symbol label: head broadcasts for rounds 1..t, then tail's."""
+    return run.sent_sequence(edge.head, t) + run.sent_sequence(edge.tail, t)
+
+
+def edge_label(instance, algorithm, t, edge, coins=()):
+    return label_from_run(simulate(instance, algorithm, t, coins), edge, t)
+
+
+def active_edges(instance, algorithm, t, x, y, coins=()):
+    """Directed input edges whose head broadcast x and tail broadcast y."""
+    x, y = tuple(x), tuple(y)
+    if len(x) != t or len(y) != t:
+        raise ValueError(f"need |x| = |y| = t = {t}")
+    run = simulate(instance, algorithm, t, coins)
+    return tuple(
+        e
+        for e in cx.directed_input_edges(instance)
+        if run.sent_sequence(e.head, t) == x and run.sent_sequence(e.tail, t) == y
+    )
+
+
 def cycle_instance(n, **kw):
     return make_instance(n, [(i, (i + 1) % n) for i in range(n)], **kw)
 
@@ -120,7 +150,7 @@ class TestCross:
             if not cx.are_independent(inst, e1, e2):
                 continue
             crossed = cx.cross(inst, e1, e2)
-            c1, c2 = cx.crossed_counterparts(e1, e2)
+            c1, c2 = crossed_counterparts(e1, e2)
             assert cx.cross(crossed, c1, c2) == inst
 
     def test_both_reversed_gives_same_instance(self):
@@ -159,30 +189,65 @@ class TestCross:
                         assert len(fm.cycles_of_instance(merged)) == 1
 
 
+class TestSplitKernel:
+    def test_kernel_matches_instance_crossings(self):
+        # every same-direction position pair of a randomly wired cycle:
+        # the kernel selects exactly the pairs whose instance-level
+        # crossing is independent and splits into cycles of >= m vertices,
+        # and split_key names the crossed instance's two cycles
+        rng = random.Random(11)
+        for n in range(6, 11):
+            inst = random_cycle_instance(rng, n)
+            cycle = cx.cycle_orientation(inst)
+            for m in (3, 4):
+                expected = []
+                for i, k in combinations(range(n), 2):
+                    ends = [(cycle[p], cycle[(p + 1) % n]) for p in (i, k)]
+                    keys = set()
+                    for (h1, t1), (h2, t2) in (ends, [e[::-1] for e in ends]):
+                        e1 = cx.oriented_edge(inst, h1, t1)
+                        e2 = cx.oriented_edge(inst, h2, t2)
+                        if not cx.are_independent(inst, e1, e2):
+                            continue
+                        key = fm.cycles_of_instance(cx.cross(inst, e1, e2))
+                        if len(key) == 2 and len(key[0]) >= m:
+                            keys.add(key)
+                    if keys:
+                        assert keys == {cx.split_key(cycle, i, k)}
+                        expected.append((i, k))
+                got = cx.splitting_pairs(range(n), n, m).tolist()
+                assert [tuple(p) for p in got] == expected
+
+    def test_subset_of_positions(self):
+        pairs = cx.splitting_pairs([0, 1, 4, 5, 7], 9)
+        assert pairs.tolist() == [[0, 4], [0, 5], [1, 4], [1, 5], [1, 7], [4, 7]]
+        assert cx.splitting_pairs([2], 9).shape == (0, 2)
+
+
 class TestLabelsAndActivity:
     def test_t0_everything_active(self):
         inst = cycle_instance(7)
-        active = cx.active_edges(inst, AlwaysSilent(), 0, (), ())
+        active = active_edges(inst, AlwaysSilent(), 0, (), ())
         assert len(active) == 14  # both orientations of all 7 edges
 
     def test_silent_labels(self):
         inst = cycle_instance(6)
         e = cx.oriented_edge(inst, 0, 1)
-        assert cx.edge_label(inst, AlwaysSilent(), 2, e) == (Symbol.SILENT,) * 4
+        assert edge_label(inst, AlwaysSilent(), 2, e) == (Symbol.SILENT,) * 4
 
     def test_id_exchange_labels_partition_by_id_bits(self):
         inst = cycle_instance(6)
         algo = IdExchange(bits=3)
         run = simulate(inst, algo, 1)
         for e in cx.directed_input_edges(inst):
-            label = cx.label_from_run(run, e, 1)
+            label = label_from_run(run, e, 1)
             assert label == (Symbol(inst.ids[e.head] & 1),
                              Symbol(inst.ids[e.tail] & 1))
 
     def test_active_length_validation(self):
         inst = cycle_instance(6)
         with pytest.raises(ValueError, match=r"\|x\|"):
-            cx.active_edges(inst, AlwaysSilent(), 2, (Symbol.SILENT,), ())
+            active_edges(inst, AlwaysSilent(), 2, (Symbol.SILENT,), ())
 
 
 class TestStatesIdentical:
@@ -232,7 +297,7 @@ class TestFoolingPairs:
         edges = [
             cx.oriented_edge(inst, cycle[i], cycle[(i + 1) % n]) for i in range(n)
         ]
-        labels = [cx.label_from_run(run, e, t) for e in edges]
+        labels = [label_from_run(run, e, t) for e in edges]
         out = set()
         for i, k in combinations(range(n), 2):
             if labels[i] != labels[k]:

@@ -1,13 +1,77 @@
-"""Indistinguishability-graph construction, statistics and Hall checks."""
+"""Indistinguishability-graph construction, statistics and Hall checks.
+
+The position-kernel builder is checked field by field against an
+instance-level reference that crosses every active directed pair.
+"""
+
+from dataclasses import fields
+from itertools import combinations
 
 import pytest
 
 from bcclab import families as fm
 from bcclab import indist as ig
 from bcclab import matching as mt
-from bcclab.algorithms import AlwaysSilent, IdExchange
-from bcclab.crossing import cross, states_identical
-from bcclab.sim import Symbol
+from bcclab.algorithms import AlwaysSilent, IdExchange, RandomTable
+from bcclab.crossing import are_independent, cross, directed_input_edges, states_identical
+from bcclab.sim import Symbol, simulate
+
+
+def _op_key(f1, f2):
+    """Canonical representative of {f1, f2} under both-edge reversal."""
+    a = tuple(sorted((tuple(f1), tuple(f2))))
+    b = tuple(sorted((tuple(f1.reversed()), tuple(f2.reversed()))))
+    return min(a, b)
+
+
+def instance_level_graph(family, algorithm, t, x=(), y=()):
+    """Reference builder: crosses every active directed pair as an instance.
+
+    Operations are counted as distinct pairs up to both-edge reversal, and
+    the witness of an edge is the first crossing pair in
+    combinations(directed_input_edges(...), 2) order.
+    """
+    x, y = tuple(x), tuple(y)
+    right_index = set(family.all_two_cycle_keys())
+    adjacency = {}
+    right_adjacency = {rk: set() for rk in right_index}
+    op_counts, active_directed, active_undirected, witnesses = {}, {}, {}, {}
+    for lk in family.one_cycles:
+        inst = family.one_cycle_instance(lk)
+        sent = simulate(inst, algorithm, t).sent
+        active = [
+            f for f in directed_input_edges(inst)
+            if sent[f.head] == x and sent[f.tail] == y
+        ]
+        active_directed[lk] = len(active)
+        active_undirected[lk] = len({frozenset((f.head, f.tail)) for f in active})
+        ops = {}
+        for f1, f2 in combinations(active, 2):
+            if not are_independent(inst, f1, f2):
+                continue
+            key = fm.cycles_of_instance(cross(inst, f1, f2))
+            if len(key) != 2 or len(key[0]) < family.min_cycle_len:
+                continue
+            assert key in right_index
+            if key not in ops:
+                witnesses[(lk, key)] = (f1, f2)
+            ops.setdefault(key, set()).add(_op_key(f1, f2))
+        if ops:
+            adjacency[lk] = frozenset(ops)
+            for rk, reps in ops.items():
+                op_counts[(lk, rk)] = len(reps)
+                right_adjacency[rk].add(lk)
+    return ig.IndistGraph(
+        family, t, x, y, getattr(algorithm, "name", "?"), adjacency,
+        {rk: frozenset(v) for rk, v in right_adjacency.items()},
+        op_counts, active_directed, active_undirected, witnesses,
+    )
+
+
+def hall_check(graph, subset, k):
+    """Polygamous Hall condition |N(S)| >= k|S| on the left subset S."""
+    adjacency = {lk: graph.adjacency.get(lk, frozenset()) for lk in subset}
+    return mt.hall_check(adjacency, subset, k)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +115,7 @@ class TestBuildAtRoundZero:
 
     def test_edges_verified_by_simulator(self, fam6, g6):
         algo = AlwaysSilent()
-        for (lk, rk), (f1, f2) in list(g6.witnesses.items())[:40]:
+        for (lk, rk), (f1, f2) in g6.witnesses.items():
             i1 = fam6.one_cycle_instance(lk)
             i2 = cross(i1, f1, f2)
             assert fm.cycles_of_instance(i2) == rk
@@ -76,9 +140,57 @@ class TestBuildAtLaterRounds:
         assert g.edge_count() < g6.edge_count()
         # every surviving witness still passes the full simulator check
         algo = IdExchange(bits=3)
-        for (lk, rk), (f1, f2) in list(g.witnesses.items())[:20]:
+        for (lk, rk), (f1, f2) in g.witnesses.items():
             i1 = fam6.one_cycle_instance(lk)
             assert states_identical(i1, cross(i1, f1, f2), algo, 1)
+
+
+def _common_broadcast(family, algorithm, t):
+    # RandomTable machines broadcast one common sequence on these canonical
+    # KT0 cycles, so x = y = that sequence is the non-empty choice
+    inst = family.one_cycle_instance(family.one_cycles[0])
+    return simulate(inst, algorithm, t).sent[0]
+
+
+ORACLE_CASES = {
+    "silent-t0": (AlwaysSilent(), 0, None),
+    "id-exchange-t1": (IdExchange(bits=3), 1, ((Symbol.ZERO,), (Symbol.ONE,))),
+    "table-mod2-t2": (RandomTable(seed=2, modulus=2), 2, None),
+    "table-mod3-t2": (RandomTable(seed=2, modulus=3), 2, None),
+}
+
+
+class TestAgainstInstanceLevelOracle:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_equal_on_every_field(self, n, case, fam6, fam7):
+        fam = {6: fam6, 7: fam7}[n]
+        algorithm, t, xy = ORACLE_CASES[case]
+        if xy is None:
+            xy = (_common_broadcast(fam, algorithm, t),) * 2
+        got = ig.build_indist_graph(fam, algorithm, t, *xy)
+        want = instance_level_graph(fam, algorithm, t, *xy)
+        assert got.edge_count() > 0
+        for field in fields(ig.IndistGraph):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+        # one operation per edge, counted by the oracle's own reversal
+        # classes: the removed edges E(lk) - E(rk) fix the crossed pair
+        edges = {(lk, rk) for lk, rks in want.adjacency.items() for rk in rks}
+        assert want.op_counts.keys() == edges
+        assert set(want.op_counts.values()) == {1}
+        if n == 6:
+            for (lk, rk), (f1, f2) in got.witnesses.items():
+                i1 = fam.one_cycle_instance(lk)
+                i2 = cross(i1, f1, f2)
+                assert fm.cycles_of_instance(i2) == rk
+                assert states_identical(i1, i2, algorithm, t)
+
+    def test_equal_with_minimum_cycle_length_4(self):
+        fam = fm.enumerate_family(8, min_cycle_len=4)
+        args = (IdExchange(bits=3), 1, (Symbol.ZERO,), (Symbol.ONE,))
+        got = ig.build_indist_graph(fam, *args)
+        assert got.edge_count() > 0
+        assert got == instance_level_graph(fam, *args)
 
 
 class TestDegreeStats:
@@ -133,13 +245,13 @@ class TestDegreeStats:
 
 class TestHallAndMatching:
     def test_empty_subset(self, g6):
-        ok, witness = ig.hall_check(g6, [], 1)
+        ok, witness = hall_check(g6, [], 1)
         assert ok and witness is None
 
     def test_full_left_k1_fails_small_n(self, fam7, g7):
         # |V2| = 105 < 360 = |V1|: a small-n counting effect (the
         # neighborhood cannot exceed the whole right side)
-        ok, witness = ig.hall_check(g7, list(fam7.one_cycles), 1)
+        ok, witness = hall_check(g7, list(fam7.one_cycles), 1)
         assert not ok
         assert len(witness.neighborhood) == 105
 
