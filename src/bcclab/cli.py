@@ -4,7 +4,9 @@ Structured output is line-delimited JSON with stable field names; every
 record embeds the tool version and the full configuration, so identical
 configurations produce byte-identical reports. Exit codes: 0 success or
 verified, 1 a verification failed (the report carries the witness), 2
-usage errors (argparse's own convention).
+usage errors (argparse's own convention), including input the library
+rejects, such as a malformed partition or a size over a limit; these
+print one "bcclab: error:" line on stderr.
 """
 
 import argparse
@@ -23,7 +25,7 @@ from . import partitions as pt
 from . import reduction as rd
 from .algorithms import make_algorithm
 from .crossing import cross, find_fooling_pairs, oriented_edge
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .sim import (
     KT0,
     KT1,
@@ -76,7 +78,7 @@ def _parse_symbols(text):
     try:
         return tuple(SYMBOL_FROM_CHAR[c] for c in text)
     except KeyError as e:
-        raise SystemExit(f"bad symbol {e.args[0]!r}; use characters 0, 1, -")
+        raise ValueError(f"bad symbol {e.args[0]!r}; use characters 0, 1, -") from None
 
 
 def _algorithm(args, instance=None):
@@ -348,7 +350,7 @@ def cmd_twoparty(args, rep):
     if t is None:
         t = algorithm.round_budget(graph.instance)
         if t is None:
-            raise SystemExit("--t is required for algorithms without a budget")
+            raise ValueError("--t is required for algorithms without a budget")
     result = rd.two_party_simulate(algorithm, p_a, p_b, args.variant, t)
     record = {
         "variant": args.variant,
@@ -565,6 +567,8 @@ def main(argv=None):
     rep = _Reporter(args)
     try:
         return args.func(args, rep)
+    except (ResourceLimitError, ValueError) as e:  # bad input: usage error
+        parser.exit(2, f"{parser.prog}: error: {e}\n")
     finally:
         rep.close()
 

@@ -2,15 +2,28 @@
 
 The matrix of kind "M" is indexed by all partitions of {1..n}; kind "E"
 by the perfect pairings only. Entry (i,j) is 1 exactly when the join of
-the i-th and j-th index partition is the one-block partition. Ranks are
-computed over the rationals with fraction-free integer elimination, so
-the full-rank identities can be checked without any floating point.
+the i-th and j-th index partition is the one-block partition.
+
+Rows are built on element bitmasks. For each index partition r,
+closure[r, S] is the union of the blocks of r that meet the set S. The
+block of element 1 in the join of partitions i and j is the fixed point
+of S -> closure[j, closure[i, S]] from S = {1}, computed for a whole row
+at once; the entry is 1 when that block is all of {1..n}.
+
+Ranks are exact and use no floating point. Elimination modulo the prime
+PRIME = 2^31 - 1 gives a lower bound on the rank over the rationals (a
+minor that is nonzero mod p is nonzero over the integers), so a full
+rank mod p certifies full rank. Any other matrix is ranked again by
+fraction-free (Bareiss) integer elimination, which alone decides a
+deficient rank.
 """
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
+
+import numpy as np
 
 from . import partitions as pt
 from .errors import ResourceLimitError
@@ -18,6 +31,7 @@ from .errors import ResourceLimitError
 M_LIMIT = 7
 E_LIMIT = 10
 DIMENSION_CAP = 1000
+PRIME = 2**31 - 1  # products of two residues stay below 2^62
 
 
 @dataclass(frozen=True)
@@ -68,20 +82,81 @@ def build_join_matrix(kind, n, m_limit=M_LIMIT, e_limit=E_LIMIT):
         raise ResourceLimitError(
             f"dimension {dim} exceeds the dense-representation cap {DIMENSION_CAP}"
         )
+    closure = _block_closures(index, n)
+    flat = closure.ravel()
+    column_base = np.arange(dim) * closure.shape[1]  # row starts in `flat`
+    full = (1 << n) - 1
     rows = []
-    for i in range(dim):
-        row = [0] * dim
-        for j in range(i, dim):
-            v = 1 if pt.join(index[i], index[j]).is_trivial else 0
-            row[j] = v
-        rows.append(row)
-    for i in range(dim):  # mirror the strict upper triangle
-        for j in range(i):
-            rows[i][j] = rows[j][i]
-    return JoinMatrix(kind, n, index, tuple(tuple(r) for r in rows))
+    for row_closure in closure:
+        comp = np.ones(dim, dtype=closure.dtype)  # {1} in every column
+        while True:
+            grown = flat[column_base + row_closure[comp]]
+            if np.array_equal(grown, comp):
+                break
+            comp = grown
+        rows.append(tuple((comp == full).view(np.int8).tolist()))
+    return JoinMatrix(kind, n, index, tuple(rows))
+
+
+def _block_closures(index, n):
+    """closure[r, S]: the union of the blocks of index[r] meeting the set S.
+
+    Sets are bitmasks over {1..n} (element e is bit e-1); n <= 15 keeps
+    every mask, and every set label, inside an int16.
+    """
+    masks = np.zeros((len(index), n), dtype=np.int16)
+    for r, p in enumerate(index):
+        for k, block in enumerate(p.blocks):
+            masks[r, k] = sum(1 << (e - 1) for e in block)
+    sets = np.arange(1 << n, dtype=np.int16)
+    closure = np.zeros((len(index), 1 << n), dtype=np.int16)
+    for block_masks in masks.T[:, :, None]:
+        closure |= np.where(sets & block_masks != 0, block_masks, 0)
+    return closure
 
 
 def exact_rank(matrix):
+    """Rank over the rationals of a JoinMatrix or rectangular integer rows.
+
+    Full rank mod PRIME is returned directly, as it is exact (see the
+    module docstring); every other answer comes from bareiss_rank.
+    """
+    rows = matrix.rows if isinstance(matrix, JoinMatrix) else matrix
+    rows = [list(r) for r in rows]
+    if not rows:
+        return 0
+    full = min(len(rows), len(rows[0]))
+    if _rank_mod_prime(rows) == full:
+        return full
+    return bareiss_rank(rows)
+
+
+def _rank_mod_prime(rows):
+    """Rank over GF(PRIME) by row echelon elimination in int64.
+
+    Entries must be integers (a float would be truncated by the int64
+    cast, so it raises TypeError here instead).
+    """
+    a = np.array([[operator.index(v) % PRIME for v in r] for r in rows], dtype=np.int64)
+    nrows, ncols = a.shape
+    rank = 0
+    for col in range(ncols):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if not nonzero.size:
+            continue
+        if nonzero[0]:  # rows rank..pivot-1 are zero in col
+            a[[rank, rank + nonzero[0]]] = a[[rank + nonzero[0], rank]]
+        top = a[rank, col:] * pow(int(a[rank, col]), PRIME - 2, PRIME) % PRIME
+        sub = a[rank + 1:, col:]
+        sub -= a[rank + 1:, col, None] * top
+        sub %= PRIME
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def bareiss_rank(matrix):
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
     Accepts a JoinMatrix or any rectangular list of integer rows. All
@@ -118,30 +193,6 @@ def exact_rank(matrix):
         if piv == nrows:
             break
     return piv
-
-
-def rank_by_rational_elimination(rows):
-    """Plain Gaussian elimination over Fraction; the cross-check oracle."""
-    m = [[Fraction(v) for v in r] for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def verify_principal_submatrix_rank(matrix, subset):

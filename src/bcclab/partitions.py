@@ -200,15 +200,6 @@ def enumerate_pair_partitions(n, limit=PAIR_ENUMERATION_LIMIT):
         yield SetPartition(n, pairs)
 
 
-def partition_index(n):
-    """List of all partitions of {1..n} in enumeration order (the matrix index)."""
-    return list(enumerate_partitions(n))
-
-
-def pair_partition_index(n):
-    return list(enumerate_pair_partitions(n))
-
-
 def format_partition(p):
     """Canonical text form, e.g. '(1,2)(3,4)(5)'."""
     return "".join("(" + ",".join(map(str, b)) + ")" for b in p.blocks)

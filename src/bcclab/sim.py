@@ -20,7 +20,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ProtocolViolation, ResourceLimitError
+from .errors import ProtocolViolation
 
 KT0 = "KT0"
 KT1 = "KT1"
@@ -89,28 +89,6 @@ def random_kt0_ports(rng, n):
                 k += 1
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def all_port_tables(n, limit=5):
-    """Every KT0 port-table assignment; ((n-1)!)^n of them, so n is capped."""
-    from itertools import permutations, product
-
-    if n > limit:
-        raise ResourceLimitError(
-            f"full port-space enumeration needs n<={limit}, got n={n}"
-        )
-    per_vertex = []
-    others = [[u for u in range(n) if u != v] for v in range(n)]
-    for v in range(n):
-        tables = []
-        for perm in permutations(range(1, n)):
-            row = [0] * n
-            for u, p in zip(others[v], perm):
-                row[u] = p
-            tables.append(tuple(row))
-        per_vertex.append(tables)
-    for combo in product(*per_vertex):
-        yield tuple(combo)
 
 
 def _normalize_edge(e):

@@ -160,6 +160,27 @@ class TestReportDiscipline:
             main(["bell"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["matrix-rank", "--kind", "M", "--n", "8"], "kind M needs n<=7"),
+            (["matrix-rank", "--kind", "M", "--n", "0"], "positive integer"),
+            (["join", "--p", "(1,2)", "--q", "(1)(3)"], "element 2 missing"),
+            (["indist-stats", "--n", "6", "--t", "1", "--x", "2"], "bad symbol '2'"),
+            (["twoparty", "--pa", "(1,2)", "--pb", "(1,2)", "--algo", "always-yes"],
+             "--t is required"),
+        ],
+    )
+    def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("bcclab: error: ") and message in lines[0]
+
     def test_simulate_from_file(self, tmp_path, capsys):
         from bcclab.sim import instance_to_json, make_instance
 

