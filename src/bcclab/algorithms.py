@@ -1,8 +1,19 @@
 """Reference vertex state machines for the simulator.
 
 All machines are deterministic and keep their per-vertex state as plain
-tuples so that states from two runs compare with ==. Broadcast payloads
-are single symbols (b = 1).
+values that compare with ==. Broadcast payloads are single symbols
+(b = 1).
+
+``AlwaysYes``/``AlwaysSilent``, ``IdExchange`` and ``FullExchangeSparse``
+are record-only: they do not override ``receive``, so their states stay
+as ``initialize`` made them and never hold received rows. What they
+learn is read from the run's transcript instead: ``IdExchange.port_ids``
+decodes a vertex's ports from the run, and ``FullExchangeSparse``
+decides in ``decide_run``. States therefore compare only the initial
+knowledge; the transcript is compared through ``SimulationRun.sent``.
+``RandomTable`` with modulus 1 is record-only too; with modulus > 1 it
+is a ``FoldingRandomTable``, which folds every inbox into its state and
+is the adaptive machine.
 
 Round budgets
 -------------
@@ -16,6 +27,7 @@ Round budgets
 import hashlib
 
 from .sim import KT1, Algorithm, Symbol, Verdict
+from .unionfind import DisjointSet
 
 
 def _stable_trit(*parts):
@@ -28,16 +40,12 @@ class AlwaysYes(Algorithm):
     """Broadcasts silence forever and accepts every input."""
 
     name = "always-yes"
-    receive_is_identity = True
 
     def initialize(self, view):
         return ()
 
     def broadcast(self, state, round_no):
         return Symbol.SILENT
-
-    def receive(self, state, round_no, inbox):
-        return state
 
     def decide(self, state):
         return Verdict.YES
@@ -66,19 +74,12 @@ class IdExchange(Algorithm):
         self.bits = bits
 
     def initialize(self, view):
-        # state = (view, own port labels ascending, per-round inbox rows)
-        return (view, tuple(range(1, view.n)), ())
+        return view
 
-    def broadcast(self, state, round_no):
-        view = state[0]
+    def broadcast(self, view, round_no):
         if round_no > self.bits:
             return Symbol.SILENT
         return Symbol((view.own_id >> (round_no - 1)) & 1)
-
-    def receive(self, state, round_no, inbox):
-        view, ports, rows = state
-        row = tuple(inbox[p] for p in ports)
-        return (view, ports, rows + (row,))
 
     def decide(self, state):
         return Verdict.YES
@@ -86,17 +87,17 @@ class IdExchange(Algorithm):
     def round_budget(self, instance):
         return self.bits
 
-    def port_ids(self, state):
-        """Decoded port -> id map; only meaningful after `bits` rounds."""
-        view, ports, rows = state
-        decoded = {}
-        for k, p in enumerate(ports):
-            value = 0
-            for r in range(min(self.bits, len(rows))):
-                sym = rows[r][k]
+    def port_ids(self, run, v):
+        """Port -> id map that vertex v of `run` decodes from its receptions.
+
+        Only meaningful after `bits` rounds.
+        """
+        ports = run.instance.ports[v]
+        decoded = {ports[u]: 0 for u in range(run.instance.n) if u != v}
+        for r in range(1, min(self.bits, run.t) + 1):
+            for port, sym in run.received(v, r).items():
                 if sym is Symbol.ONE:
-                    value |= 1 << r
-            decoded[p] = value
+                    decoded[port] |= 1 << (r - 1)
         return decoded
 
 
@@ -107,7 +108,14 @@ class FullExchangeSparse(Algorithm):
     bits each (LSB first, silent-padded slots for missing neighbors) and
     broadcasts them over d*W rounds. Every vertex then reconstructs the
     whole input graph from all broadcasts and outputs YES iff it is
-    connected. Before the budget is exhausted decide() defaults to YES.
+    connected. Before the budget is exhausted every vertex says YES.
+
+    A vertex's graph is its own neighbor list plus the slots of every
+    other vertex. ``decide_run`` decodes the slot table of the whole run
+    once; where a vertex's own slots say exactly its neighbor list, its
+    graph is the union of all slots, shared by every such vertex. Any
+    other vertex gets its own graph, so the verdicts stay exact for any
+    broadcast rule.
     """
 
     name = "full-exchange-sparse"
@@ -130,14 +138,11 @@ class FullExchangeSparse(Algorithm):
                 f"vertex {view.own_id} has degree {len(neighbors)} > "
                 f"configured bound {self.max_degree}"
             )
-        senders = tuple(x for x in view.all_ids if x != view.own_id)
-        # state = (view, own sorted neighbor ids, sender ids ascending,
-        #          per-round inbox rows aligned with the sender ids)
-        return (view, neighbors, senders, ())
+        # state = (view, own sorted neighbor ids, id width W)
+        return (view, neighbors, self._width(view))
 
     def broadcast(self, state, round_no):
-        view, neighbors = state[0], state[1]
-        w = self._width(view)
+        _, neighbors, w = state
         if round_no > self.max_degree * w:
             return Symbol.SILENT
         slot, bit = divmod(round_no - 1, w)
@@ -145,45 +150,51 @@ class FullExchangeSparse(Algorithm):
             return Symbol.SILENT
         return Symbol((neighbors[slot] >> bit) & 1)
 
-    def receive(self, state, round_no, inbox):
-        view, neighbors, senders, rows = state
-        row = tuple(inbox[p] for p in senders)  # KT1 ports are sender ids
-        return (view, neighbors, senders, rows + (row,))
+    def decide_run(self, views, states, sent):
+        n = len(views)
+        all_ids = views[0].all_ids
+        w = self._width(views[0])
+        if len(sent[0]) < self.max_degree * w:
+            return (Verdict.YES,) * n
+        ids = [view.own_id for view in views]
+        slots = [self._decode(row, w) for row in sent]
+        shared = self._connected(
+            all_ids, [(ids[u], x) for u, row in enumerate(slots) for x in row]
+        )
+        verdicts = []
+        for v, state in enumerate(states):
+            if slots[v] == list(state[1]):
+                verdicts.append(shared)
+                continue
+            edges = [(ids[v], x) for x in state[1]]
+            edges += [(ids[u], x) for u, row in enumerate(slots) if u != v for x in row]
+            verdicts.append(self._connected(all_ids, edges))
+        return tuple(verdicts)
 
-    def decide(self, state):
-        view, neighbors, sender_ids, rows = state
-        w = self._width(view)
-        if len(rows) < self.round_budget_from_view(view):
-            return Verdict.YES
-        edges = {frozenset((view.own_id, x)) for x in neighbors}
-        for k, sender in enumerate(sender_ids):
-            for slot in range(self.max_degree):
-                bits = [rows[slot * w + bit][k] for bit in range(w)]
-                if all(s is Symbol.SILENT for s in bits):
-                    continue
-                value = 0
-                for bit, s in enumerate(bits):
-                    if s is Symbol.ONE:
-                        value |= 1 << bit
-                edges.add(frozenset((sender, value)))
-        return self._connected(view.all_ids, edges)
+    def _decode(self, row, w):
+        """The ids in one vertex's slots, read as every receiver reads them.
+
+        An all-silent slot is empty, and only ONE sets a bit (a b > 1
+        payload is neither, so it reads as 0).
+        """
+        decoded = []
+        for slot in range(self.max_degree):
+            bits = row[slot * w : (slot + 1) * w]
+            if all(s is Symbol.SILENT for s in bits):
+                continue
+            decoded.append(sum(1 << k for k, s in enumerate(bits) if s is Symbol.ONE))
+        return decoded
 
     @staticmethod
     def _connected(ids, edges):
         index = {x: i for i, x in enumerate(ids)}
-        from .unionfind import DisjointSet
-
         ds = DisjointSet(len(ids))
-        for e in edges:
-            pair = sorted(e)
-            if len(pair) == 2 and pair[0] in index and pair[1] in index:
-                ds.union(index[pair[0]], index[pair[1]])
+        for x, y in edges:
+            if x != y and x in index and y in index:
+                ds.union(index[x], index[y])
         root = ds.find(0)
         one = all(ds.find(i) == root for i in range(len(ids)))
         return Verdict.YES if one else Verdict.NO
-
-    def round_budget_from_view(self, view):
-        return self.max_degree * self._width(view)
 
     def round_budget(self, instance):
         return self.max_degree * max(1, max(instance.ids).bit_length())
@@ -197,6 +208,10 @@ class RandomTable(Algorithm):
     modulus 1 every vertex broadcasts the same sequence, larger moduli
     give partially diverging sequences. Useful for adversarial trials
     that need a deterministic but arbitrary-looking machine.
+
+    With modulus 1 the digest never changes, so the machine is
+    record-only. A larger modulus makes the object a
+    ``FoldingRandomTable``, the adaptive machine that receives.
     """
 
     name = "random-table"
@@ -206,7 +221,8 @@ class RandomTable(Algorithm):
             raise ValueError("modulus must be >= 1")
         self.seed = seed
         self.modulus = modulus
-        self.receive_is_identity = modulus == 1
+        if modulus > 1 and type(self) is RandomTable:
+            self.__class__ = FoldingRandomTable
 
     def initialize(self, view):
         return (0,)
@@ -214,16 +230,18 @@ class RandomTable(Algorithm):
     def broadcast(self, state, round_no):
         return Symbol(_stable_trit(self.seed, round_no, state[0]))
 
+    def decide(self, state):
+        return Verdict.YES
+
+
+class FoldingRandomTable(RandomTable):
+    """``RandomTable`` with modulus > 1: every inbox is folded into the digest."""
+
     def receive(self, state, round_no, inbox):
-        if self.modulus == 1:
-            return state
         acc = state[0] * 31
         for port, sym in inbox.items():
             acc += port * 7 + int(sym) + 1
         return (acc % self.modulus,)
-
-    def decide(self, state):
-        return Verdict.YES
 
 
 def reference_algorithms():

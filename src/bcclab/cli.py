@@ -44,13 +44,18 @@ DEFAULT_SEED = 1789
 class _Reporter:
     def __init__(self, args):
         self.format = args.format
-        self.stream = open(args.out, "w") if args.out else sys.stdout
+        self.out = args.out
+        # the --out file is opened by the first record, so a rejected
+        # command leaves an earlier report in place
+        self.stream = None if args.out else sys.stdout
         self.config = {
             k: v for k, v in sorted(vars(args).items())
             if k not in ("func", "out") and v is not None
         }
 
     def emit(self, record):
+        if self.stream is None:
+            self.stream = open(self.out, "w")
         doc = {
             "tool": "bcclab",
             "version": __version__,
@@ -65,7 +70,7 @@ class _Reporter:
             self.stream.write("\n")
 
     def close(self):
-        if self.stream is not sys.stdout:
+        if self.stream not in (None, sys.stdout):
             self.stream.close()
 
 

@@ -10,24 +10,19 @@ every component is an even cycle of length at least 4.
 ``two_party_simulate`` runs a KT1 algorithm on such a graph with one
 party hosting Alice's vertices and one hosting Bob's; per round each
 party sends the symbols its hosted vertices broadcast, in increasing id
-order, and both reconstruct all port receptions from the fixed id
-scheme. The result is checked to be a bisimulation of the monolithic
-simulator, with exact communication accounting.
+order, and both rebuild every broadcast from the fixed id scheme. It
+runs the simulator's own round loop with that exchange in place of the
+monolithic delivery: adaptive machines receive what the parties
+rebuilt, and record-only machines decide from it. The result is checked
+to be a bisimulation of the monolithic simulator (same states, same
+verdicts, and a rebuilt transcript equal to the monolithic one), with
+exact communication accounting.
 """
 
 from dataclasses import dataclass
 
 from . import partitions as pt
-from .errors import ProtocolViolation
-from .sim import (
-    KT1,
-    Symbol,
-    Verdict,
-    _normalize_payload,
-    make_instance,
-    simulate,
-    system_verdict,
-)
+from .sim import KT1, Symbol, Verdict, _run_rounds, make_instance, simulate
 from .unionfind import DisjointSet
 
 GENERAL = "general"
@@ -177,13 +172,17 @@ class TwoPartyResult:
     equivalent: bool  # bit-identical to the monolithic simulation
 
 
-def _party_round_message(algorithm, states, vertices, round_no, b):
-    if b != 1:
-        raise ProtocolViolation("the two-party message format assumes b=1")
-    return tuple(
-        _normalize_payload(algorithm.broadcast(states[v], round_no), 1, v, round_no)
-        for v in vertices
-    )
+def _rebuilt_round(graph, msg_a, msg_b):
+    """The round's broadcasts by vertex index, as both parties rebuild them.
+
+    Each message lists its party's vertices in ascending id order, so a
+    position names the sender's id, hence its vertex.
+    """
+    heard = [None] * graph.instance.n
+    for vertices, msg in ((graph.alice_vertices, msg_a), (graph.bob_vertices, msg_b)):
+        for v, sym in zip(vertices, msg):
+            heard[v] = sym
+    return heard
 
 
 def two_party_simulate(algorithm, p_a, p_b, variant, t, coins=()):
@@ -191,40 +190,32 @@ def two_party_simulate(algorithm, p_a, p_b, variant, t, coins=()):
 
     Alice hosts her construction's vertices and Bob his; each round both
     emit the symbols their hosted vertices broadcast (ascending id
-    order) and reconstruct every hosted vertex's port receptions from
-    the id scheme (a position in the peer's message reveals the sender
-    id, which is the port label). Returns the trace with exact symbol
-    counts plus an equivalence flag against the monolithic simulator.
+    order) and rebuild every broadcast from the id scheme (a position in
+    a message reveals the sender id, which is the port label). Hosted
+    vertices receive, and decide from, the rebuilt broadcasts. Returns
+    the trace with exact symbol counts plus an equivalence flag against
+    the monolithic simulator.
     """
     graph = build_reduction(variant, p_a, p_b)
     inst = graph.instance
-    ids = inst.ids
     alice, bob = graph.alice_vertices, graph.bob_vertices
-    states = {}
-    for v in alice + bob:
-        states[v] = algorithm.initialize(inst.view(v, coins))
     rounds = []
-    for r in range(1, t + 1):
-        msg_a = _party_round_message(algorithm, states, alice, r, inst.b)
-        msg_b = _party_round_message(algorithm, states, bob, r, inst.b)
-        rounds.append((msg_a, msg_b))
-        # both parties now know every broadcast: own ones directly, the
-        # peer's by message position (peer vertices in ascending id order)
-        broadcast = {}
-        for vs, msg in ((alice, msg_a), (bob, msg_b)):
-            for v, sym in zip(vs, msg):
-                broadcast[ids[v]] = sym
-        for v in alice + bob:
-            own = ids[v]
-            inbox = {i: s for i, s in broadcast.items() if i != own}
-            states[v] = algorithm.receive(states[v], r, inbox)
-    verdicts = {v: algorithm.decide(states[v]) for v in alice + bob}
-    system = system_verdict(verdicts.values())
 
+    def exchange(payloads):
+        msg_a = tuple(payloads[v] for v in alice)
+        msg_b = tuple(payloads[v] for v in bob)
+        rounds.append((msg_a, msg_b))
+        return _rebuilt_round(graph, msg_a, msg_b)
+
+    run, rebuilt = _run_rounds(inst, algorithm, t, coins, exchange)
     mono = simulate(inst, algorithm, t, coins)
-    equivalent = all(
-        states[v] == mono.states[v] and verdicts[v] == mono.verdicts[v]
-        for v in alice + bob
+    equivalent = (
+        run.states == mono.states
+        and run.verdicts == mono.verdicts
+        and rebuilt == mono.sent
     )
     trace = TwoPartyTrace(tuple(rounds), len(alice))
-    return TwoPartyResult(graph, t, trace, states, verdicts, system, equivalent)
+    return TwoPartyResult(
+        graph, t, trace, dict(enumerate(run.states)), dict(enumerate(run.verdicts)),
+        run.system_verdict, equivalent,
+    )

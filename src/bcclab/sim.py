@@ -12,6 +12,15 @@ step. Two knowledge modes are supported:
   and which ports carry input edges.
 * KT1 -- every port is labeled with the id of the vertex behind it and
   every vertex knows the full id roster.
+
+The run owns the transcript: ``SimulationRun.sent`` holds every
+broadcast, and receptions follow from it through the port tables.
+Machines that do not override ``receive`` are record-only: their states
+never change after ``initialize``, the round loop skips delivery for
+them, and they decide from the run's broadcasts through
+``Algorithm.decide_run``. Adaptive machines get every round's inbox.
+``simulate`` and the two-party simulation of :mod:`bcclab.reduction`
+share one round loop; the latter only swaps in its own exchange.
 """
 
 import json
@@ -167,13 +176,8 @@ class BccInstance:
         return tuple(tuple(sorted(x)) for x in nbr)
 
     @cached_property
-    def _delivery_ports(self):
-        # _delivery_ports[v][k] = port at v facing sender k', where k' runs
-        # over 0..n-1 with v removed; aligned with payload list slicing.
-        return tuple(
-            tuple(self.ports[v][u] for u in range(self.n) if u != v)
-            for v in range(self.n)
-        )
+    def _sorted_ids(self):
+        return tuple(sorted(self.ids))
 
     def port_at(self, v, u):
         return self.ports[v][u]
@@ -185,10 +189,11 @@ class BccInstance:
                 input_ports=frozenset(self.ports[v][u] for u in self.input_neighbors[v]),
                 **base,
             )
+        neighbor_ids = frozenset(self.ids[u] for u in self.input_neighbors[v])
         return VertexView(
-            all_ids=tuple(sorted(self.ids)),
-            neighbor_ids=frozenset(self.ids[u] for u in self.input_neighbors[v]),
-            input_ports=frozenset(self.ids[u] for u in self.input_neighbors[v]),
+            all_ids=self._sorted_ids,
+            neighbor_ids=neighbor_ids,
+            input_ports=neighbor_ids,  # KT1 port labels are the ids
             **base,
         )
 
@@ -217,14 +222,13 @@ class Algorithm:
     lives inside the view). For b = 1 ``broadcast`` returns a single
     Symbol; for b > 1 it may return a tuple of up to b Symbols. ``receive``
     is handed the symbols broadcast in ``round`` as a dict keyed by the
-    vertex's own port labels, and returns the successor state.
+    vertex's own port labels, and returns the successor state. A machine
+    that does not override ``receive`` is record-only: the simulator
+    delivers nothing to it, and its verdicts come from ``decide_run``,
+    which sees the run's broadcasts.
     """
 
     name = "abstract"
-    # machines whose receive() provably returns the state unchanged may set
-    # this; the simulator then skips inbox construction (transcripts are
-    # unaffected -- received symbols are derived from the senders' rows)
-    receive_is_identity = False
 
     def initialize(self, view):
         raise NotImplementedError
@@ -233,10 +237,18 @@ class Algorithm:
         raise NotImplementedError
 
     def receive(self, state, round_no, inbox):
-        raise NotImplementedError
+        return state
 
     def decide(self, state):
         raise NotImplementedError
+
+    def decide_run(self, views, states, sent):
+        """One verdict per vertex of a finished run.
+
+        ``sent[v]`` holds vertex v's broadcasts per round, as every other
+        vertex received them. The default decides each state on its own.
+        """
+        return tuple(self.decide(s) for s in states)
 
     def round_budget(self, instance):
         """Rounds after which decide() is meaningful; None if unconditional."""
@@ -318,6 +330,18 @@ def simulate(instance, algorithm, t, coins=()):
     broadcasts of rounds 1..r, and reruns with identical arguments are
     bit-identical.
     """
+    return _run_rounds(instance, algorithm, t, coins)[0]
+
+
+def _run_rounds(instance, algorithm, t, coins=(), exchange=None):
+    """The round loop behind :func:`simulate` and the two-party simulation.
+
+    ``exchange(payloads)``, if given, returns the round's broadcasts by
+    vertex index as the receivers learn them; by default they learn the
+    payloads themselves. Receptions and verdicts follow from what was
+    learnt. Returns the run and the learnt transcript, laid out per
+    vertex like ``SimulationRun.sent``.
+    """
     if t < 0:
         raise ValueError("round count must be nonnegative")
     n = instance.n
@@ -325,26 +349,33 @@ def simulate(instance, algorithm, t, coins=()):
     coins = tuple(coins)
     views = tuple(instance.view(v, coins) for v in range(n))
     states = [algorithm.initialize(view) for view in views]
-    skip_delivery = algorithm.receive_is_identity
-    delivery = None if skip_delivery else instance._delivery_ports
-    sent = [[] for _ in range(n)]
+    # the record-only marker is read on the class, so a wrapper bound on
+    # the instance (a tracer, say) does not make the machine adaptive
+    receives = type(algorithm).receive is not Algorithm.receive
+    if receives:  # delivery[v] = v's port row without v, aligned with heard minus v
+        delivery = [row[:v] + row[v + 1:] for v, row in enumerate(instance.ports)]
+    rounds, heard_rounds = [], []
     for r in range(1, t + 1):
         payloads = [
             _normalize_payload(algorithm.broadcast(states[v], r), b, v, r)
             for v in range(n)
         ]
-        for v in range(n):
-            sent[v].append(payloads[v])
-        if skip_delivery:
-            continue
-        for v in range(n):
-            inbox = dict(zip(delivery[v], payloads[:v] + payloads[v + 1 :]))
-            states[v] = algorithm.receive(states[v], r, inbox)
-    verdicts = tuple(algorithm.decide(s) for s in states)
-    return SimulationRun(
-        instance, t, coins, views,
-        tuple(tuple(s) for s in sent), tuple(states), verdicts,
-    )
+        heard = payloads if exchange is None else exchange(payloads)
+        rounds.append(payloads)
+        heard_rounds.append(heard)
+        if receives:
+            for v in range(n):
+                inbox = dict(zip(delivery[v], heard[:v] + heard[v + 1:]))
+                states[v] = algorithm.receive(states[v], r, inbox)
+    sent = _per_vertex(rounds, n)
+    heard_sent = sent if exchange is None else _per_vertex(heard_rounds, n)
+    verdicts = tuple(algorithm.decide_run(views, states, heard_sent))
+    run = SimulationRun(instance, t, coins, views, sent, tuple(states), verdicts)
+    return run, heard_sent
+
+
+def _per_vertex(rounds, n):
+    return tuple(zip(*rounds)) if rounds else ((),) * n
 
 
 def system_verdict(verdicts):

@@ -181,6 +181,16 @@ class TestReportDiscipline:
         assert len(lines) == 1
         assert lines[0].startswith("bcclab: error: ") and message in lines[0]
 
+    def test_rejected_command_leaves_out_file_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "o.jsonl"
+        path.write_text("earlier report\n")
+        with pytest.raises(SystemExit) as e:
+            main(["--out", str(path), "matrix-rank", "--kind", "M", "--n", "8"])
+        assert e.value.code == 2
+        assert path.read_text() == "earlier report\n"
+        assert main(["--out", str(path), "bell", "--n", "4"]) == 0
+        assert json.loads(path.read_text())["record"] == {"n": 4, "bell": 15}
+
     def test_simulate_from_file(self, tmp_path, capsys):
         from bcclab.sim import instance_to_json, make_instance
 

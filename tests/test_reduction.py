@@ -6,9 +6,19 @@ import pytest
 
 from bcclab import partitions as pt
 from bcclab import reduction as rd
-from bcclab.algorithms import AlwaysSilent, FullExchangeSparse
-from bcclab.errors import ProtocolViolation
+from bcclab.algorithms import AlwaysSilent, FullExchangeSparse, RandomTable
 from bcclab.sim import Symbol, Verdict, simulate
+
+
+def transcript_from_trace(result):
+    """Per-vertex broadcasts read back from the two parties' messages."""
+    graph = result.graph
+    by_vertex = [()] * graph.instance.n
+    for msg_a, msg_b in result.trace.rounds:
+        for vertices, msg in ((graph.alice_vertices, msg_a), (graph.bob_vertices, msg_b)):
+            for v, sym in zip(vertices, msg):
+                by_vertex[v] += (sym,)
+    return tuple(by_vertex)
 
 
 class TestBuildTwoRegular:
@@ -156,10 +166,36 @@ class TestTwoParty:
         t = algo.round_budget(g.instance)
         res = rd.two_party_simulate(algo, p_a, p_b, rd.TWO_REGULAR, t)
         mono = simulate(g.instance, algo, t)
+        assert res.equivalent
         for v in range(g.instance.n):
             assert res.states[v] == mono.states[v]
             assert res.verdicts[v] == mono.verdicts[v]
         assert res.system == mono.system_verdict
+        assert transcript_from_trace(res) == mono.sent
+
+    @pytest.mark.parametrize("machine", ["full-exchange", "random-table"])
+    def test_swapped_senders_break_equivalence(self, monkeypatch, machine):
+        p_a = pt.parse_partition("(1,4)(2,3)(5,6)")
+        p_b = pt.parse_partition("(1,2)(3,6)(4,5)")
+        g = rd.build_reduction(rd.TWO_REGULAR, p_a, p_b)
+        if machine == "full-exchange":
+            algo = FullExchangeSparse(max_degree=2)
+            t = algo.round_budget(g.instance)
+        else:
+            algo, t = RandomTable(seed=5, modulus=3), 6
+        mono = simulate(g.instance, algo, t)
+        a0, a1 = g.alice_vertices[:2]
+        assert mono.sent[a0] != mono.sent[a1]  # the swap is observable
+        assert rd.two_party_simulate(algo, p_a, p_b, rd.TWO_REGULAR, t).equivalent
+
+        honest = rd._rebuilt_round
+
+        def swapped(graph, msg_a, msg_b):
+            msg_a = (msg_a[1], msg_a[0]) + msg_a[2:]
+            return honest(graph, msg_a, msg_b)
+
+        monkeypatch.setattr(rd, "_rebuilt_round", swapped)
+        assert not rd.two_party_simulate(algo, p_a, p_b, rd.TWO_REGULAR, t).equivalent
 
     def test_b_greater_one_rejected(self):
         p = pt.parse_partition("(1,2)")

@@ -7,9 +7,12 @@ from itertools import permutations, product
 import pytest
 
 from bcclab import families as fm
+from bcclab import partitions as pt
+from bcclab import reduction as rd
 from bcclab.algorithms import (
     AlwaysSilent,
     AlwaysYes,
+    FoldingRandomTable,
     FullExchangeSparse,
     IdExchange,
     RandomTable,
@@ -51,6 +54,19 @@ def all_port_tables(n, limit=5):
         per_vertex.append(tables)
     for combo in product(*per_vertex):
         yield tuple(combo)
+
+
+class RecordingIdExchange(IdExchange):
+    """IdExchange that also keeps every inbox, sorted by port, in its state."""
+
+    def initialize(self, view):
+        return (view, ())
+
+    def broadcast(self, state, round_no):
+        return super().broadcast(state[0], round_no)
+
+    def receive(self, state, round_no, inbox):
+        return (state[0], state[1] + (tuple(sorted(inbox.items())),))
 
 
 def cycle_instance(n, mode=KT0, **kw):
@@ -157,6 +173,24 @@ class TestSimulate:
         for v in range(n):
             assert run1.states[v] == run2.states[perm[v]]
             assert run1.sent[v] == run2.sent[perm[v]]
+            assert algo.port_ids(run1, v) == algo.port_ids(run2, perm[v])
+        # adaptive machines take the delivery path of the round loop: the
+        # recorder keeps every port-keyed inbox, RandomTable folds them
+        for adaptive in (RecordingIdExchange(bits=3), RandomTable(seed=4, modulus=3)):
+            run1 = simulate(inst, adaptive, 4)
+            run2 = simulate(inst2, adaptive, 4)
+            for v in range(n):
+                assert run1.states[v] == run2.states[perm[v]]
+                assert run1.sent[v] == run2.sent[perm[v]]
+                for r in range(1, 5):
+                    assert run1.received(v, r) == run2.received(perm[v], r)
+        # the recorder's inboxes are the transcript read through the ports
+        run = simulate(inst, RecordingIdExchange(bits=3), 4)
+        assert len(set(run.states)) == n
+        for v in range(n):
+            assert run.states[v][1] == tuple(
+                tuple(sorted(run.received(v, r).items())) for r in range(1, 5)
+            )
 
     def test_coins_identical_at_all_vertices(self):
         inst = cycle_instance(4)
@@ -230,9 +264,157 @@ class TestIdExchange:
         algo = IdExchange(bits=bits)
         run = simulate(inst, algo, bits)
         for v in range(6):
-            decoded = algo.port_ids(run.states[v])
+            decoded = algo.port_ids(run, v)
             truth = {inst.port_at(v, u): inst.ids[u] for u in range(6) if u != v}
             assert decoded == truth
+
+
+def per_vertex_verdicts(run, algo):
+    """FullExchangeSparse verdicts with every vertex decoding on its own.
+
+    The oracle for ``decide_run``: vertex v reads each sender's d slots
+    of W bits from its own receptions (KT1 ports are the sender ids),
+    adds its own neighbor list and decides whether that graph connects
+    every id.
+    """
+    verdicts = []
+    for v, view in enumerate(run.views):
+        w = max(1, max(view.all_ids).bit_length())
+        if run.t < algo.max_degree * w:
+            verdicts.append(Verdict.YES)
+            continue
+        rows = [run.received(v, r) for r in range(1, run.t + 1)]
+        edges = {(view.own_id, x) for x in view.neighbor_ids}
+        for sender in view.all_ids:
+            if sender == view.own_id:
+                continue
+            for slot in range(algo.max_degree):
+                bits = [rows[slot * w + bit][sender] for bit in range(w)]
+                if all(s is Symbol.SILENT for s in bits):
+                    continue
+                value = sum(1 << bit for bit, s in enumerate(bits) if s is Symbol.ONE)
+                edges.add((sender, value))
+        adjacent = {x: set() for x in view.all_ids}
+        for a, c in edges:
+            if a != c and a in adjacent and c in adjacent:
+                adjacent[a].add(c)
+                adjacent[c].add(a)
+        reached = {view.all_ids[0]}
+        frontier = [view.all_ids[0]]
+        while frontier:
+            for y in adjacent[frontier.pop()] - reached:
+                reached.add(y)
+                frontier.append(y)
+        one = reached == set(view.all_ids)
+        verdicts.append(Verdict.YES if one else Verdict.NO)
+    return tuple(verdicts)
+
+
+class MisreportingExchange(FullExchangeSparse):
+    """Vertex `liar` broadcasts `fake` in place of its first neighbor."""
+
+    def __init__(self, liar, fake, max_degree=2):
+        super().__init__(max_degree)
+        self.liar, self.fake = liar, fake
+
+    def broadcast(self, state, round_no):
+        view, neighbors, w = state
+        if view.own_id == self.liar:
+            state = (view, tuple(sorted((self.fake,) + neighbors[1:])), w)
+        return super().broadcast(state, round_no)
+
+
+def _random_reduction(rng, n):
+    return rd.build_reduction(
+        rd.TWO_REGULAR, pt.random_pair_partition(rng, n), pt.random_pair_partition(rng, n)
+    ).instance
+
+
+class TestDecideRunAgainstPerVertexDecode:
+    def test_random_two_regular_reductions(self):
+        rng = random.Random(64)
+        algo = FullExchangeSparse(max_degree=2)
+        for n in range(2, 65, 2):
+            for _ in range(2):
+                inst = _random_reduction(rng, n)
+                run = simulate(inst, algo, algo.round_budget(inst))
+                assert run.verdicts == per_vertex_verdicts(run, algo)
+                components = len(fm.cycles_of_instance(inst))
+                assert run.system_verdict is (Verdict.YES if components == 1 else Verdict.NO)
+
+    def test_kt1_family_n8(self):
+        fam = fm.enumerate_family(8)
+        algo = FullExchangeSparse(max_degree=2)
+        for keys, make, truth in (
+            (fam.one_cycles, fam.one_cycle_instance, Verdict.YES),
+            (list(fam.all_two_cycle_keys()), fam.two_cycle_instance, Verdict.NO),
+        ):
+            for key in keys:
+                inst = make(key, mode=KT1)
+                run = simulate(inst, algo, algo.round_budget(inst))
+                assert run.verdicts == per_vertex_verdicts(run, algo) == (truth,) * 8
+
+    @pytest.mark.parametrize("offset", [-6, -1, 0, 1, 5])
+    def test_t_around_budget(self, offset):
+        rng = random.Random(100 + offset)
+        algo = FullExchangeSparse(max_degree=2)
+        for n in (4, 10, 24):
+            inst = _random_reduction(rng, n)
+            t = max(0, algo.round_budget(inst) + offset)
+            run = simulate(inst, algo, t)
+            assert run.verdicts == per_vertex_verdicts(run, algo)
+
+    def test_larger_degree_bound(self):
+        # a third, always silent slot; id 0 exists in the family instances,
+        # so reading a silent slot as 0 would join the two cycles
+        rng = random.Random(3)
+        algo = FullExchangeSparse(max_degree=3)
+        fam = fm.enumerate_family(6)
+        disconnected = [fam.two_cycle_instance(k, mode=KT1) for k in fam.all_two_cycle_keys()]
+        disconnected.append(make_instance(5, [(0, 1), (1, 2), (3, 4)], mode=KT1))
+        for inst in disconnected + [_random_reduction(rng, n) for n in (6, 20)]:
+            run = simulate(inst, algo, algo.round_budget(inst))
+            assert run.verdicts == per_vertex_verdicts(run, algo)
+            if inst in disconnected:
+                assert run.system_verdict is Verdict.NO
+
+    def test_ids_beyond_int64(self):
+        algo = FullExchangeSparse(max_degree=2)
+        for cycles in ([(0, 1, 2, 3, 4, 5)], [(0, 1, 2), (3, 4, 5)]):
+            inst = fm.instance_from_cycles(cycles, mode=KT1)
+            inst = make_instance(6, inst.input_edges, mode=KT1,
+                                 ids=[(1 << 70) + 3 * k for k in range(6)])
+            run = simulate(inst, algo, algo.round_budget(inst))
+            assert run.verdicts == per_vertex_verdicts(run, algo)
+            assert run.system_verdict is (Verdict.YES if len(cycles) == 1 else Verdict.NO)
+
+    def test_wide_payloads_read_as_zero(self):
+        # at b = 2 every payload is a tuple, which is neither ONE nor silent
+        algo = FullExchangeSparse(max_degree=2)
+        for cycles in ([(0, 1, 2, 3, 4, 5)], [(0, 1, 2), (3, 4, 5)]):
+            inst = fm.instance_from_cycles(cycles, mode=KT1, b=2)
+            run = simulate(inst, algo, algo.round_budget(inst))
+            assert run.verdicts == per_vertex_verdicts(run, algo)
+
+    def test_misreported_neighbor_falls_back_per_vertex(self):
+        # two 4-cycles; vertex 0 claims 4 instead of 1, which joins them for
+        # everyone else, while vertex 0 itself still sees two cycles
+        inst = fm.instance_from_cycles([(0, 1, 2, 3), (4, 5, 6, 7)], mode=KT1)
+        algo = MisreportingExchange(liar=0, fake=4)
+        run = simulate(inst, algo, algo.round_budget(inst))
+        assert run.verdicts == per_vertex_verdicts(run, algo)
+        assert run.verdicts == (Verdict.NO,) + (Verdict.YES,) * 7
+
+    def test_random_misreports(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            n = 2 * rng.randint(2, 16)
+            inst = _random_reduction(rng, n)
+            algo = MisreportingExchange(
+                liar=rng.choice(inst.ids), fake=rng.choice(inst.ids + (0, 1 << 12))
+            )
+            run = simulate(inst, algo, algo.round_budget(inst))
+            assert run.verdicts == per_vertex_verdicts(run, algo)
 
 
 class TestFullExchangeSparse:
@@ -303,6 +485,23 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             make_algorithm("nope")
+
+
+class TestRandomTable:
+    def test_record_only_at_modulus_one(self):
+        assert type(RandomTable(seed=5)).receive is Algorithm.receive
+        folding = RandomTable(seed=5, modulus=3)
+        assert isinstance(folding, RandomTable)
+        assert type(folding) is FoldingRandomTable
+        assert make_algorithm("random-table", modulus=2).modulus == 2
+
+    def test_delivery_does_not_change_modulus_one_runs(self):
+        inst = cycle_instance(9)
+        record_only = simulate(inst, RandomTable(seed=5), 4)
+        delivered = simulate(inst, FoldingRandomTable(seed=5, modulus=1), 4)
+        assert record_only.sent == delivered.sent
+        assert record_only.states == delivered.states
+        assert record_only.verdicts == delivered.verdicts
 
 
 class TestInstanceFormat:
