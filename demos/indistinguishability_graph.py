@@ -21,8 +21,8 @@ print()
 graph = build_indist_graph(fam, AlwaysSilent(), 0)
 stats = degree_stats(graph)
 print("edges            :", stats.edge_count)
-print("ops per one-cycle:", sorted({graph.left_ops(lk) for lk in fam.one_cycles}))
-print("ops per two-cycle:", sorted({graph.right_ops(rk) for rk in graph.right}))
+print("ops per one-cycle:", sorted({graph.degree(lk) for lk in fam.one_cycles}))
+print("ops per two-cycle:", sorted({graph.right_degree(rk) for rk in graph.right}))
 print("handshake        :", stats.handshake_ok,
       "(total operations =", stats.ops_total, "from both sides)")
 print()

@@ -25,6 +25,7 @@ Round budgets
 """
 
 import hashlib
+import inspect
 
 from .sim import KT1, Algorithm, Symbol, Verdict
 from .unionfind import DisjointSet
@@ -261,6 +262,10 @@ def make_algorithm(name, instance=None, **params):
     if name not in catalog:
         raise ValueError(f"unknown algorithm {name!r}; know {sorted(catalog)}")
     cls = catalog[name]
+    accepted = inspect.signature(cls).parameters
+    for key in sorted(params):
+        if key not in accepted:
+            raise ValueError(f"machine {name} takes no parameter {key!r}")
     if cls is IdExchange and "bits" not in params:
         if instance is None:
             raise ValueError("id-exchange needs bits= or an instance")

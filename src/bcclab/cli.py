@@ -5,8 +5,9 @@ record embeds the tool version and the full configuration, so identical
 configurations produce byte-identical reports. Exit codes: 0 success or
 verified, 1 a verification failed (the report carries the witness), 2
 usage errors (argparse's own convention), including input the library
-rejects, such as a malformed partition or a size over a limit; these
-print one "bcclab: error:" line on stderr.
+rejects, such as a malformed partition or a size over a limit, and a
+file that cannot be read or written; these print one "bcclab: error:"
+line on stderr.
 """
 
 import argparse
@@ -194,7 +195,7 @@ def cmd_indist_build(args, rep):
         "n": args.n, "t": args.t, "algo": args.algo,
         "v1": fam.v1_size, "v2": fam.v2_size,
         "edges": graph.edge_count(),
-        "operations": sum(graph.op_counts.values()),
+        "operations": graph.edge_count(),  # one operation per edge
     })
     if args.dump_edges:
         for lk in sorted(graph.adjacency):
@@ -572,7 +573,7 @@ def main(argv=None):
     rep = _Reporter(args)
     try:
         return args.func(args, rep)
-    except (ResourceLimitError, ValueError) as e:  # bad input: usage error
+    except (ResourceLimitError, ValueError, OSError) as e:  # bad input or path
         parser.exit(2, f"{parser.prog}: error: {e}\n")
     finally:
         rep.close()

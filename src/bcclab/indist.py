@@ -5,14 +5,16 @@ instances, and an edge joins I1 to I2 whenever some pair of active
 independent directed edges of I1 crosses into I2. An operation is a
 crossing up to reversing both edges (the twin yields the identical
 crossed instance). Every graph edge carries exactly one operation: the
-removed edges E(I1) - E(I2) fix the crossed pair, so ``op_counts`` is 1
-on every edge and operation totals equal edge totals.
+removed edges E(I1) - E(I2) fix the crossed pair. So the graph stores
+only its adjacency, keyed by the family's own key objects; ``op_counts``
+is derived from it, operation totals equal edge totals, and no witness
+pair is stored (the tests rebuild witnesses by instance-level crossing).
 """
 
 from collections import Counter
 from dataclasses import dataclass
 
-from .crossing import oriented_edge, split_key, splitting_pairs
+from .crossing import split_key, splitting_pairs
 from .errors import InternalConsistencyError
 from .sim import simulate
 
@@ -26,10 +28,8 @@ class IndistGraph:
     algorithm_name: str
     adjacency: dict  # one-cycle key -> frozenset of two-cycle keys
     right_adjacency: dict  # two-cycle key -> frozenset of one-cycle keys
-    op_counts: dict  # (one-cycle key, two-cycle key) -> operations, always 1
     active_directed: dict  # one-cycle key -> number of active directed edges
     active_undirected: dict  # one-cycle key -> edges with an active orientation
-    witnesses: dict  # (lk, rk) -> the first witnessing directed pair
 
     @property
     def left(self):
@@ -48,15 +48,12 @@ class IndistGraph:
     def right_degree(self, rk):
         return len(self.right_adjacency.get(rk, ()))
 
-    def left_ops(self, lk):
-        return sum(
-            self.op_counts[(lk, rk)] for rk in self.adjacency.get(lk, ())
-        )
-
-    def right_ops(self, rk):
-        return sum(
-            self.op_counts[(lk, rk)] for lk in self.right_adjacency.get(rk, ())
-        )
+    @property
+    def op_counts(self):
+        """(one-cycle key, two-cycle key) -> operations: 1 on every edge."""
+        return {
+            (lk, rk): 1 for lk, rks in self.adjacency.items() for rk in rks
+        }
 
     def bipartite_adjacency(self, positive_degree_only=True):
         """left key -> right key lists, for the matching machinery."""
@@ -78,23 +75,22 @@ def build_indist_graph(family, algorithm, t, x=(), y=(), coins=()):
     neighbors are the keys :func:`bcclab.crossing.split_key` gives for the
     :func:`bcclab.crossing.splitting_pairs` of all positions (cycles of at
     least the family's minimum length) whose two edges are active in a
-    common direction. A crossed key absent from the family indicates a bug
-    and raises InternalConsistencyError.
+    common direction. Both adjacencies hold the family's own key objects.
+    A crossed key absent from the family indicates a bug and raises
+    InternalConsistencyError.
     """
     x, y = tuple(x), tuple(y)
     if len(x) != t or len(y) != t:
         raise ValueError(f"need |x| = |y| = t = {t}")
     n = family.n
     pairs = splitting_pairs(range(n), n, family.min_cycle_len).tolist()
-    right_index = set(family.all_two_cycle_keys())
+    right_keys = {rk: rk for rk in family.all_two_cycle_keys()}
     adjacency = {}
-    right_adjacency = {rk: set() for rk in right_index}
+    right_adjacency = {rk: set() for rk in right_keys}
     active_directed = {}
     active_undirected = {}
-    witnesses = {}
     for lk in family.one_cycles:
-        inst = family.one_cycle_instance(lk)
-        sent = simulate(inst, algorithm, t, coins).sent
+        sent = simulate(family.one_cycle_instance(lk), algorithm, t, coins).sent
         heads = [sent[v] == x for v in lk]
         tails = [sent[v] == y for v in lk]
         forward = [heads[p] and tails[(p + 1) % n] for p in range(n)]
@@ -102,48 +98,24 @@ def build_indist_graph(family, algorithm, t, x=(), y=(), coins=()):
         active_directed[lk] = sum(forward) + sum(backward)
         active_undirected[lk] = sum(f or b for f, b in zip(forward, backward))
         neighbors = set()
-        made = {}
         for i, k in pairs:
-            fwd, bwd = forward[i] and forward[k], backward[i] and backward[k]
-            if not (fwd or bwd):
+            if not (forward[i] and forward[k] or backward[i] and backward[k]):
                 continue
             key = split_key(lk, i, k)
-            if key not in right_index:
+            rk = right_keys.get(key)
+            if rk is None:
                 raise InternalConsistencyError(
                     f"crossed instance {key} missing from the enumerated family"
                 )
-            neighbors.add(key)
-            right_adjacency[key].add(lk)
-            witnesses[(lk, key)] = _witness(inst, lk, i, k, fwd, bwd, made)
+            neighbors.add(rk)
+            right_adjacency[rk].add(lk)
         if neighbors:
             adjacency[lk] = frozenset(neighbors)
     right_adjacency = {rk: frozenset(v) for rk, v in right_adjacency.items()}
     return IndistGraph(
         family, t, x, y, getattr(algorithm, "name", "?"),
-        adjacency, right_adjacency, dict.fromkeys(witnesses, 1),
-        active_directed, active_undirected, witnesses,
+        adjacency, right_adjacency, active_directed, active_undirected,
     )
-
-
-def _witness(instance, cycle, i, k, forward_ok, backward_ok, made):
-    """First pair of combinations(directed_input_edges(instance), 2) that
-    crosses positions i < k of ``cycle`` in a qualifying direction.
-
-    ``made`` maps (head, tail) to the member's directed edges built so
-    far, so that its witnesses share them.
-    """
-    n = len(cycle)
-    # directed_input_edges lists undirected edges in sorted order, each
-    # low -> high before high -> low
-    ends = sorted(((cycle[p], cycle[(p + 1) % n]) for p in (i, k)), key=sorted)
-    forward = forward_ok and (not backward_ok or ends[0][0] < ends[0][1])
-    pair = []
-    for u, v in ends:
-        head, tail = (u, v) if forward else (v, u)
-        if (head, tail) not in made:
-            made[head, tail] = oriented_edge(instance, head, tail)
-        pair.append(made[head, tail])
-    return tuple(pair)
 
 
 @dataclass(frozen=True)
@@ -154,8 +126,8 @@ class DegreeStats:
     left_degree_hist: Counter
     right_degree_hist: Counter
     ti_edge_totals: dict  # i -> edges incident to T_i
-    ti_op_totals: dict  # i -> operations incident to T_i
-    ops_total: int
+    ti_op_totals: dict  # i -> operations incident to T_i (= ti_edge_totals)
+    ops_total: int  # = edge_count
     handshake_ok: bool
     degree_condition_rows: Counter  # (d_und, i, required2x, observed) -> #left nodes
 
@@ -184,41 +156,31 @@ class DegreeStats:
 
 
 def degree_stats(graph):
-    """Degree histograms, per-class operation totals and the handshake check.
+    """Degree histograms, per-class edge totals and the handshake check.
 
-    The handshake identity (edges and operations counted from the left
-    equal those counted from the right) is asserted; the degree-condition
-    rows are reported, not asserted, since the underlying counting
-    convention fixes constants the finite graph need not reproduce. Rows
-    are keyed by (active undirected edges d, class i, 2*floor requirement
-    = d, observed neighbors of simple degree i*(d-i)) and deduplicated.
+    The handshake identity (edges counted from the left equal those
+    counted from the right) is asserted; each edge is one operation, so
+    the operation totals are the edge totals. The degree-condition rows
+    are reported, not asserted, since the underlying counting convention
+    fixes constants the finite graph need not reproduce. Rows are keyed
+    by (active undirected edges d, class i, 2*floor requirement = d,
+    observed neighbors of simple degree i*(d-i)) and deduplicated.
     """
     left_edges = graph.edge_count()
     right_edges = sum(len(v) for v in graph.right_adjacency.values())
-    ops_left = sum(graph.op_counts.values())
-    ops_right = sum(
-        graph.op_counts[(lk, rk)]
-        for rk, lks in graph.right_adjacency.items()
-        for lk in lks
-    )
-    handshake = left_edges == right_edges and ops_left == ops_right
+    handshake = left_edges == right_edges
     if not handshake:
         raise InternalConsistencyError(
-            f"handshake violated: edges {left_edges}/{right_edges}, "
-            f"ops {ops_left}/{ops_right}"
+            f"handshake violated: edges {left_edges}/{right_edges}"
         )
     left_hist = Counter(len(v) for v in graph.adjacency.values())
     left_hist.update({0: len(graph.left) - len(graph.adjacency)})
     left_hist += Counter()  # drop zero-count entries
     right_hist = Counter(len(v) for v in graph.right_adjacency.values())
     ti_edges = {}
-    ti_ops = {}
     for rk, lks in graph.right_adjacency.items():
         i = len(rk[0])
         ti_edges[i] = ti_edges.get(i, 0) + len(lks)
-        ti_ops[i] = ti_ops.get(i, 0) + sum(
-            graph.op_counts[(lk, rk)] for lk in lks
-        )
     rows = Counter()
     right_degree = {rk: len(lks) for rk, lks in graph.right_adjacency.items()}
     for lk, rks in graph.adjacency.items():
@@ -229,5 +191,5 @@ def degree_stats(graph):
             rows[(d_und, i, d_und, observed)] += 1
     return DegreeStats(
         len(graph.left), len(graph.right), left_edges,
-        left_hist, right_hist, ti_edges, ti_ops, ops_left, handshake, rows,
+        left_hist, right_hist, ti_edges, ti_edges, left_edges, handshake, rows,
     )

@@ -20,6 +20,7 @@ exact communication accounting.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import partitions as pt
 from .sim import KT1, Symbol, Verdict, _run_rounds, make_instance, simulate
@@ -33,9 +34,15 @@ TWO_REGULAR = "two-regular"
 class ReductionGraph:
     variant: str
     n: int  # ground-set size
-    instance: object  # the KT1 BccInstance realizing the construction
+    ids: tuple  # vertex index -> id
+    edges: tuple  # input edges as vertex-index pairs
     alice_vertices: tuple  # vertex indices hosted by Alice, ascending ids
     bob_vertices: tuple
+
+    @cached_property
+    def instance(self):
+        """The KT1 BccInstance realizing the construction, built on first use."""
+        return make_instance(len(self.ids), self.edges, mode=KT1, ids=self.ids)
 
     def vertex_label(self, v):
         n = self.n
@@ -55,7 +62,10 @@ class ReductionGraph:
 
 
 def build_reduction(variant, p_a, p_b):
-    """The graph G(P_A, P_B) as a KT1 instance with the fixed id scheme.
+    """The graph G(P_A, P_B) with the fixed id scheme.
+
+    Its edges and ids are stored; the KT1 instance, with its full port
+    table, is built only when ``instance`` is first read.
 
     Part indices follow canonical block order (blocks sorted by minimum
     element take indices 1, 2, ...); the leftover attachment vertex is
@@ -76,9 +86,8 @@ def build_reduction(variant, p_a, p_b):
         for i, j in p_b.blocks:
             edges.append((n + i - 1, n + j - 1))
         ids = tuple(range(n + 1, 3 * n + 1))
-        inst = make_instance(2 * n, edges, mode=KT1, ids=ids)
         return ReductionGraph(
-            variant, n, inst, tuple(range(n)), tuple(range(n, 2 * n))
+            variant, n, ids, tuple(edges), tuple(range(n)), tuple(range(n, 2 * n))
         )
     if variant != GENERAL:
         raise ValueError(f"unknown variant {variant!r}")
@@ -92,17 +101,15 @@ def build_reduction(variant, p_a, p_b):
         for j in range(len(part.blocks), n):  # empty parts attach to the anchor
             edges.append((side + j, anchor))
     ids = tuple(range(1, 4 * n + 1))
-    inst = make_instance(4 * n, edges, mode=KT1, ids=ids)
     return ReductionGraph(
-        variant, n, inst, tuple(range(2 * n)), tuple(range(2 * n, 4 * n))
+        variant, n, ids, tuple(edges), tuple(range(2 * n)), tuple(range(2 * n, 4 * n))
     )
 
 
 def components_partition(graph):
     """Partition of [n] induced by connected components on the rung vertices."""
-    inst = graph.instance
-    ds = DisjointSet(inst.n)
-    for u, v in inst.input_edges:
+    ds = DisjointSet(len(graph.ids))
+    for u, v in graph.edges:
         ds.union(u, v)
     n = graph.n
     roots = {}
@@ -178,7 +185,7 @@ def _rebuilt_round(graph, msg_a, msg_b):
     Each message lists its party's vertices in ascending id order, so a
     position names the sender's id, hence its vertex.
     """
-    heard = [None] * graph.instance.n
+    heard = [None] * len(graph.ids)
     for vertices, msg in ((graph.alice_vertices, msg_a), (graph.bob_vertices, msg_b)):
         for v, sym in zip(vertices, msg):
             heard[v] = sym

@@ -429,6 +429,9 @@ def instance_to_json(instance, include_ports=True):
 
 def instance_from_json(text):
     doc = json.loads(text)
+    for key in ("n", "input_edges"):
+        if key not in doc:
+            raise ValueError(f"instance file has no {key!r} key")
     return make_instance(
         doc["n"],
         [tuple(e) for e in doc["input_edges"]],

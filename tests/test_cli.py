@@ -1,10 +1,12 @@
 """CLI contract: structured records, reproducibility, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
 from bcclab.cli import main
+from bcclab.sim import instance_to_json, make_instance
 
 
 def run_cli(capsys, *argv):
@@ -12,6 +14,18 @@ def run_cli(capsys, *argv):
     out = capsys.readouterr().out
     records = [json.loads(line) for line in out.strip().splitlines()]
     return code, records
+
+
+def assert_usage_error(capsys, argv, message):
+    """Exit 2, nothing on stdout, one "bcclab: error:" line naming the fault."""
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("bcclab: error: ") and message in lines[0]
 
 
 class TestBasicCommands:
@@ -169,17 +183,33 @@ class TestReportDiscipline:
             (["indist-stats", "--n", "6", "--t", "1", "--x", "2"], "bad symbol '2'"),
             (["twoparty", "--pa", "(1,2)", "--pb", "(1,2)", "--algo", "always-yes"],
              "--t is required"),
+            (["indist-stats", "--n", "6", "--bits", "3"],
+             "machine always-silent takes no parameter 'bits'"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
-        with pytest.raises(SystemExit) as e:
-            main(argv)
-        assert e.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("bcclab: error: ") and message in lines[0]
+        assert_usage_error(capsys, argv, message)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--instance", "{dir}/cycle.json", "--algo", "always-yes",
+              "--bits", "3", "--t", "1"], "machine always-yes takes no parameter 'bits'"),
+            (["simulate", "--instance", "{dir}/missing.json", "--t", "1"],
+             "No such file or directory"),
+            (["simulate", "--instance", "{dir}/no-edges.json", "--t", "1"],
+             "instance file has no 'input_edges' key"),
+            (["--out", "{dir}/no-dir/o.jsonl", "bell", "--n", "3"],
+             "No such file or directory"),
+            (["matrix-rank", "--kind", "M", "--n", "3", "--export-text",
+              "{dir}/no-dir/m.txt"], "No such file or directory"),
+        ],
+    )
+    def test_bad_file_input_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
+        cycle = make_instance(6, [(i, (i + 1) % 6) for i in range(6)])
+        (tmp_path / "cycle.json").write_text(instance_to_json(cycle))
+        (tmp_path / "no-edges.json").write_text('{"n": 3}')
+        assert_usage_error(capsys, [a.format(dir=tmp_path) for a in argv], message)
 
     def test_rejected_command_leaves_out_file_unchanged(self, tmp_path, capsys):
         path = tmp_path / "o.jsonl"
@@ -192,8 +222,6 @@ class TestReportDiscipline:
         assert json.loads(path.read_text())["record"] == {"n": 4, "bell": 15}
 
     def test_simulate_from_file(self, tmp_path, capsys):
-        from bcclab.sim import instance_to_json, make_instance
-
         inst = make_instance(6, [(i, (i + 1) % 6) for i in range(6)])
         path = tmp_path / "inst.json"
         path.write_text(instance_to_json(inst))
@@ -205,3 +233,94 @@ class TestReportDiscipline:
         rec = records[0]["record"]
         assert rec["system"] == "YES"
         assert rec["sent"][5] == "101"  # id 5 LSB-first
+
+
+# SHA-256 of the stdout of one small run of each subcommand. Reports are
+# part of the contract: regenerate a digest only when a report's bytes
+# change on purpose. ``cycle6.json`` is the 6-cycle the test writes.
+PINNED_REPORTS = {
+    "bell": (
+        ["bell", "--n", "10"],
+        "fff08ed9a81cad661abdd70acc656c1f8446245f9f60a3f568405b728a58475c",
+    ),
+    "partitions": (
+        ["partitions", "--n", "4"],
+        "8747567802b586b0ec0589d175a243d24bc5fb2617a23493fcb3d7ef5a1971ba",
+    ),
+    "join": (
+        ["join", "--p", "(1,2)(3,4)(5)", "--q", "(1,2,4)(3)(5)"],
+        "045cbd835416327303ed70a3eb077769663188f66cc294107e94caca51577b71",
+    ),
+    "matrix-rank": (
+        ["matrix-rank", "--kind", "E", "--n", "6"],
+        "f7e1fd39c25ab28791e27b072c002c5f22a28c491adc23b3814fcf83704232db",
+    ),
+    "family": (
+        ["family", "--n", "6", "--dump-members"],
+        "a5695e0eeb848ecd863b98f05dbfe81117d6bec77f9f4d9842ae6c0425e051ae",
+    ),
+    "indist-build": (
+        ["indist-build", "--n", "7", "--dump-edges"],
+        "1cd86f34b23441844f7672f01f4cd26426accd75089d40a5ea8561f595074915",
+    ),
+    "indist-stats": (
+        ["indist-stats", "--n", "8", "--min-cycle-len", "4"],
+        "69074350be5982559162a3605789a7f744dd82c8c7ac3fd145f973e2433e09aa",
+    ),
+    "kmatch": (
+        ["kmatch", "--left", "6", "--right", "12", "--k",
+         "2", "--trials", "5", "--seed", "3"],
+        "a05bc792179f89079198aad20d4a7bb35be136cc778e4fbb3171fa41f262908b",
+    ),
+    "cross": (
+        ["cross", "--cycle", "0,1,2,3,4,5", "--e1", "0,1", "--e2", "3,4"],
+        "d568edf65bbac9167e314c13a68a931dbf6550cc76a4df72a21c9122f159c65b",
+    ),
+    "fool": (
+        ["fool", "--n", "30", "--t", "1", "--bits", "5", "--limit", "3"],
+        "8dd4df61733d0cc3a2c5f2838355a18c84715f6500a2430a680717ab8043165c",
+    ),
+    "reduce": (
+        ["reduce", "--pa", "(1,2)(3,4)(5)", "--pb", "(1,2,4)(3)(5)", "--dump"],
+        "606f56e74aabb20b4a8c349b5632ffe442c39aca0349573c9a904ac03c49eee2",
+    ),
+    "verify-join": (
+        ["verify-join", "--random", "20", "--size", "12", "--seed", "42"],
+        "3ce4fb892253968ba1e5c5bf5ec790df33930b0c70fcbd8eb6e7cd84e8a6a1b4",
+    ),
+    "twoparty": (
+        ["twoparty", "--pa", "(1,2)(3,4)", "--pb", "(2,3)(1,4)", "--dump"],
+        "212af98dba0686fc90d2cd81b8f9c6cd247f9fdb7274f9711489910b05ca7d29",
+    ),
+    "simulate": (
+        ["simulate", "--instance", "cycle6.json", "--algo",
+         "id-exchange", "--bits", "3", "--t", "3"],
+        "b505a96356399a36830b49500976c336b152a46133fa92a7c90eb526b6d1c3a7",
+    ),
+    "error-eval": (
+        ["error-eval", "--n", "6", "--t", "1", "--algo", "id-exchange", "--bits", "3"],
+        "93bff55dfa1034ea4240d4866c44bfba7f1a63a68577af7af680b048987bdab8",
+    ),
+    "bounds": (
+        ["bounds", "--which", "entropy", "--n", "6", "--eps", "1/3"],
+        "dc33b5356c6df909b2efaff5ae59724b481612e4af4910178e432f2e10b0d5f3",
+    ),
+}
+
+
+class TestPinnedReports:
+    def test_every_subcommand_is_pinned(self):
+        from bcclab.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        assert set(PINNED_REPORTS) == set(sub.choices)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_report_digest(self, name, tmp_path, monkeypatch, capsys):
+        argv, digest = PINNED_REPORTS[name]
+        monkeypatch.chdir(tmp_path)
+        cycle = make_instance(6, [(i, (i + 1) % 6) for i in range(6)])
+        (tmp_path / "cycle6.json").write_text(instance_to_json(cycle))
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

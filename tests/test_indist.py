@@ -1,11 +1,15 @@
 """Indistinguishability-graph construction, statistics and Hall checks.
 
 The position-kernel builder is checked field by field against an
-instance-level reference that crosses every active directed pair.
+instance-level reference that crosses every active directed pair; the
+reference's witnesses are re-crossed and re-simulated.
 """
 
+import gc
+import tracemalloc
 from dataclasses import fields
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,8 +31,9 @@ def _op_key(f1, f2):
 def instance_level_graph(family, algorithm, t, x=(), y=()):
     """Reference builder: crosses every active directed pair as an instance.
 
-    Operations are counted as distinct pairs up to both-edge reversal, and
-    the witness of an edge is the first crossing pair in
+    Returns a record with every :class:`bcclab.indist.IndistGraph` field
+    plus ``op_counts``, the distinct pairs up to both-edge reversal per
+    edge, and ``witnesses``, the first crossing pair of each edge in
     combinations(directed_input_edges(...), 2) order.
     """
     x, y = tuple(x), tuple(y)
@@ -61,11 +66,34 @@ def instance_level_graph(family, algorithm, t, x=(), y=()):
             for rk, reps in ops.items():
                 op_counts[(lk, rk)] = len(reps)
                 right_adjacency[rk].add(lk)
-    return ig.IndistGraph(
-        family, t, x, y, getattr(algorithm, "name", "?"), adjacency,
-        {rk: frozenset(v) for rk, v in right_adjacency.items()},
-        op_counts, active_directed, active_undirected, witnesses,
+    return SimpleNamespace(
+        family=family, t=t, x=x, y=y,
+        algorithm_name=getattr(algorithm, "name", "?"), adjacency=adjacency,
+        right_adjacency={rk: frozenset(v) for rk, v in right_adjacency.items()},
+        active_directed=active_directed, active_undirected=active_undirected,
+        op_counts=op_counts, witnesses=witnesses,
     )
+
+
+def assert_matches_oracle(got, want):
+    """Every IndistGraph field, and the derived operation counts, agree."""
+    for field in fields(ig.IndistGraph):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    # one operation per edge, counted by the oracle's own reversal
+    # classes: the removed edges E(lk) - E(rk) fix the crossed pair
+    assert got.op_counts == want.op_counts
+
+
+def assert_witnesses_verified(got, want, algorithm):
+    """The built edges are the oracle's, and each oracle witness crosses
+    into its two-cycle and fools the full simulator."""
+    edges = {(lk, rk) for lk, rks in got.adjacency.items() for rk in rks}
+    assert edges == want.witnesses.keys()
+    for (lk, rk), (f1, f2) in want.witnesses.items():
+        i1 = got.family.one_cycle_instance(lk)
+        i2 = cross(i1, f1, f2)
+        assert fm.cycles_of_instance(i2) == rk
+        assert states_identical(i1, i2, algorithm, got.t)
 
 
 def hall_check(graph, subset, k):
@@ -102,12 +130,13 @@ class TestBuildAtRoundZero:
             assert all(len(rk[0]) == 3 for rk in neighbors)
 
     def test_n7_operation_fixtures(self, fam7, g7):
-        assert all(g7.left_ops(lk) == 7 for lk in fam7.one_cycles)
-        assert all(g7.right_ops(rk) == 24 for rk in g7.right)
+        # one operation per edge, so per-vertex operations are degrees
+        assert all(g7.degree(lk) == 7 for lk in fam7.one_cycles)
+        assert all(g7.right_degree(rk) == 24 for rk in g7.right)
         total = sum(g7.op_counts.values())
         assert total == 2520
-        assert sum(g7.left_ops(lk) for lk in fam7.one_cycles) == total
-        assert sum(g7.right_ops(rk) for rk in g7.right) == total
+        assert sum(g7.degree(lk) for lk in fam7.one_cycles) == total
+        assert sum(g7.right_degree(rk) for rk in g7.right) == total
 
     def test_all_active_at_t0(self, fam6, g6):
         assert all(g6.active_directed[lk] == 12 for lk in fam6.one_cycles)
@@ -115,11 +144,29 @@ class TestBuildAtRoundZero:
 
     def test_edges_verified_by_simulator(self, fam6, g6):
         algo = AlwaysSilent()
-        for (lk, rk), (f1, f2) in g6.witnesses.items():
-            i1 = fam6.one_cycle_instance(lk)
-            i2 = cross(i1, f1, f2)
-            assert fm.cycles_of_instance(i2) == rk
-            assert states_identical(i1, i2, algo, 0)
+        assert_witnesses_verified(g6, instance_level_graph(fam6, algo, 0), algo)
+
+    def test_keys_are_the_familys_objects_and_memory_is_small(self):
+        fam = fm.enumerate_family(8)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            graph = ig.build_indist_graph(fam, AlwaysSilent(), 0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        ones = {lk: lk for lk in fam.one_cycles}
+        twos = {rk: rk for rk in fam.all_two_cycle_keys()}
+        assert graph.edge_count() > 0
+        for lk, rks in graph.adjacency.items():
+            assert ones[lk] is lk
+            assert all(twos[rk] is rk for rk in rks)
+        for rk, lks in graph.right_adjacency.items():
+            assert twos[rk] is rk
+            assert all(ones[lk] is lk for lk in lks)
+        assert retained < 8 * 2**20
 
     def test_x_y_length_validation(self, fam6):
         with pytest.raises(ValueError, match=r"\|x\|"):
@@ -138,11 +185,9 @@ class TestBuildAtLaterRounds:
         y = (Symbol.ONE,)
         g = ig.build_indist_graph(fam6, IdExchange(bits=3), 1, x, y)
         assert g.edge_count() < g6.edge_count()
-        # every surviving witness still passes the full simulator check
+        # every surviving edge has a witness that passes the full simulator
         algo = IdExchange(bits=3)
-        for (lk, rk), (f1, f2) in g.witnesses.items():
-            i1 = fam6.one_cycle_instance(lk)
-            assert states_identical(i1, cross(i1, f1, f2), algo, 1)
+        assert_witnesses_verified(g, instance_level_graph(fam6, algo, 1, x, y), algo)
 
 
 def _common_broadcast(family, algorithm, t):
@@ -171,26 +216,16 @@ class TestAgainstInstanceLevelOracle:
         got = ig.build_indist_graph(fam, algorithm, t, *xy)
         want = instance_level_graph(fam, algorithm, t, *xy)
         assert got.edge_count() > 0
-        for field in fields(ig.IndistGraph):
-            assert getattr(got, field.name) == getattr(want, field.name), field.name
-        # one operation per edge, counted by the oracle's own reversal
-        # classes: the removed edges E(lk) - E(rk) fix the crossed pair
-        edges = {(lk, rk) for lk, rks in want.adjacency.items() for rk in rks}
-        assert want.op_counts.keys() == edges
-        assert set(want.op_counts.values()) == {1}
+        assert_matches_oracle(got, want)
         if n == 6:
-            for (lk, rk), (f1, f2) in got.witnesses.items():
-                i1 = fam.one_cycle_instance(lk)
-                i2 = cross(i1, f1, f2)
-                assert fm.cycles_of_instance(i2) == rk
-                assert states_identical(i1, i2, algorithm, t)
+            assert_witnesses_verified(got, want, algorithm)
 
     def test_equal_with_minimum_cycle_length_4(self):
         fam = fm.enumerate_family(8, min_cycle_len=4)
         args = (IdExchange(bits=3), 1, (Symbol.ZERO,), (Symbol.ONE,))
         got = ig.build_indist_graph(fam, *args)
         assert got.edge_count() > 0
-        assert got == instance_level_graph(fam, *args)
+        assert_matches_oracle(got, instance_level_graph(fam, *args))
 
 
 class TestDegreeStats:
