@@ -31,6 +31,11 @@ from .sim import KT1, Algorithm, Symbol, Verdict
 from .unionfind import DisjointSet
 
 
+def id_width(ids):
+    """W of the round budgets: the bit length of the largest id, at least 1."""
+    return max(1, max(ids).bit_length())
+
+
 def _stable_trit(*parts):
     payload = ":".join(str(p) for p in parts).encode()
     digest = hashlib.blake2b(payload, digest_size=4).digest()
@@ -126,10 +131,6 @@ class FullExchangeSparse(Algorithm):
             raise ValueError("max degree must be >= 1")
         self.max_degree = max_degree
 
-    @staticmethod
-    def _width(view):
-        return max(1, max(view.all_ids).bit_length())
-
     def initialize(self, view):
         if view.mode != KT1:
             raise ValueError("full-exchange-sparse requires KT1 knowledge")
@@ -140,7 +141,7 @@ class FullExchangeSparse(Algorithm):
                 f"configured bound {self.max_degree}"
             )
         # state = (view, own sorted neighbor ids, id width W)
-        return (view, neighbors, self._width(view))
+        return (view, neighbors, id_width(view.all_ids))
 
     def broadcast(self, state, round_no):
         _, neighbors, w = state
@@ -154,7 +155,7 @@ class FullExchangeSparse(Algorithm):
     def decide_run(self, views, states, sent):
         n = len(views)
         all_ids = views[0].all_ids
-        w = self._width(views[0])
+        w = id_width(all_ids)
         if len(sent[0]) < self.max_degree * w:
             return (Verdict.YES,) * n
         ids = [view.own_id for view in views]
@@ -198,7 +199,7 @@ class FullExchangeSparse(Algorithm):
         return Verdict.YES if one else Verdict.NO
 
     def round_budget(self, instance):
-        return self.max_degree * max(1, max(instance.ids).bit_length())
+        return self.max_degree * id_width(instance.ids)
 
 
 class RandomTable(Algorithm):
@@ -269,7 +270,7 @@ def make_algorithm(name, instance=None, **params):
     if cls is IdExchange and "bits" not in params:
         if instance is None:
             raise ValueError("id-exchange needs bits= or an instance")
-        params["bits"] = max(1, max(instance.ids).bit_length())
+        params["bits"] = id_width(instance.ids)
     if cls is RandomTable and "seed" not in params:
         params["seed"] = 0
     return cls(**params)

@@ -15,6 +15,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 from . import __version__
 from . import bounds as bd
@@ -88,13 +89,10 @@ def _parse_symbols(text):
 
 
 def _algorithm(args, instance=None):
-    params = {}
-    if getattr(args, "bits", None) is not None:
-        params["bits"] = args.bits
-    if getattr(args, "max_degree", None) is not None:
-        params["max_degree"] = args.max_degree
-    if getattr(args, "modulus", None) is not None:
-        params["modulus"] = args.modulus
+    params = {
+        key: getattr(args, key) for key in ("bits", "max_degree", "modulus")
+        if getattr(args, key, None) is not None
+    }
     if args.algo == "random-table":
         params.setdefault("seed", getattr(args, "seed", DEFAULT_SEED))
     return make_algorithm(args.algo, instance=instance, **params)
@@ -180,9 +178,14 @@ def cmd_family(args, rep):
     return code
 
 
-def _built_graph(args):
+def _family_and_machine(args, mode=KT0):
+    """The family of args.n and the machine, its defaults from the first one-cycle."""
     fam = fm.enumerate_family(args.n, args.min_cycle_len)
-    algorithm = _algorithm(args, fam.one_cycle_instance(fam.one_cycles[0]))
+    return fam, _algorithm(args, fam.one_cycle_instance(fam.one_cycles[0], mode=mode))
+
+
+def _built_graph(args):
+    fam, algorithm = _family_and_machine(args)
     # x and y default to all-silent strings of length t
     x = _parse_symbols(args.x if args.x else "-" * args.t)
     y = _parse_symbols(args.y if args.y else "-" * args.t)
@@ -252,8 +255,10 @@ def cmd_kmatch(args, rep):
 def cmd_cross(args, rep):
     cycles = [tuple(int(v) for v in c.split(",")) for c in args.cycle]
     inst = fm.instance_from_cycles(cycles)
-    e1 = oriented_edge(inst, *(int(v) for v in args.e1.split(",")))
-    e2 = oriented_edge(inst, *(int(v) for v in args.e2.split(",")))
+    pairs = [tuple(int(v) for v in text.split(",")) for text in (args.e1, args.e2)]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"--e1 and --e2 take one head,tail pair each, got {pairs}")
+    e1, e2 = (oriented_edge(inst, *pair) for pair in pairs)
     crossed = cross(inst, e1, e2)
     rep.emit({
         "input_cycles": [list(c) for c in fm.cycles_of_instance(inst)],
@@ -311,35 +316,28 @@ def cmd_reduce(args, rep):
     return 0 if record["pass"] else 1
 
 
+def _join_pairs(args):
+    """The (p_a, p_b) pairs a verify-join sweep checks, in sweep order."""
+    pairings = args.variant == rd.TWO_REGULAR
+    if args.exhaustive:
+        enum = pt.enumerate_pair_partitions if pairings else pt.enumerate_partitions
+        yield from product(list(enum(args.n)), repeat=2)
+        return
+    rng = random.Random(args.seed)
+    draw = pt.random_pair_partition if pairings else pt.random_partition
+    for _ in range(args.random):
+        size = 2 * rng.randint(1, args.size // 2) if pairings else rng.randint(1, args.size)
+        yield draw(rng, size), draw(rng, size)
+
+
 def cmd_verify_join(args, rep):
     checked = failures = 0
     witness = None
-    if args.exhaustive:
-        if args.variant == rd.TWO_REGULAR:
-            universe = list(pt.enumerate_pair_partitions(args.n))
-        else:
-            universe = list(pt.enumerate_partitions(args.n))
-        for p_a in universe:
-            for p_b in universe:
-                checked += 1
-                if not rd.verify_join_correspondence(p_a, p_b, args.variant):
-                    failures += 1
-                    witness = witness or (str(p_a), str(p_b))
-    else:
-        rng = random.Random(args.seed)
-        for _ in range(args.random):
-            if args.variant == rd.TWO_REGULAR:
-                size = 2 * rng.randint(1, args.size // 2)
-                p_a = pt.random_pair_partition(rng, size)
-                p_b = pt.random_pair_partition(rng, size)
-            else:
-                size = rng.randint(1, args.size)
-                p_a = pt.random_partition(rng, size)
-                p_b = pt.random_partition(rng, size)
-            checked += 1
-            if not rd.verify_join_correspondence(p_a, p_b, args.variant):
-                failures += 1
-                witness = witness or (str(p_a), str(p_b))
+    for p_a, p_b in _join_pairs(args):
+        checked += 1
+        if not rd.verify_join_correspondence(p_a, p_b, args.variant):
+            failures += 1
+            witness = witness or (str(p_a), str(p_b))
     record = {"checked": checked, "failures": failures, "pass": failures == 0}
     if witness:
         record["witness"] = list(witness)
@@ -377,6 +375,8 @@ def cmd_simulate(args, rep):
     with open(args.instance) as f:
         inst = instance_from_json(f.read())
     algorithm = _algorithm(args, inst)
+    if args.coins and set(args.coins) - {"0", "1"}:
+        raise ValueError(f"--coins must be a 0/1 string, got {args.coins!r}")
     coins = tuple(int(c) for c in args.coins) if args.coins else ()
     run = simulate(inst, algorithm, args.t, coins)
     rep.emit({
@@ -395,13 +395,11 @@ def cmd_simulate(args, rep):
 
 
 def cmd_error_eval(args, rep):
-    fam = fm.enumerate_family(args.n, args.min_cycle_len)
-    mode = KT1 if args.mode == "KT1" else KT0
-    yes_family = [fam.one_cycle_instance(k, mode=mode) for k in fam.one_cycles]
+    fam, algorithm = _family_and_machine(args, args.mode)
+    yes_family = [fam.one_cycle_instance(k, mode=args.mode) for k in fam.one_cycles]
     no_family = [
-        fam.two_cycle_instance(k, mode=mode) for k in fam.all_two_cycle_keys()
+        fam.two_cycle_instance(k, mode=args.mode) for k in fam.all_two_cycle_keys()
     ]
-    algorithm = _algorithm(args, yes_family[0])
     t = args.t
     if t is None:
         t = algorithm.round_budget(yes_family[0]) or 0

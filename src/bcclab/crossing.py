@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .families import canonical_cycle
+from .families import canonical_cycle, two_cycle_key, walk_cycle
 from .sim import KT0, BccInstance, simulate
 
 
@@ -158,19 +158,10 @@ def cycle_orientation(instance):
     in for the arbitrary clockwise convention.
     """
     nbr = instance.input_neighbors
-    if any(len(x) != 2 for x in nbr):
-        raise ValueError("instance is not 2-regular")
     ids = instance.ids
     start = min(range(instance.n), key=lambda v: ids[v])
-    first = min(nbr[start], key=lambda v: ids[v])
-    seq = [start, first]
-    while True:
-        prev, cur = seq[-2], seq[-1]
-        a, b = nbr[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            break
-        seq.append(nxt)
+    first = min(nbr[start], key=lambda v: ids[v], default=None)
+    seq = walk_cycle(nbr, start, first)
     if len(seq) != instance.n:
         raise ValueError("input graph is not a single cycle")
     return tuple(seq)
@@ -201,12 +192,12 @@ def splitting_pairs(positions, n, min_len=3):
 def split_key(cycle, i, k):
     """Two-cycle key left by crossing positions i < k of ``cycle``.
 
-    The pair must satisfy :func:`splitting_pairs`; the key is sorted as
-    :func:`bcclab.families.cycles_of_instance` sorts it.
+    The pair must satisfy :func:`splitting_pairs`.
     """
-    c1 = canonical_cycle(cycle[i + 1:k + 1])
-    c2 = canonical_cycle(cycle[k + 1:] + cycle[:i + 1])
-    return (c1, c2) if (len(c1), c1) <= (len(c2), c2) else (c2, c1)
+    return two_cycle_key(
+        canonical_cycle(cycle[i + 1:k + 1]),
+        canonical_cycle(cycle[k + 1:] + cycle[:i + 1]),
+    )
 
 
 @dataclass(frozen=True)

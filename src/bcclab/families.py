@@ -5,8 +5,9 @@ Families are enumerated at the graph level over the fixed vertex set
 family size by the same factor, so ratios and per-instance degree
 statistics are unaffected while exhaustive runs stay small. Members are
 stored as canonical keys; a key is the cycle vertex sequence rotated to
-its lexicographically minimal rotation/reflection (two-cycle keys sort
-their two cycles by length, then lexicographically).
+its lexicographically minimal rotation/reflection. Key order
+(:func:`cycle_order`), cycle walks, the cycles on a vertex set and the
+class lengths i of T_i (:func:`two_cycle_classes`) each have one owner.
 """
 
 from dataclasses import dataclass
@@ -52,43 +53,63 @@ def instance_from_cycles(cycles, mode=KT0, b=1, n=None):
     return make_instance(size, edges, mode=mode, b=b)
 
 
+def cycle_order(cycle):
+    """Sort key of the cycles in a family key: shorter first, then lexicographic."""
+    return len(cycle), cycle
+
+
+def two_cycle_key(a, b):
+    """Family key of two disjoint canonical cycles, in :func:`cycle_order`."""
+    return (a, b) if cycle_order(a) <= cycle_order(b) else (b, a)
+
+
+def walk_cycle(neighbors, start, toward):
+    """The cycle leaving start toward ``toward``; each vertex must have two neighbors."""
+    if len(neighbors[start]) != 2:
+        raise ValueError(f"vertex {start} does not have exactly two input neighbors")
+    seq = [start]
+    prev, cur = start, toward
+    while cur != start:
+        seq.append(cur)
+        if len(neighbors[cur]) != 2:
+            raise ValueError(f"vertex {cur} does not have exactly two input neighbors")
+        a, b = neighbors[cur]
+        prev, cur = cur, (b if a == prev else a)
+    return seq
+
+
 def cycles_of_instance(instance):
     """Canonical key of a disjoint-cycles input graph (any cycle count)."""
     nbr = instance.input_neighbors
-    seen = [False] * instance.n
+    seen = set()
     out = []
     for start in range(instance.n):
-        if seen[start] or not nbr[start]:
+        if start in seen or not nbr[start]:
             continue
-        if len(nbr[start]) != 2:
-            raise ValueError("input graph is not a disjoint union of cycles")
-        seq = [start, nbr[start][0]]
-        seen[start] = True
-        while seq[-1] != start:
-            prev, cur = seq[-2], seq[-1]
-            seen[cur] = True
-            a, b = nbr[cur]
-            seq.append(b if a == prev else a)
-        out.append(canonical_cycle(seq[:-1]))
-    return tuple(sorted(out, key=lambda c: (len(c), c)))
+        seq = walk_cycle(nbr, start, nbr[start][0])
+        seen.update(seq)
+        out.append(canonical_cycle(seq))
+    return tuple(sorted(out, key=cycle_order))
+
+
+def _cycles_on(vertices):
+    """Every cycle on the vertex set once, canonically keyed."""
+    first, *rest = sorted(vertices)
+    for perm in permutations(rest):
+        if perm[0] < perm[-1]:  # reflection representative
+            yield (first,) + perm
 
 
 def one_cycle_keys(n):
     """All (n-1)!/2 distinct cycles on {0..n-1}, canonically keyed."""
-    for perm in permutations(range(1, n)):
-        if perm[0] < perm[-1]:  # reflection representative
-            yield (0,) + perm
+    return _cycles_on(range(n))
 
 
-def _cycles_on(vertices):
-    vertices = tuple(sorted(vertices))
-    first, rest = vertices[0], vertices[1:]
-    if len(vertices) == 3:
-        yield vertices
-        return
-    for perm in permutations(rest):
-        if perm[0] < perm[-1]:
-            yield (first,) + perm
+def two_cycle_classes(n, min_cycle_len=3):
+    """Smaller-cycle lengths i of the splits; each leaves n - i >= i vertices."""
+    if min_cycle_len < 3:
+        raise ValueError(f"min_cycle_len must be at least 3, got {min_cycle_len}")
+    return range(min_cycle_len, n // 2 + 1)
 
 
 def two_cycle_keys(n, min_cycle_len=3):
@@ -98,17 +119,14 @@ def two_cycle_keys(n, min_cycle_len=3):
     i = n/2 class drops the complement duplicates by keeping only the
     splits whose first cycle contains vertex 0.
     """
-    for i in range(min_cycle_len, n // 2 + 1):
-        if n - i < max(i, min_cycle_len):
-            continue
+    for i in two_cycle_classes(n, min_cycle_len):
         for subset in combinations(range(n), i):
             if 2 * i == n and 0 not in subset:
                 continue
             complement = tuple(v for v in range(n) if v not in subset)
             for ca in _cycles_on(subset):
                 for cb in _cycles_on(complement):
-                    key = tuple(sorted((ca, cb), key=lambda c: (len(c), c)))
-                    yield i, key
+                    yield i, two_cycle_key(ca, cb)
 
 
 @dataclass(frozen=True)
@@ -142,36 +160,32 @@ class CycleFamily:
         return instance_from_cycles(list(key), mode=mode, b=b, n=self.n)
 
 
-def enumerate_family(n, min_cycle_len=3, limit=FAMILY_LIMIT):
-    """Complete duplicate-free families for 5 <= n <= limit."""
+def enumerate_family(n, min_cycle_len=3):
+    """Complete duplicate-free families for 5 <= n <= FAMILY_LIMIT."""
     if n < 5:
         raise ValueError("family enumeration needs n >= 5")
-    if n > limit:
+    if n > FAMILY_LIMIT:
         raise ResourceLimitError(
-            f"family enumeration for n={n} exceeds the limit n<={limit}"
+            f"family enumeration for n={n} exceeds the limit n<={FAMILY_LIMIT}"
         )
-    ones = tuple(one_cycle_keys(n))
     twos = {}
     for i, key in two_cycle_keys(n, min_cycle_len):
         twos.setdefault(i, []).append(key)
     twos = {i: tuple(v) for i, v in sorted(twos.items())}
+    ones = tuple(one_cycle_keys(n))
     return CycleFamily(n, min_cycle_len, ones, twos)
 
 
 def one_cycle_count(n):
+    """Distinct cycles on n >= 3 fixed vertices: (n-1)!/2."""
     return factorial(n - 1) // 2
-
-
-def _cycles_on_count(m):
-    # distinct cycles on a fixed m-element vertex set
-    return max(1, factorial(m - 1) // 2)
 
 
 def t_class_count(n, i):
     """Closed form |T_i|: splits with the smaller cycle of length i."""
-    if i < 3 or n - i < i:
+    if i not in two_cycle_classes(n):
         raise ValueError("need 3 <= i <= n/2")
-    count = comb(n, i) * _cycles_on_count(i) * _cycles_on_count(n - i)
+    count = comb(n, i) * one_cycle_count(i) * one_cycle_count(n - i)
     if 2 * i == n:
         count //= 2
     return count
@@ -193,9 +207,7 @@ class FamilyCounts:
 def family_ratio_terms(n, min_cycle_len=3):
     """|T_i|/|V1| simplifies to n/(2 i (n-i)), halved at i = n/2."""
     terms = {}
-    for i in range(min_cycle_len, n // 2 + 1):
-        if n - i < max(i, min_cycle_len):
-            continue
+    for i in two_cycle_classes(n, min_cycle_len):
         term = Fraction(n, 2 * i * (n - i))
         if 2 * i == n:
             term /= 2
@@ -205,38 +217,33 @@ def family_ratio_terms(n, min_cycle_len=3):
 
 def family_ratio_float(n, min_cycle_len=3):
     """Float |V2|/|V1| from the simplified per-class terms (any n)."""
-    lo, hi = min_cycle_len, n // 2
-    if hi < lo:
-        return 0.0
-    i = np.arange(lo, hi + 1, dtype=np.float64)
+    classes = two_cycle_classes(n, min_cycle_len)
+    i = np.arange(classes.start, classes.stop, dtype=np.float64)
     total = float(np.sum(n / (2.0 * i * (n - i))))
-    if n == 2 * hi:  # the balanced class is half the unordered-form count
+    hi = n // 2
+    if n == 2 * hi and hi in classes:  # the balanced class is half the count
         total -= n / (2.0 * hi * hi) / 2.0
     return total
 
 
-def family_ratio_exact(n, min_cycle_len=3, limit=EXACT_RATIO_LIMIT):
-    if n > limit:
+def family_ratio_exact(n, min_cycle_len=3):
+    if n > EXACT_RATIO_LIMIT:
         raise ResourceLimitError(
-            f"exact ratio for n={n} exceeds the limit n<={limit}"
+            f"exact ratio for n={n} exceeds the limit n<={EXACT_RATIO_LIMIT}"
         )
     return sum(family_ratio_terms(n, min_cycle_len).values(), Fraction(0))
 
 
-def family_counts(n, min_cycle_len=3, limit=EXACT_COUNT_LIMIT):
+def family_counts(n, min_cycle_len=3):
     """Exact closed-form counts; enumeration-free, so n can be large."""
     if n < 6:
         raise ValueError("closed forms are for n >= 6")
-    if n > limit:
+    if n > EXACT_COUNT_LIMIT:
         raise ResourceLimitError(
-            f"exact closed-form counts for n={n} exceed the limit n<={limit}"
+            f"exact closed-form counts for n={n} exceed the limit n<={EXACT_COUNT_LIMIT}"
         )
     v1 = one_cycle_count(n)
-    t_counts = {}
-    for i in range(min_cycle_len, n // 2 + 1):
-        if n - i < max(i, min_cycle_len):
-            continue
-        t_counts[i] = t_class_count(n, i)
+    t_counts = {i: t_class_count(n, i) for i in two_cycle_classes(n, min_cycle_len)}
     v2 = sum(t_counts.values())
     return FamilyCounts(
         n, min_cycle_len, v1, t_counts, v2,

@@ -4,6 +4,9 @@ The matrix of kind "M" is indexed by all partitions of {1..n}; kind "E"
 by the perfect pairings only. Entry (i,j) is 1 exactly when the join of
 the i-th and j-th index partition is the one-block partition.
 
+A matrix is built only when its dimension, the closed-form count that is
+also its expected rank, is at most DIMENSION_CAP: M^7 (877), E^10 (945).
+
 Rows are built on element bitmasks. For each index partition r,
 closure[r, S] is the union of the blocks of r that meet the set S. The
 block of element 1 in the join of partitions i and j is the fixed point
@@ -28,10 +31,14 @@ import numpy as np
 from . import partitions as pt
 from .errors import ResourceLimitError
 
-M_LIMIT = 7
-E_LIMIT = 10
 DIMENSION_CAP = 1000
 PRIME = 2**31 - 1  # products of two residues stay below 2^62
+
+# kind -> (closed-form count of its index, the index enumeration)
+KINDS = {
+    "M": (pt.bell, pt.enumerate_partitions),
+    "E": (pt.pair_partition_count, pt.enumerate_pair_partitions),
+}
 
 
 @dataclass(frozen=True)
@@ -57,31 +64,28 @@ class JoinMatrix:
         return h.hexdigest()
 
 
-def expected_rank(kind, n):
-    if kind == "M":
-        return pt.bell(n)
-    if kind == "E":
-        return pt.pair_partition_count(n)
-    raise ValueError(f"unknown matrix kind {kind!r}")
-
-
-def build_join_matrix(kind, n, m_limit=M_LIMIT, e_limit=E_LIMIT):
-    """Construct the 0/1 join matrix of the given kind over {1..n}."""
-    if kind == "M":
-        if n > m_limit:
-            raise ResourceLimitError(f"kind M needs n<={m_limit}, got n={n}")
-        index = tuple(pt.enumerate_partitions(n))
-    elif kind == "E":
-        if n > e_limit:
-            raise ResourceLimitError(f"kind E needs n<={e_limit}, got n={n}")
-        index = tuple(pt.enumerate_pair_partitions(n))
-    else:
+def _kind(kind):
+    if kind not in KINDS:
         raise ValueError(f"unknown matrix kind {kind!r}")
-    dim = len(index)
-    if dim > DIMENSION_CAP:
+    return KINDS[kind]
+
+
+def expected_rank(kind, n):
+    return _kind(kind)[0](n)
+
+
+def build_join_matrix(kind, n):
+    """Construct the 0/1 join matrix of the given kind over {1..n}."""
+    count, enumerate_index = _kind(kind)
+    # both counts are at least n - 1, so past the cap n alone decides and
+    # the count (quadratic time in n for a Bell number) is not computed
+    dim = count(n) if n <= DIMENSION_CAP else f"at least {n - 1}"
+    if n > DIMENSION_CAP or dim > DIMENSION_CAP:
         raise ResourceLimitError(
-            f"dimension {dim} exceeds the dense-representation cap {DIMENSION_CAP}"
+            f"kind {kind} at n={n} has dimension {dim}, over the "
+            f"dense-representation cap {DIMENSION_CAP}"
         )
+    index = tuple(enumerate_index(n))
     closure = _block_closures(index, n)
     flat = closure.ravel()
     column_base = np.arange(dim) * closure.shape[1]  # row starts in `flat`
@@ -244,16 +248,5 @@ def export_binary(matrix):
         },
         sort_keys=True,
     ).encode()
-    bits = bytearray()
-    acc = 0
-    count = 0
-    for row in matrix.rows:
-        for v in row:
-            acc = (acc << 1) | v
-            count += 1
-            if count == 8:
-                bits.append(acc)
-                acc, count = 0, 0
-    if count:
-        bits.append(acc << (8 - count))
-    return header + b"\n" + bytes(bits)
+    bits = np.packbits(np.array(matrix.rows, dtype=np.uint8))  # MSB first
+    return header + b"\n" + bits.tobytes()

@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 INF = float("inf")
+HALL_CHECK_LIMIT = 20  # left vertices; the oracle visits all 2^left subsets
 
 
 def hopcroft_karp(adjacency):
@@ -101,11 +102,11 @@ def hall_check(adjacency, subset, k):
     return False, HallViolation(k, frozenset(subset), frozenset(nbh))
 
 
-def exhaustive_hall_check(adjacency, k, max_left=20):
+def exhaustive_hall_check(adjacency, k):
     """Check |N(S)| >= k|S| over every left subset (oracle; exponential)."""
     lefts = sorted(adjacency)
-    if len(lefts) > max_left:
-        raise ValueError(f"exhaustive check capped at {max_left} left vertices")
+    if len(lefts) > HALL_CHECK_LIMIT:
+        raise ValueError(f"exhaustive check capped at {HALL_CHECK_LIMIT} left vertices")
     for mask in range(1, 1 << len(lefts)):
         subset = [lefts[i] for i in range(len(lefts)) if mask >> i & 1]
         ok, witness = hall_check(adjacency, subset, k)

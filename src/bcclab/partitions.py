@@ -151,13 +151,13 @@ def pair_partition_count(n):
     return factorial(n) // (2 ** (n // 2) * factorial(n // 2))
 
 
-def enumerate_partitions(n, limit=ENUMERATION_LIMIT):
+def enumerate_partitions(n):
     """Yield every partition of {1..n} once, in RGS-lexicographic order."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if n > limit:
+    if n > ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"partition enumeration for n={n} exceeds the limit n<={limit}"
+            f"partition enumeration for n={n} exceeds the limit n<={ENUMERATION_LIMIT}"
         )
     rgs = [0] * n
     caps = [0] * n  # caps[i] = 1 + max(rgs[:i]), the largest digit allowed at i
@@ -177,13 +177,13 @@ def enumerate_partitions(n, limit=ENUMERATION_LIMIT):
             caps[j] = max(caps[j - 1], rgs[j - 1] + 1)
 
 
-def enumerate_pair_partitions(n, limit=PAIR_ENUMERATION_LIMIT):
+def enumerate_pair_partitions(n):
     """Yield all perfect pairings of {1..n}, smallest-free-element first."""
     if n % 2 != 0 or n < 2:
         raise ValueError("n must be a positive even integer")
-    if n > limit:
+    if n > PAIR_ENUMERATION_LIMIT:
         raise ResourceLimitError(
-            f"pairing enumeration for n={n} exceeds the limit n<={limit}"
+            f"pairing enumeration for n={n} exceeds the limit n<={PAIR_ENUMERATION_LIMIT}"
         )
 
     def rec(free):

@@ -29,6 +29,9 @@ from .unionfind import DisjointSet
 GENERAL = "general"
 TWO_REGULAR = "two-regular"
 
+# the vertex groups of n each, in the index order build_reduction lays out
+GROUPS = {GENERAL: "alrb", TWO_REGULAR: "lr"}
+
 
 @dataclass(frozen=True)
 class ReductionGraph:
@@ -45,20 +48,14 @@ class ReductionGraph:
         return make_instance(len(self.ids), self.edges, mode=KT1, ids=self.ids)
 
     def vertex_label(self, v):
-        n = self.n
-        if self.variant == TWO_REGULAR:
-            group, i = divmod(v, n)
-            return ("l", "r")[group] + str(i + 1)
-        group, i = divmod(v, n)
-        return ("a", "l", "r", "b")[group] + str(i + 1)
+        group, i = divmod(v, self.n)
+        return GROUPS[self.variant][group] + str(i + 1)
 
     def l_vertex(self, i):
-        offset = 0 if self.variant == TWO_REGULAR else self.n
-        return offset + i - 1
+        return GROUPS[self.variant].index("l") * self.n + i - 1
 
     def r_vertex(self, i):
-        offset = self.n if self.variant == TWO_REGULAR else 2 * self.n
-        return offset + i - 1
+        return GROUPS[self.variant].index("r") * self.n + i - 1
 
 
 def build_reduction(variant, p_a, p_b):

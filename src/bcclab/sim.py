@@ -90,18 +90,39 @@ def random_kt0_ports(rng, n):
     for v in range(n):
         labels = list(range(1, n))
         rng.shuffle(labels)
-        row = [0] * n
-        k = 0
-        for u in range(n):
-            if u != v:
-                row[u] = labels[k]
-                k += 1
-        rows.append(tuple(row))
+        labels.insert(v, 0)
+        rows.append(tuple(labels))
     return tuple(rows)
+
+
+def _require_ints(what, values):
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} must be integers, got {x!r}")
+
+
+def _check_fields(n, mode, ids, input_edges, b):
+    """Every instance check but the port rows; edges are normalized pairs."""
+    _require_ints("n and b", (n, b))
+    if n < 2:
+        raise ValueError("an instance needs at least 2 vertices")
+    if b < 1:
+        raise ValueError("bandwidth b must be >= 1")
+    if mode not in (KT0, KT1):
+        raise ValueError(f"unknown mode {mode!r}")
+    _require_ints("ids", ids)
+    if len(ids) != n or len(set(ids)) != n:
+        raise ValueError("ids must be one injective value per vertex")
+    if any(i < 0 for i in ids):
+        raise ValueError("ids must be nonnegative")
+    for u, v in input_edges:
+        if not (0 <= u < v < n):
+            raise ValueError(f"input edge ({u},{v}) outside the network")
 
 
 def _normalize_edge(e):
     u, v = e
+    _require_ints("edge endpoints", e)
     if u == v:
         raise ValueError(f"self-loop {e} is not a valid edge")
     return (u, v) if u < v else (v, u)
@@ -137,34 +158,18 @@ class BccInstance:
     ports: tuple  # ports[v][u] = port label of the network edge at v facing u
     b: int = 1
 
-    def validate(self, check_ports=True):
-        if self.n < 2:
-            raise ValueError("an instance needs at least 2 vertices")
-        if self.mode not in (KT0, KT1):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if len(self.ids) != self.n or len(set(self.ids)) != self.n:
-            raise ValueError("ids must be one injective value per vertex")
-        if any(i < 0 for i in self.ids):
-            raise ValueError("ids must be nonnegative")
-        for u, v in self.input_edges:
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"input edge ({u},{v}) outside the network")
+    def validate(self):
+        _check_fields(self.n, self.mode, self.ids, self.input_edges, self.b)
         if len(self.ports) != self.n:
             raise ValueError("one port row per vertex required")
-        if check_ports:
-            for v in range(self.n):
-                row = self.ports[v]
-                labels = [row[u] for u in range(self.n) if u != v]
-                if len(set(labels)) != self.n - 1:
-                    raise ValueError(f"port labels at vertex {v} are not distinct")
-                if self.mode == KT0 and sorted(labels) != list(range(1, self.n)):
-                    raise ValueError(f"KT0 ports at vertex {v} must be 1..n-1")
-                if self.mode == KT1 and any(
-                    row[u] != self.ids[u] for u in range(self.n) if u != v
-                ):
-                    raise ValueError(f"KT1 port law violated at vertex {v}")
-        if self.b < 1:
-            raise ValueError("bandwidth b must be >= 1")
+        labels = list(range(self.n))  # a KT0 row, sorted
+        for v, row in enumerate(self.ports):
+            _require_ints(f"port labels at vertex {v}", row)
+            # either law fixes the whole row, length and zero diagonal included
+            if self.mode == KT0 and not (sorted(row) == labels and row[v] == 0):
+                raise ValueError(f"KT0 ports at vertex {v} must be 1..n-1, and 0 at v")
+            if self.mode == KT1 and tuple(row) != self.ids[:v] + (0,) + self.ids[v + 1:]:
+                raise ValueError(f"KT1 port law violated at vertex {v}")
         return self
 
     @cached_property
@@ -200,19 +205,19 @@ class BccInstance:
 def make_instance(n, input_edges, mode=KT0, ids=None, ports=None, b=1):
     """Build an instance; ids default to 0..n-1 and ports to the mode's canon.
 
-    Explicitly supplied port tables are fully validated; derived canonical
-    tables are correct by construction and skip the per-row bijection scan.
+    Explicitly supplied port tables are fully validated; canonical tables
+    are derived once the other fields pass, and skip the per-row check.
     """
-    ids = tuple(range(n)) if ids is None else tuple(ids)
-    derived = ports is None
-    if derived:
-        ports = canonical_kt0_ports(ids) if mode == KT0 else kt1_ports(ids)
-    else:
-        ports = tuple(tuple(row) for row in ports)
+    if ids is None:
+        ids = range(n) if type(n) is int else ()  # the field check names a bad n
+    ids = tuple(ids)
     edges = frozenset(_normalize_edge(e) for e in input_edges)
-    return BccInstance(n, mode, ids, edges, ports, b).validate(
-        check_ports=not derived
-    )
+    if ports is not None:
+        ports = tuple(tuple(row) for row in ports)
+        return BccInstance(n, mode, ids, edges, ports, b).validate()
+    _check_fields(n, mode, ids, edges, b)
+    ports = canonical_kt0_ports(ids) if mode == KT0 else kt1_ports(ids)
+    return BccInstance(n, mode, ids, edges, ports, b)
 
 
 class Algorithm:
@@ -429,14 +434,15 @@ def instance_to_json(instance, include_ports=True):
 
 def instance_from_json(text):
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("an instance file holds one JSON object")
     for key in ("n", "input_edges"):
         if key not in doc:
             raise ValueError(f"instance file has no {key!r} key")
-    return make_instance(
-        doc["n"],
-        [tuple(e) for e in doc["input_edges"]],
-        mode=doc.get("mode", KT0),
-        ids=doc.get("ids"),
-        ports=doc.get("ports"),
-        b=doc.get("b", 1),
-    )
+    try:
+        return make_instance(
+            doc["n"], doc["input_edges"], mode=doc.get("mode", KT0),
+            ids=doc.get("ids"), ports=doc.get("ports"), b=doc.get("b", 1),
+        )
+    except TypeError as e:  # a number where a list belongs, or the reverse
+        raise ValueError(f"malformed instance file: {e}") from None

@@ -140,6 +140,24 @@ class TestVerificationCommands:
         assert records[0]["record"]["components"] == "(1,2,3,4)(5)"
 
 
+# Instance files that set one entry of the 6-cycle's file (a key path and
+# its new value), and the fault the error line names. Port row 0 of the
+# 6-cycle is [0, 1, 2, 3, 4, 5].
+BAD_INSTANCES = {
+    "long-row": (("ports", 0), [0, 1, 2, 3, 4, 5, 6], "KT0 ports at vertex 0"),
+    "short-row": (("ports", 0), [0, 1, 2, 3, 4], "KT0 ports at vertex 0"),
+    "diagonal": (("ports", 0, 0), 5, "KT0 ports at vertex 0"),
+    "n-string": (("n",), "6", "n and b must be integers, got '6'"),
+    "n-float": (("n",), 6.5, "n and b must be integers, got 6.5"),
+    "b-string": (("b",), "x", "n and b must be integers, got 'x'"),
+    "id-string": (("ids", 1), "a", "ids must be integers, got 'a'"),
+    "id-float": (("ids", 5), 5.5, "ids must be integers, got 5.5"),
+    "edge-string": (("input_edges", 0, 1), "1", "edge endpoints must be integers, got '1'"),
+    "port-string": (("ports", 0, 1), "1", "port labels at vertex 0 must be integers"),
+    "edges-int": (("input_edges",), 5, "malformed instance file"),
+}
+
+
 class TestReportDiscipline:
     def test_byte_identical_reports(self, capsys):
         argv = ["verify-join", "--variant", "general", "--random", "20",
@@ -177,7 +195,7 @@ class TestReportDiscipline:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["matrix-rank", "--kind", "M", "--n", "8"], "kind M needs n<=7"),
+            (["matrix-rank", "--kind", "M", "--n", "8"], "dimension 4140"),
             (["matrix-rank", "--kind", "M", "--n", "0"], "positive integer"),
             (["join", "--p", "(1,2)", "--q", "(1)(3)"], "element 2 missing"),
             (["indist-stats", "--n", "6", "--t", "1", "--x", "2"], "bad symbol '2'"),
@@ -185,6 +203,14 @@ class TestReportDiscipline:
              "--t is required"),
             (["indist-stats", "--n", "6", "--bits", "3"],
              "machine always-silent takes no parameter 'bits'"),
+            (["cross", "--cycle", "0,1,2,3,4,5", "--e1", "0,1,2", "--e2", "3,4"],
+             "--e1 and --e2 take one head,tail pair each"),
+            (["indist-stats", "--n", "7", "--min-cycle-len", "2"],
+             "min_cycle_len must be at least 3"),
+            (["family", "--n", "7", "--min-cycle-len", "2"],
+             "min_cycle_len must be at least 3"),
+            (["error-eval", "--n", "7", "--min-cycle-len", "2"],
+             "min_cycle_len must be at least 3"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
@@ -203,12 +229,24 @@ class TestReportDiscipline:
              "No such file or directory"),
             (["matrix-rank", "--kind", "M", "--n", "3", "--export-text",
               "{dir}/no-dir/m.txt"], "No such file or directory"),
+            (["simulate", "--instance", "{dir}/cycle.json", "--t", "1", "--coins", "27"],
+             "--coins must be a 0/1 string, got '27'"),
+        ] + [
+            (["simulate", "--instance", "{dir}/" + name + ".json", "--t", "1"], message)
+            for name, (_, _, message) in BAD_INSTANCES.items()
         ],
     )
     def test_bad_file_input_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
         cycle = make_instance(6, [(i, (i + 1) % 6) for i in range(6)])
         (tmp_path / "cycle.json").write_text(instance_to_json(cycle))
         (tmp_path / "no-edges.json").write_text('{"n": 3}')
+        for name, (path, value, _) in BAD_INSTANCES.items():
+            doc = json.loads(instance_to_json(cycle))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         assert_usage_error(capsys, [a.format(dir=tmp_path) for a in argv], message)
 
     def test_rejected_command_leaves_out_file_unchanged(self, tmp_path, capsys):

@@ -363,3 +363,17 @@ class TestCycleOrientation:
         assert cycle[0] == 3  # vertex with id 1
         # neighbors of 3 are 2 (id 7) and 4 (id 9): head toward id 7
         assert cycle[1] == 2
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)],  # path 3-4-5 off the walk
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)],  # degree 3 on the walk
+            [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)],  # figure eight at 0
+            [(1, 2), (2, 3), (3, 1)],  # start vertex 0 isolated
+        ],
+    )
+    def test_rejects_graphs_that_are_not_2_regular(self, edges):
+        inst = make_instance(6, edges)
+        with pytest.raises(ValueError):
+            cx.cycle_orientation(inst)

@@ -1,5 +1,6 @@
 """Family enumeration vs closed forms, canonical keys, ratio shadow."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from bcclab import families as fm
 from bcclab.errors import ResourceLimitError
+from bcclab.sim import make_instance
 
 
 class TestCanonicalCycle:
@@ -23,6 +25,43 @@ class TestCanonicalCycle:
     def test_too_short(self):
         with pytest.raises(ValueError):
             fm.canonical_cycle((0, 1))
+
+
+# SHA-256 of repr(list(...)) of each enumeration. IndistGraph keys and
+# `family --dump-members` follow this order, so it is part of the contract.
+ONE_CYCLE_ORDER = {
+    5: "ea0bcd8bad4617ece40f41befd4b46bfa1e3915e9aa6aeb2701697beb898cb65",
+    6: "369778b78fbeeb1d42f4f0bfa4d502d6fc76aafa5c0aa6447fd18eb05af89b12",
+    7: "dc3dac0547b9742591f86ec923907b004e2adea2e52260d6d1762f8877f6e10d",
+    8: "36c82679498bc2aeaa6dd8c6d94ac15ef91432ebdfb6a7539640dc3c2c2e9d75",
+    9: "8ddce68b66c3ecc2e0bb3ea1342c72dfb553b440f96936c74fa3976fec28a4b1",
+}
+TWO_CYCLE_ORDER = {
+    (5, 3): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    (5, 4): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    (6, 3): "aa855af6cc53b645e90a20f354cb9465b416c0730157b9c010b2592e9c2086a7",
+    (6, 4): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    (7, 3): "c108582e903fe51df63a6d0fe99d1f168515ad2130eea7fc60f955545d3de980",
+    (7, 4): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    (8, 3): "e78a781c0959e84141683e9dbe9cb94c8516772fd38cbab0768987dfea589a2e",
+    (8, 4): "7fc62f564551d8b8369f3fb29448462d50ab344328bcb3d8d59bac3e0dbe68df",
+    (9, 3): "51ddf3a3c16b52426e82645bee2b2f5936adaec3d99e654b33ba60506bfbc601",
+    (9, 4): "2a0c7d0fb60b1ca653b94d3e8c7ac928a612f8767ca1e58b529cec8d403b7f28",
+}
+
+
+def order_digest(keys):
+    return hashlib.sha256(repr(list(keys)).encode()).hexdigest()
+
+
+class TestEnumerationOrder:
+    @pytest.mark.parametrize("n", sorted(ONE_CYCLE_ORDER))
+    def test_one_cycle_keys(self, n):
+        assert order_digest(fm.one_cycle_keys(n)) == ONE_CYCLE_ORDER[n]
+
+    @pytest.mark.parametrize("n, m", sorted(TWO_CYCLE_ORDER))
+    def test_two_cycle_keys(self, n, m):
+        assert order_digest(fm.two_cycle_keys(n, m)) == TWO_CYCLE_ORDER[n, m]
 
 
 class TestEnumeration:
@@ -67,6 +106,33 @@ class TestEnumeration:
             fm.enumerate_family(4)
         with pytest.raises(ResourceLimitError):
             fm.enumerate_family(12)
+
+    def test_min_cycle_len_below_3_rejected(self):
+        for build in (fm.enumerate_family, fm.family_counts):
+            with pytest.raises(ValueError, match="min_cycle_len must be at least 3"):
+                build(7, min_cycle_len=2)
+
+
+class TestCyclesOfInstance:
+    def test_any_cycle_count_in_key_order(self):
+        inst = fm.instance_from_cycles([(9, 8, 7, 6), (0, 1, 2), (3, 5, 4)])
+        assert fm.cycles_of_instance(inst) == ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9))
+
+    def test_isolated_vertices_are_skipped(self):
+        inst = fm.instance_from_cycles([(1, 2, 3)], n=5)
+        assert fm.cycles_of_instance(inst) == ((1, 2, 3),)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)],  # path 3-4-5 off the first walk
+            [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)],  # degree 3 inside the walk
+            [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)],  # figure eight at 0
+        ],
+    )
+    def test_rejects_graphs_that_are_not_cycles(self, edges):
+        with pytest.raises(ValueError, match="exactly two"):
+            fm.cycles_of_instance(make_instance(6, edges))
 
 
 class TestClosedForms:

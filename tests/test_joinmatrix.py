@@ -6,6 +6,7 @@ modular rank against fraction-free (Bareiss) elimination and plain
 rational Gaussian elimination on everything small enough to afford it.
 """
 
+import json
 import random
 from fractions import Fraction
 
@@ -50,6 +51,23 @@ def join_row(index, i, columns):
     )
 
 
+def packed_msb_first(rows):
+    """Row-major bits, 8 entries per byte, the last byte zero-padded."""
+    bits = bytearray()
+    acc = 0
+    count = 0
+    for row in rows:
+        for v in row:
+            acc = (acc << 1) | v
+            count += 1
+            if count == 8:
+                bits.append(acc)
+                acc, count = 0, 0
+    if count:
+        bits.append(acc << (8 - count))
+    return bytes(bits)
+
+
 def pairwise_join_rows(index):
     columns = range(len(index))
     return tuple(join_row(index, i, columns) for i in columns)
@@ -91,6 +109,18 @@ class TestBuild:
             jm.build_join_matrix("M", 8)
         with pytest.raises(ResourceLimitError):
             jm.build_join_matrix("E", 12)
+
+    @pytest.mark.parametrize(
+        "kind, n, dimension", [("M", 8, 4140), ("E", 12, 10395), ("M", 9, 21147)]
+    )
+    def test_cap_is_on_the_dimension_formula(self, kind, n, dimension):
+        assert jm.expected_rank(kind, n) == dimension > jm.DIMENSION_CAP
+        with pytest.raises(ResourceLimitError, match=f"dimension {dimension}"):
+            jm.build_join_matrix(kind, n)
+
+    def test_huge_n_refused_without_its_count(self):
+        with pytest.raises(ResourceLimitError, match="at least 99999"):
+            jm.build_join_matrix("M", 10**5)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -300,8 +330,6 @@ class TestReportsAndExports:
         m = jm.build_join_matrix("M", 3)
         blob = jm.export_binary(m)
         header, packed = blob.split(b"\n", 1)
-        import json
-
         meta = json.loads(header)
         assert meta["dimension"] == 5
         bits = []
@@ -309,6 +337,15 @@ class TestReportsAndExports:
             bits.extend((byte >> (7 - k)) & 1 for k in range(8))
         flat = [v for row in m.rows for v in row]
         assert bits[: len(flat)] == flat
+
+    @pytest.mark.parametrize(
+        "kind, n", [("M", n) for n in range(1, 7)] + [("E", n) for n in (2, 4, 6, 8)]
+    )
+    def test_binary_export_matches_bit_packing_oracle(self, kind, n):
+        m = jm.build_join_matrix(kind, n)
+        header, packed = jm.export_binary(m).split(b"\n", 1)
+        assert json.loads(header)["dimension"] == m.dimension
+        assert packed == packed_msb_first(m.rows)
 
     def test_index_hash_is_stable(self):
         a = jm.build_join_matrix("M", 4).index_hash()

@@ -173,6 +173,10 @@ class TestPairPartitions:
         with pytest.raises(ValueError, match="even"):
             next(pt.enumerate_pair_partitions(5))
 
+    def test_limit(self):
+        with pytest.raises(ResourceLimitError, match="14"):
+            next(pt.enumerate_pair_partitions(16))
+
 
 class TestBell:
     def test_known_values(self):
