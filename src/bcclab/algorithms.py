@@ -12,8 +12,10 @@ decodes a vertex's ports from the run, and ``FullExchangeSparse``
 decides in ``decide_run``. States therefore compare only the initial
 knowledge; the transcript is compared through ``SimulationRun.sent``.
 ``RandomTable`` with modulus 1 is record-only too; with modulus > 1 it
-is a ``FoldingRandomTable``, which folds every inbox into its state and
-is the adaptive machine.
+is a ``FoldingRandomTable``, the adaptive machine, which folds every
+round into its state. It overrides ``round_receiver`` instead of
+``receive``: its digest is a sum over the inbox, so a whole round costs
+one sum over the broadcasts plus O(1) per vertex, with no inboxes.
 
 Round budgets
 -------------
@@ -213,7 +215,8 @@ class RandomTable(Algorithm):
 
     With modulus 1 the digest never changes, so the machine is
     record-only. A larger modulus makes the object a
-    ``FoldingRandomTable``, the adaptive machine that receives.
+    ``FoldingRandomTable``, the adaptive machine that folds every round.
+    A subclass keeps its own class.
     """
 
     name = "random-table"
@@ -237,13 +240,35 @@ class RandomTable(Algorithm):
 
 
 class FoldingRandomTable(RandomTable):
-    """``RandomTable`` with modulus > 1: every inbox is folded into the digest."""
+    """``RandomTable`` with modulus > 1: every inbox is folded into the digest.
 
-    def receive(self, state, round_no, inbox):
-        acc = state[0] * 31
-        for port, sym in inbox.items():
-            acc += port * 7 + int(sym) + 1
-        return (acc % self.modulus,)
+    The digest after a round at v is
+    ``(31*acc + sum over u != v of (7*port_v(u) + sym_u + 1)) mod modulus``.
+    The port terms and the symbol terms are added separately, so the sum
+    splits into ``7*R_v``, with ``R_v`` the sum of v's port labels (fixed
+    for the run), plus ``H - (sym_v + 1)``, with ``H`` the sum of
+    ``sym_u + 1`` over every vertex (one per round). Exact integers keep
+    it right for ids of any size. Symbols are single, so b must be 1.
+    """
+
+    def initialize(self, view):
+        if view.b != 1:
+            raise ValueError(f"random-table with modulus > 1 requires b = 1, got b = {view.b}")
+        return super().initialize(view)
+
+    def round_receiver(self, instance):
+        modulus = self.modulus
+        # the zero diagonal drops v's own slot from its row sum
+        port_terms = [7 * sum(row) for row in instance.ports]
+
+        def step(states, round_no, heard):
+            everyone = sum(heard) + len(heard) - 1  # H minus the 1 of v's own term
+            return [
+                ((31 * state[0] + ports + everyone - sym) % modulus,)
+                for state, ports, sym in zip(states, port_terms, heard)
+            ]
+
+        return step
 
 
 def reference_algorithms():

@@ -355,7 +355,7 @@ def cmd_twoparty(args, rep):
         t = algorithm.round_budget(graph.instance)
         if t is None:
             raise ValueError("--t is required for algorithms without a budget")
-    result = rd.two_party_simulate(algorithm, p_a, p_b, args.variant, t)
+    result = rd.two_party_simulate_graph(graph, algorithm, t)
     record = {
         "variant": args.variant,
         "t": t,

@@ -14,6 +14,7 @@ from .unionfind import DisjointSet
 
 ENUMERATION_LIMIT = 12
 PAIR_ENUMERATION_LIMIT = 14
+BELL_ADDITION_LIMIT = 10**6  # n <= 1413; serves the join-matrix cap n <= 1000
 
 
 class SetPartition:
@@ -132,9 +133,19 @@ def is_refinement(p, q):
 
 
 def bell(n):
-    """Exact n-th Bell number, by the Bell triangle recurrence."""
+    """Exact n-th Bell number, by the Bell triangle recurrence.
+
+    The triangle takes n(n+1)/2 additions of integers up to B_n in size,
+    which bound n through BELL_ADDITION_LIMIT.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    additions = n * (n + 1) // 2
+    if additions > BELL_ADDITION_LIMIT:
+        raise ResourceLimitError(
+            f"bell({n}) takes about {additions} big-integer additions (O(n^2)), "
+            f"over the limit {BELL_ADDITION_LIMIT}"
+        )
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]

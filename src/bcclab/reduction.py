@@ -190,7 +190,12 @@ def _rebuilt_round(graph, msg_a, msg_b):
 
 
 def two_party_simulate(algorithm, p_a, p_b, variant, t, coins=()):
-    """Alice/Bob round-synchronous simulation of a KT1 algorithm.
+    """:func:`two_party_simulate_graph` on ``build_reduction(variant, p_a, p_b)``."""
+    return two_party_simulate_graph(build_reduction(variant, p_a, p_b), algorithm, t, coins)
+
+
+def two_party_simulate_graph(graph, algorithm, t, coins=()):
+    """Alice/Bob round-synchronous simulation of a KT1 algorithm on a built graph.
 
     Alice hosts her construction's vertices and Bob his; each round both
     emit the symbols their hosted vertices broadcast (ascending id
@@ -200,7 +205,6 @@ def two_party_simulate(algorithm, p_a, p_b, variant, t, coins=()):
     the trace with exact symbol counts plus an equivalence flag against
     the monolithic simulator.
     """
-    graph = build_reduction(variant, p_a, p_b)
     inst = graph.instance
     alice, bob = graph.alice_vertices, graph.bob_vertices
     rounds = []

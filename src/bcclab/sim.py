@@ -15,10 +15,13 @@ step. Two knowledge modes are supported:
 
 The run owns the transcript: ``SimulationRun.sent`` holds every
 broadcast, and receptions follow from it through the port tables.
-Machines that do not override ``receive`` are record-only: their states
-never change after ``initialize``, the round loop skips delivery for
-them, and they decide from the run's broadcasts through
-``Algorithm.decide_run``. Adaptive machines get every round's inbox.
+The round loop hands each round's broadcasts, by sender index, to the
+per-run step that ``Algorithm.round_receiver`` returns. Machines that
+do not override ``receive`` get no step and are record-only: their
+states never change after ``initialize``, and they decide from the
+run's broadcasts through ``Algorithm.decide_run``. The default step of
+an adaptive machine builds every vertex's port-keyed inbox and calls
+``receive``; a machine may instead fold a whole round at once.
 ``simulate`` and the two-party simulation of :mod:`bcclab.reduction`
 share one round loop; the latter only swaps in its own exchange.
 """
@@ -227,10 +230,14 @@ class Algorithm:
     lives inside the view). For b = 1 ``broadcast`` returns a single
     Symbol; for b > 1 it may return a tuple of up to b Symbols. ``receive``
     is handed the symbols broadcast in ``round`` as a dict keyed by the
-    vertex's own port labels, and returns the successor state. A machine
-    that does not override ``receive`` is record-only: the simulator
-    delivers nothing to it, and its verdicts come from ``decide_run``,
-    which sees the run's broadcasts.
+    vertex's own port labels, and returns the successor state.
+
+    The simulator delivers through ``round_receiver``, once per run. A
+    machine that does not override ``receive`` is record-only: it gets
+    no step, the simulator delivers nothing to it, and its verdicts come
+    from ``decide_run``, which sees the run's broadcasts. A machine that
+    can fold a whole round without per-vertex inboxes overrides
+    ``round_receiver`` instead of ``receive``.
     """
 
     name = "abstract"
@@ -246,6 +253,31 @@ class Algorithm:
 
     def decide(self, state):
         raise NotImplementedError
+
+    def round_receiver(self, instance):
+        """The run's delivery step, or None for a record-only machine.
+
+        The step maps ``(states, round_no, heard)`` to the states after
+        the round, where ``heard[u]`` is what vertex u broadcast as the
+        receivers learnt it. By default each vertex's ``receive`` gets
+        its inbox keyed by its own port labels.
+        """
+        # read on the class, so a wrapper bound on the instance (a tracer,
+        # say) does not make a record-only machine adaptive
+        if type(self).receive is Algorithm.receive:
+            return None
+        # delivery[v] = v's port row without v, aligned with heard minus v,
+        # so a KT1 port labelled id 0 is never taken for v's own slot
+        delivery = [row[:v] + row[v + 1:] for v, row in enumerate(instance.ports)]
+        receive = self.receive
+
+        def step(states, round_no, heard):
+            return [
+                receive(state, round_no, dict(zip(delivery[v], heard[:v] + heard[v + 1:])))
+                for v, state in enumerate(states)
+            ]
+
+        return step
 
     def decide_run(self, views, states, sent):
         """One verdict per vertex of a finished run.
@@ -354,11 +386,7 @@ def _run_rounds(instance, algorithm, t, coins=(), exchange=None):
     coins = tuple(coins)
     views = tuple(instance.view(v, coins) for v in range(n))
     states = [algorithm.initialize(view) for view in views]
-    # the record-only marker is read on the class, so a wrapper bound on
-    # the instance (a tracer, say) does not make the machine adaptive
-    receives = type(algorithm).receive is not Algorithm.receive
-    if receives:  # delivery[v] = v's port row without v, aligned with heard minus v
-        delivery = [row[:v] + row[v + 1:] for v, row in enumerate(instance.ports)]
+    step = algorithm.round_receiver(instance)
     rounds, heard_rounds = [], []
     for r in range(1, t + 1):
         payloads = [
@@ -368,10 +396,8 @@ def _run_rounds(instance, algorithm, t, coins=(), exchange=None):
         heard = payloads if exchange is None else exchange(payloads)
         rounds.append(payloads)
         heard_rounds.append(heard)
-        if receives:
-            for v in range(n):
-                inbox = dict(zip(delivery[v], heard[:v] + heard[v + 1:]))
-                states[v] = algorithm.receive(states[v], r, inbox)
+        if step is not None:
+            states = step(states, r, heard)
     sent = _per_vertex(rounds, n)
     heard_sent = sent if exchange is None else _per_vertex(heard_rounds, n)
     verdicts = tuple(algorithm.decide_run(views, states, heard_sent))

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from bcclab import reduction as rd
+from bcclab import sim
 from bcclab.cli import main
 from bcclab.sim import instance_to_json, make_instance
 
@@ -107,6 +109,26 @@ class TestVerificationCommands:
         rec = records[0]["record"]
         assert rec["equivalent"] is True
         assert rec["system"] == rec["ground_truth"] == "YES"
+
+    def test_twoparty_builds_the_reduction_once(self, capsys, monkeypatch):
+        calls = {"build_reduction": 0, "make_instance": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(rd, "build_reduction",
+                            counted("build_reduction", rd.build_reduction))
+        make = counted("make_instance", sim.make_instance)
+        for module in (sim, rd):
+            monkeypatch.setattr(module, "make_instance", make)
+        code, records = run_cli(
+            capsys, "twoparty", "--pa", "(1,2)(3,4)", "--pb", "(2,3)(1,4)",
+        )
+        assert code == 0 and records[0]["record"]["equivalent"] is True
+        assert calls == {"build_reduction": 1, "make_instance": 1}
 
     def test_error_eval_always_yes(self, capsys):
         code, records = run_cli(
@@ -211,6 +233,7 @@ class TestReportDiscipline:
              "min_cycle_len must be at least 3"),
             (["error-eval", "--n", "7", "--min-cycle-len", "2"],
              "min_cycle_len must be at least 3"),
+            (["bell", "--n", "5000"], "bell(5000) takes about 12502500 big-integer additions"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
@@ -234,12 +257,17 @@ class TestReportDiscipline:
         ] + [
             (["simulate", "--instance", "{dir}/" + name + ".json", "--t", "1"], message)
             for name, (_, _, message) in BAD_INSTANCES.items()
+        ] + [
+            (["simulate", "--instance", "{dir}/wide.json", "--algo", "random-table",
+              "--modulus", "3", "--t", "2"], "random-table with modulus > 1 requires b = 1"),
         ],
     )
     def test_bad_file_input_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
         cycle = make_instance(6, [(i, (i + 1) % 6) for i in range(6)])
         (tmp_path / "cycle.json").write_text(instance_to_json(cycle))
         (tmp_path / "no-edges.json").write_text('{"n": 3}')
+        wide = make_instance(6, cycle.input_edges, b=2)
+        (tmp_path / "wide.json").write_text(instance_to_json(wide))
         for name, (path, value, _) in BAD_INSTANCES.items():
             doc = json.loads(instance_to_json(cycle))
             parent = doc

@@ -118,6 +118,12 @@ class TestBuild:
         with pytest.raises(ResourceLimitError, match=f"dimension {dimension}"):
             jm.build_join_matrix(kind, n)
 
+    def test_bell_count_serves_the_cap(self):
+        # M at n = DIMENSION_CAP computes B_1000 and refuses on its size
+        dimension = pt.bell(jm.DIMENSION_CAP)
+        with pytest.raises(ResourceLimitError, match=f"n=1000 has dimension {dimension},"):
+            jm.build_join_matrix("M", jm.DIMENSION_CAP)
+
     def test_huge_n_refused_without_its_count(self):
         with pytest.raises(ResourceLimitError, match="at least 99999"):
             jm.build_join_matrix("M", 10**5)

@@ -191,6 +191,15 @@ class TestBell:
                 comb(n, k) * pt.bell(k) for k in range(n + 1)
             )
 
+    def test_work_limit(self):
+        n = 1413  # the largest n with n(n+1)/2 <= BELL_ADDITION_LIMIT
+        assert n * (n + 1) // 2 <= pt.BELL_ADDITION_LIMIT < (n + 1) * (n + 2) // 2
+        with pytest.raises(ResourceLimitError, match=r"bell\(1414\) takes about 1000405 "
+                           r"big-integer additions \(O\(n\^2\)\)"):
+            pt.bell(n + 1)
+        with pytest.raises(ResourceLimitError, match="additions"):
+            pt.bell(10**9)  # refused before any work
+
 
 class TestParseFormat:
     def test_parse_canonicalizes(self):

@@ -6,6 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
+from bcclab import crossing as cx
 from bcclab import families as fm
 from bcclab import partitions as pt
 from bcclab import reduction as rd
@@ -67,6 +68,21 @@ class RecordingIdExchange(IdExchange):
 
     def receive(self, state, round_no, inbox):
         return (state[0], state[1] + (tuple(sorted(inbox.items())),))
+
+
+class InboxRandomTable(RandomTable):
+    """RandomTable folding each port-keyed inbox through ``receive``.
+
+    The per-inbox reference for ``FoldingRandomTable``'s round fold: a
+    subclass keeps its class at any modulus, so it takes the default
+    per-vertex delivery step.
+    """
+
+    def receive(self, state, round_no, inbox):
+        acc = state[0] * 31
+        for port, sym in inbox.items():
+            acc += port * 7 + int(sym) + 1
+        return (acc % self.modulus,)
 
 
 def cycle_instance(n, mode=KT0, **kw):
@@ -487,21 +503,118 @@ class TestCatalog:
             make_algorithm("nope")
 
 
+def assert_same_run(fast, slow):
+    assert fast.states == slow.states
+    assert fast.sent == slow.sent
+    assert fast.verdicts == slow.verdicts
+
+
 class TestRandomTable:
     def test_record_only_at_modulus_one(self):
-        assert type(RandomTable(seed=5)).receive is Algorithm.receive
+        inst = cycle_instance(5)
+        record_only = RandomTable(seed=5)
+        assert type(record_only).receive is Algorithm.receive
+        assert record_only.round_receiver(inst) is None
+        # the rule is read on the class: a receive bound on the instance
+        # (a tracer's wrapper, say) leaves the machine record-only
+        record_only.receive = lambda state, round_no, inbox: state
+        assert record_only.round_receiver(inst) is None
         folding = RandomTable(seed=5, modulus=3)
         assert isinstance(folding, RandomTable)
         assert type(folding) is FoldingRandomTable
+        assert folding.round_receiver(inst) is not None
+        oracle = InboxRandomTable(seed=5, modulus=3)
+        assert type(oracle) is InboxRandomTable
+        assert type(oracle).round_receiver is Algorithm.round_receiver
+        assert oracle.round_receiver(inst) is not None
         assert make_algorithm("random-table", modulus=2).modulus == 2
 
     def test_delivery_does_not_change_modulus_one_runs(self):
         inst = cycle_instance(9)
         record_only = simulate(inst, RandomTable(seed=5), 4)
-        delivered = simulate(inst, FoldingRandomTable(seed=5, modulus=1), 4)
-        assert record_only.sent == delivered.sent
-        assert record_only.states == delivered.states
-        assert record_only.verdicts == delivered.verdicts
+        delivered = simulate(inst, InboxRandomTable(seed=5, modulus=1), 4)
+        folded = simulate(inst, FoldingRandomTable(seed=5, modulus=1), 4)
+        assert_same_run(record_only, delivered)
+        assert_same_run(folded, delivered)
+
+    def test_folding_requires_b_one(self):
+        inst = cycle_instance(4, b=2)
+        with pytest.raises(ValueError, match="requires b = 1, got b = 2"):
+            simulate(inst, RandomTable(seed=5, modulus=3), 2)
+        # record-only at modulus 1, it runs at any bandwidth
+        assert simulate(inst, RandomTable(seed=5), 2).system_verdict is Verdict.YES
+
+
+def crossed_instance(rng, n):
+    """A random-port KT0 cycle crossed on two independent edges."""
+    inst = cycle_instance(n, ports=random_kt0_ports(rng, n))
+    i = rng.randrange(n)
+    j = (i + rng.randrange(3, n - 2)) % n  # both cycles keep 3 or more vertices
+    e1 = cx.oriented_edge(inst, i, (i + 1) % n)
+    e2 = cx.oriented_edge(inst, j, (j + 1) % n)
+    return cx.cross(inst, e1, e2)
+
+
+class TestRoundFoldAgainstInboxOracle:
+    """FoldingRandomTable's round fold equals the per-inbox receive exactly."""
+
+    @staticmethod
+    def assert_fold_matches(inst, seed):
+        for modulus in range(1, 6):
+            for t in range(7):
+                fast = simulate(inst, FoldingRandomTable(seed, modulus), t)
+                slow = simulate(inst, InboxRandomTable(seed, modulus), t)
+                assert_same_run(fast, slow)
+
+    def test_canonical_kt0(self):
+        self.assert_fold_matches(make_instance(2, [(0, 1)]), seed=2)
+        for n in (3, 7):
+            self.assert_fold_matches(cycle_instance(n), seed=n)
+
+    def test_random_kt0_ports(self):
+        rng = random.Random(7)
+        for n in (4, 6, 9):
+            inst = cycle_instance(n, ports=random_kt0_ports(rng, n),
+                                  ids=rng.sample(range(50), n))
+            self.assert_fold_matches(inst, seed=rng.randrange(2**30))
+
+    def test_crossed_instances(self):
+        rng = random.Random(8)
+        for n in (6, 8, 9):
+            inst = crossed_instance(rng, n)
+            assert len(fm.cycles_of_instance(inst)) == 2
+            self.assert_fold_matches(inst, seed=rng.randrange(2**30))
+
+    def test_kt1_with_id_zero(self):
+        rng = random.Random(9)
+        for n in (3, 6, 8):
+            ids = rng.sample(range(1, 3 * n), n)
+            ids[rng.randrange(1, n)] = 0  # id 0 on a port, not only on the diagonal
+            inst = cycle_instance(n, mode=KT1, ids=ids)
+            self.assert_fold_matches(inst, seed=rng.randrange(2**30))
+
+    def test_kt1_ids_beyond_2_70(self):
+        rng = random.Random(10)
+        for n in (3, 7):
+            inst = cycle_instance(n, mode=KT1, ids=rng.sample(range(2**70, 2**70 + 1000), n))
+            self.assert_fold_matches(inst, seed=rng.randrange(2**30))
+
+    @pytest.mark.parametrize("variant", [rd.TWO_REGULAR, rd.GENERAL])
+    def test_two_party_runs(self, variant):
+        rng = random.Random(11)
+        draw = pt.random_pair_partition if variant == rd.TWO_REGULAR else pt.random_partition
+        for n in (4, 6, 8):
+            p_a, p_b = draw(rng, n), draw(rng, n)
+            for modulus in (2, 3, 5):
+                for t in (0, 3, 6):
+                    seed = rng.randrange(2**30)
+                    fast = rd.two_party_simulate(RandomTable(seed, modulus), p_a, p_b, variant, t)
+                    slow = rd.two_party_simulate(
+                        InboxRandomTable(seed, modulus), p_a, p_b, variant, t)
+                    assert fast.equivalent and slow.equivalent
+                    assert fast.states == slow.states
+                    assert fast.verdicts == slow.verdicts
+                    assert fast.trace == slow.trace
 
 
 class TestInstanceFormat:
