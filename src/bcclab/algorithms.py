@@ -226,6 +226,8 @@ class RandomTable(Algorithm):
             raise ValueError("modulus must be >= 1")
         self.seed = seed
         self.modulus = modulus
+        # (round, digest) -> symbol; a run meets at most t * modulus of them
+        self._symbols = {}
         if modulus > 1 and type(self) is RandomTable:
             self.__class__ = FoldingRandomTable
 
@@ -233,7 +235,11 @@ class RandomTable(Algorithm):
         return (0,)
 
     def broadcast(self, state, round_no):
-        return Symbol(_stable_trit(self.seed, round_no, state[0]))
+        key = (round_no, state[0])
+        symbol = self._symbols.get(key)
+        if symbol is None:
+            symbol = self._symbols[key] = Symbol(_stable_trit(self.seed, *key))
+        return symbol
 
     def decide(self, state):
         return Verdict.YES

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalConsistencyError
-from .families import canonical_cycle, two_cycle_key, walk_cycle
+from .families import canonical_cycles, two_cycle_codes, walk_cycle
 from .sim import KT0, BccInstance, simulate
 
 
@@ -189,15 +189,21 @@ def splitting_pairs(positions, n, min_len=3):
     return np.column_stack((pos[a], pos[b]))
 
 
-def split_key(cycle, i, k):
-    """Two-cycle key left by crossing positions i < k of ``cycle``.
+def split_codes(cycles, pairs):
+    """Codes of the two-cycle keys left by crossing each pair of each cycle.
 
-    The pair must satisfy :func:`splitting_pairs`.
+    ``cycles`` is an (m, n) integer array of oriented n-cycles and
+    ``pairs`` a :func:`splitting_pairs` array. Entry (j, p) is the
+    :func:`bcclab.families.two_cycle_codes` code of the key made of the
+    canonical cycles c[i+1:k+1] and c[k+1:] + c[:i+1], where c is row j
+    and (i, k) is pair p.
     """
-    return two_cycle_key(
-        canonical_cycle(cycle[i + 1:k + 1]),
-        canonical_cycle(cycle[k + 1:] + cycle[:i + 1]),
-    )
+    out = np.empty((len(cycles), len(pairs)), dtype=np.int64)
+    for p, (i, k) in enumerate(pairs.tolist()):
+        inner = canonical_cycles(cycles[:, i + 1:k + 1])
+        outer = canonical_cycles(np.concatenate((cycles[:, k + 1:], cycles[:, :i + 1]), axis=1))
+        out[:, p] = two_cycle_codes(inner, outer)
+    return out
 
 
 @dataclass(frozen=True)

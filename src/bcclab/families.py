@@ -8,6 +8,9 @@ stored as canonical keys; a key is the cycle vertex sequence rotated to
 its lexicographically minimal rotation/reflection. Key order
 (:func:`cycle_order`), cycle walks, the cycles on a vertex set and the
 class lengths i of T_i (:func:`two_cycle_classes`) each have one owner.
+The canonical rule and the two-cycle key order also have batch forms
+over integer arrays (:func:`canonical_cycles`, :func:`two_cycle_codes`),
+kept next to their scalar forms.
 """
 
 from dataclasses import dataclass
@@ -39,6 +42,21 @@ def canonical_cycle(seq):
     return best
 
 
+def canonical_cycles(rows):
+    """:func:`canonical_cycle` of each row of an (m, L) integer array.
+
+    Rotates each row to its smallest entry, then keeps the reflection
+    whose second entry is smaller: both start with the minimum, so the
+    second entries decide the lexicographic order.
+    """
+    length = rows.shape[1]
+    start = rows.argmin(axis=1)
+    rot = np.take_along_axis(rows, (start[:, None] + np.arange(length)) % length, axis=1)
+    flip = rot[:, -1] < rot[:, 1]
+    rot[flip, 1:] = rot[flip, :0:-1]
+    return rot
+
+
 def cycle_edges(seq):
     n = len(seq)
     return [tuple(sorted((seq[i], seq[(i + 1) % n]))) for i in range(n)]
@@ -61,6 +79,25 @@ def cycle_order(cycle):
 def two_cycle_key(a, b):
     """Family key of two disjoint canonical cycles, in :func:`cycle_order`."""
     return (a, b) if cycle_order(a) <= cycle_order(b) else (b, a)
+
+
+def two_cycle_codes(a, b):
+    """int64 codes of the keys :func:`two_cycle_key` makes of canonical rows a, b.
+
+    Row j of a and of b are two disjoint canonical cycles covering n
+    vertices. A key is coded as its first cycle's length times n**n plus
+    its vertices, in key order, read as n base-n digits; the largest
+    code fits int64 up to n = FAMILY_LIMIT. Equal codes mean equal keys.
+    """
+    if a.shape[1] > b.shape[1]:
+        a, b = b, a
+    elif a.shape[1] == b.shape[1]:  # equal lengths: the smaller first vertex leads
+        swap = (a[:, 0] > b[:, 0])[:, None]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+    digits = np.concatenate((a, b), axis=1)
+    n = digits.shape[1]
+    powers = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return a.shape[1] * n**n + digits @ powers
 
 
 def walk_cycle(neighbors, start, toward):
@@ -152,6 +189,16 @@ class CycleFamily:
     def all_two_cycle_keys(self):
         for i in sorted(self.two_cycles):
             yield from self.two_cycles[i]
+
+    def key_codes(self):
+        """:func:`two_cycle_codes` of :meth:`all_two_cycle_keys`, in that order."""
+        parts = [np.empty(0, dtype=np.int64)]
+        for i in sorted(self.two_cycles):
+            keys = self.two_cycles[i]
+            first = np.array([key[0] for key in keys], dtype=np.int8).reshape(-1, i)
+            second = np.array([key[1] for key in keys], dtype=np.int8).reshape(-1, self.n - i)
+            parts.append(two_cycle_codes(first, second))
+        return np.concatenate(parts)
 
     def one_cycle_instance(self, key, mode=KT0, b=1):
         return instance_from_cycles([key], mode=mode, b=b, n=self.n)

@@ -9,14 +9,23 @@ removed edges E(I1) - E(I2) fix the crossed pair. So the graph stores
 only its adjacency, keyed by the family's own key objects; ``op_counts``
 is derived from it, operation totals equal edge totals, and no witness
 pair is stored (the tests rebuild witnesses by instance-level crossing).
+
+The build works on integer codes: numpy computes the code of the key
+each (member, splitting pair) crossing leaves, a block of members at a
+time, and finds it among the family's sorted key codes; only the live
+cells are turned back into the family's key objects.
 """
 
 from collections import Counter
 from dataclasses import dataclass
 
-from .crossing import split_key, splitting_pairs
+import numpy as np
+
+from .crossing import split_codes, splitting_pairs
 from .errors import InternalConsistencyError
 from .sim import simulate
+
+SPLIT_BLOCK_ROWS = 1024  # members per split-code block; bounds the transient arrays
 
 
 @dataclass(frozen=True)
@@ -71,47 +80,77 @@ def build_indist_graph(family, algorithm, t, x=(), y=(), coins=()):
     Each one-cycle key is an oriented cycle whose position p is the input
     edge key[p] -- key[p+1]; a directed edge is active when its head
     broadcast x and its tail y over rounds 1..t. One simulation per member
-    marks each position active forward, backward or neither. The member's
-    neighbors are the keys :func:`bcclab.crossing.split_key` gives for the
-    :func:`bcclab.crossing.splitting_pairs` of all positions (cycles of at
-    least the family's minimum length) whose two edges are active in a
-    common direction. Both adjacencies hold the family's own key objects.
-    A crossed key absent from the family indicates a bug and raises
-    InternalConsistencyError.
+    marks each position active forward, backward or neither. A member's
+    neighbors are the two-cycle keys that :func:`bcclab.crossing.split_codes`
+    codes for the :func:`bcclab.crossing.splitting_pairs` of all positions
+    (cycles of at least the family's minimum length) whose two edges are
+    active in a common direction. The split codes are computed for blocks
+    of members at once and looked up among the family's
+    :meth:`~bcclab.families.CycleFamily.key_codes`, so both adjacencies
+    hold the family's own key objects. A crossed key absent from the
+    family indicates a bug and raises InternalConsistencyError.
     """
     x, y = tuple(x), tuple(y)
     if len(x) != t or len(y) != t:
         raise ValueError(f"need |x| = |y| = t = {t}")
     n = family.n
-    pairs = splitting_pairs(range(n), n, family.min_cycle_len).tolist()
-    right_keys = {rk: rk for rk in family.all_two_cycle_keys()}
-    adjacency = {}
-    right_adjacency = {rk: set() for rk in right_keys}
+    ones = family.one_cycles
+    forward = np.zeros((len(ones), n), dtype=bool)
+    backward = np.zeros((len(ones), n), dtype=bool)
     active_directed = {}
     active_undirected = {}
-    for lk in family.one_cycles:
+    for row, lk in enumerate(ones):
         sent = simulate(family.one_cycle_instance(lk), algorithm, t, coins).sent
         heads = [sent[v] == x for v in lk]
         tails = [sent[v] == y for v in lk]
-        forward = [heads[p] and tails[(p + 1) % n] for p in range(n)]
-        backward = [heads[(p + 1) % n] and tails[p] for p in range(n)]
-        active_directed[lk] = sum(forward) + sum(backward)
-        active_undirected[lk] = sum(f or b for f, b in zip(forward, backward))
-        neighbors = set()
-        for i, k in pairs:
-            if not (forward[i] and forward[k] or backward[i] and backward[k]):
+        fwd = [heads[p] and tails[(p + 1) % n] for p in range(n)]
+        bwd = [heads[(p + 1) % n] and tails[p] for p in range(n)]
+        active_directed[lk] = sum(fwd) + sum(bwd)
+        active_undirected[lk] = sum(f or b for f, b in zip(fwd, bwd))
+        forward[row] = fwd
+        backward[row] = bwd
+
+    pairs = splitting_pairs(range(n), n, family.min_cycle_len)
+    right = tuple(family.all_two_cycle_keys())
+    codes = family.key_codes()
+    order = codes.argsort()
+    codes = np.append(codes[order], -1)  # a sentinel past the end that is no code
+    adjacency = {}
+    right_sets = [set() for _ in right]
+    first, second = pairs[:, 0], pairs[:, 1]
+    for start in range(0, len(ones), SPLIT_BLOCK_ROWS):
+        block = slice(start, start + SPLIT_BLOCK_ROWS)
+        f, b = forward[block], backward[block]
+        live = f[:, first] & f[:, second] | b[:, first] & b[:, second]
+        rows, cols = np.nonzero(live)
+        if not len(rows):
+            continue
+        cycles = np.array(ones[block], dtype=np.int8)
+        wanted = split_codes(cycles, pairs)[rows, cols]
+        at = codes[:-1].searchsorted(wanted)
+        missing = codes[at] != wanted
+        if missing.any():
+            bad = missing.argmax()
+            i, k = pairs[cols[bad]].tolist()
+            raise InternalConsistencyError(
+                f"crossing positions {i}, {k} of {ones[start + rows[bad]]} leaves "
+                "a two-cycle key missing from the enumerated family"
+            )
+        found = order[at].tolist()
+        cut = 0
+        for lk, count in zip(ones[block], live.sum(axis=1).tolist()):
+            if not count:
                 continue
-            key = split_key(lk, i, k)
-            rk = right_keys.get(key)
-            if rk is None:
-                raise InternalConsistencyError(
-                    f"crossed instance {key} missing from the enumerated family"
-                )
-            neighbors.add(rk)
-            right_adjacency[rk].add(lk)
-        if neighbors:
+            neighbors = set()
+            for j in found[cut:cut + count]:
+                neighbors.add(right[j])
+                right_sets[j].add(lk)
             adjacency[lk] = frozenset(neighbors)
-    right_adjacency = {rk: frozenset(v) for rk, v in right_adjacency.items()}
+            cut += count
+    right_adjacency = {}
+    for j, rk in enumerate(right):  # free each set once it is frozen
+        right_adjacency[rk] = frozenset(right_sets[j])
+        right_sets[j] = None
     return IndistGraph(
         family, t, x, y, getattr(algorithm, "name", "?"),
         adjacency, right_adjacency, active_directed, active_undirected,

@@ -11,7 +11,6 @@ alternating-reachability cut of a maximum matching.
 from collections import deque
 from dataclasses import dataclass
 
-INF = float("inf")
 HALL_CHECK_LIMIT = 20  # left vertices; the oracle visits all 2^left subsets
 
 
@@ -19,51 +18,98 @@ def hopcroft_karp(adjacency):
     """Maximum matching of a bipartite graph given as left -> right lists.
 
     Returns (size, match_left, match_right). Left and right vertices may
-    be any hashable values; iteration order is made deterministic by
-    sorting, so repeated runs give identical matchings.
+    be any hashable values; lefts are visited in sorted order and each
+    neighbor list in sorted order, so repeated runs give identical
+    matchings. The phases run on list indices (lefts in sorted order,
+    rights in first-seen order) and map back to the caller's values only
+    at the end; the augmenting search keeps its own stack, so a long
+    augmenting path needs no recursion.
     """
     lefts = sorted(adjacency)
-    adj = {u: sorted(set(adjacency[u])) for u in lefts}
-    match_left = {}
-    match_right = {}
-    dist = {}
+    rights = []
+    index = {}
+    rows = {}  # id of a neighbor list -> its row; k_matching's copies share one
+    adj = []
+    for u in lefts:
+        neighbors = adjacency[u]
+        row = rows.get(id(neighbors))
+        if row is None:
+            row = rows[id(neighbors)] = []
+            for r in sorted(set(neighbors)):
+                j = index.get(r)
+                if j is None:
+                    j = index[r] = len(rights)
+                    rights.append(r)
+                row.append(j)
+        adj.append(row)
+    far = len(lefts) + 1  # farther than any BFS layer
+    match_left = [-1] * len(lefts)
+    match_right = [-1] * len(rights)
+    dist = [0] * len(lefts)
+    matched_lefts = []  # in the order they were first matched
+    matched_rights = []
 
     def bfs():
-        queue = deque()
-        for u in lefts:
-            if u not in match_left:
+        queue = []
+        for u, r in enumerate(match_left):
+            if r < 0:
                 dist[u] = 0
                 queue.append(u)
             else:
-                dist[u] = INF
-        found = INF
-        while queue:
-            u = queue.popleft()
-            if dist[u] < found:
+                dist[u] = far
+        found = far
+        for u in queue:  # the queue grows while it is read
+            step = dist[u] + 1
+            if step <= found:
                 for r in adj[u]:
-                    nxt = match_right.get(r)
-                    if nxt is None:
-                        found = dist[u] + 1
-                    elif dist[nxt] == INF:
-                        dist[nxt] = dist[u] + 1
+                    nxt = match_right[r]
+                    if nxt < 0:
+                        found = step
+                    elif dist[nxt] == far:
+                        dist[nxt] = step
                         queue.append(nxt)
-        return found != INF
+        return found != far
 
-    def dfs(u):
-        for r in adj[u]:
-            nxt = match_right.get(r)
-            if nxt is None or (dist[nxt] == dist[u] + 1 and dfs(nxt)):
-                match_left[u] = r
-                match_right[r] = u
-                return True
-        dist[u] = INF
-        return False
+    def augment(root):
+        # path[d] is a left on the search path and at[d] the index in its
+        # row of the right it tries; a child that fails is set far, so its
+        # parent's scan resumes past it
+        path, at = [root], [0]
+        while path:
+            u = path[-1]
+            row = adj[u]
+            i = at[-1]
+            while i < len(row):
+                nxt = match_right[row[i]]
+                if nxt < 0:  # a free right: flip the path
+                    at[-1] = i
+                    for v, j in zip(path, at):
+                        match_left[v] = adj[v][j]
+                        match_right[adj[v][j]] = v
+                    matched_lefts.append(root)
+                    matched_rights.append(row[i])
+                    return
+                if dist[nxt] == dist[u] + 1:
+                    break
+                i += 1
+            if i < len(row):
+                at[-1] = i
+                path.append(nxt)
+                at.append(0)
+            else:
+                dist[u] = far
+                path.pop()
+                at.pop()
 
     while bfs():
-        for u in lefts:
-            if u not in match_left:
-                dfs(u)
-    return len(match_left), match_left, match_right
+        for u in range(len(lefts)):
+            if match_left[u] < 0:
+                augment(u)
+    return (
+        len(matched_lefts),
+        {lefts[u]: rights[match_left[u]] for u in matched_lefts},
+        {rights[r]: lefts[match_right[r]] for r in matched_rights},
+    )
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ independence plus an explicit crossing whose result is inspected.
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from bcclab import crossing as cx
@@ -21,6 +22,18 @@ def crossed_counterparts(e1, e2):
     return (
         cx.DirectedInputEdge(e1.head, e2.tail, e1.head_port, e2.tail_port),
         cx.DirectedInputEdge(e2.head, e1.tail, e2.head_port, e1.tail_port),
+    )
+
+
+def split_key(cycle, i, k):
+    """Oracle: the two-cycle key left by crossing positions i < k of ``cycle``.
+
+    Built by the scalar rules, one pair at a time; the pair must satisfy
+    :func:`bcclab.crossing.splitting_pairs`.
+    """
+    return fm.two_cycle_key(
+        fm.canonical_cycle(cycle[i + 1:k + 1]),
+        fm.canonical_cycle(cycle[k + 1:] + cycle[:i + 1]),
     )
 
 
@@ -213,10 +226,29 @@ class TestSplitKernel:
                         if len(key) == 2 and len(key[0]) >= m:
                             keys.add(key)
                     if keys:
-                        assert keys == {cx.split_key(cycle, i, k)}
+                        assert keys == {split_key(cycle, i, k)}
                         expected.append((i, k))
                 got = cx.splitting_pairs(range(n), n, m).tolist()
                 assert [tuple(p) for p in got] == expected
+
+    @pytest.mark.parametrize("n, m", [(6, 3), (7, 3), (8, 3), (8, 4)])
+    def test_split_codes_match_the_oracle(self, n, m):
+        # every member and splitting pair of the family: the code names the
+        # key that split_key builds and that crossing the instance leaves
+        fam = fm.enumerate_family(n, min_cycle_len=m)
+        keys = dict(zip(fam.key_codes().tolist(), fam.all_two_cycle_keys()))
+        assert len(keys) == fam.v2_size
+        pairs = cx.splitting_pairs(range(n), n, m)
+        table = cx.split_codes(np.array(fam.one_cycles, dtype=np.int8), pairs)
+        assert table.shape == (fam.v1_size, len(pairs))
+        for lk, codes in zip(fam.one_cycles, table.tolist()):
+            inst = fam.one_cycle_instance(lk)
+            for (i, k), code in zip(pairs.tolist(), codes):
+                e1 = cx.oriented_edge(inst, lk[i], lk[i + 1])
+                e2 = cx.oriented_edge(inst, lk[k], lk[(k + 1) % n])
+                key = keys[code]
+                assert key == split_key(lk, i, k)
+                assert key == fm.cycles_of_instance(cx.cross(inst, e1, e2))
 
     def test_subset_of_positions(self):
         pairs = cx.splitting_pairs([0, 1, 4, 5, 7], 9)

@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bcclab import families as fm
@@ -25,6 +27,46 @@ class TestCanonicalCycle:
     def test_too_short(self):
         with pytest.raises(ValueError):
             fm.canonical_cycle((0, 1))
+
+    def test_batch_rule_matches_the_scalar_rule(self):
+        rng = random.Random(6)
+        for length in range(3, 12):
+            rows = [rng.sample(range(11), length) for _ in range(200)]
+            got = fm.canonical_cycles(np.array(rows, dtype=np.int8))
+            assert [tuple(r) for r in got.tolist()] == [fm.canonical_cycle(r) for r in rows]
+
+
+class TestTwoCycleCodes:
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_codes_follow_key_order_and_are_distinct(self, n):
+        fam = fm.enumerate_family(n)
+        keys = list(fam.all_two_cycle_keys())
+        codes = fam.key_codes().tolist()
+        assert len(set(codes)) == len(codes) == fam.v2_size
+        by_code = [key for _, key in sorted(zip(codes, keys))]
+        assert by_code == sorted(keys, key=lambda key: [fm.cycle_order(c) for c in key])
+
+    def test_pieces_in_either_order_give_the_key_code(self):
+        rng = random.Random(8)
+        for n, i in [(6, 3), (8, 4), (9, 3), (11, 5)]:
+            pieces = []
+            for _ in range(50):
+                vs = rng.sample(range(n), n)
+                pieces.append((fm.canonical_cycle(vs[:i]), fm.canonical_cycle(vs[i:])))
+            a = np.array([p[0] for p in pieces], dtype=np.int8)
+            b = np.array([p[1] for p in pieces], dtype=np.int8)
+            forward = fm.two_cycle_codes(a, b)
+            assert forward.tolist() == fm.two_cycle_codes(b, a).tolist()
+            for (ca, cb), code in zip(pieces, forward.tolist()):
+                first, second = fm.two_cycle_key(ca, cb)
+                digits = first + second
+                assert code == len(first) * n**n + sum(
+                    d * n ** (n - 1 - p) for p, d in enumerate(digits)
+                )
+
+    def test_largest_code_fits_int64(self):
+        n = fm.FAMILY_LIMIT
+        assert (n // 2 + 1) * n**n < 2**63
 
 
 # SHA-256 of repr(list(...)) of each enumeration. IndistGraph keys and

@@ -7,7 +7,7 @@ reference's witnesses are re-crossed and re-simulated.
 
 import gc
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -18,6 +18,7 @@ from bcclab import indist as ig
 from bcclab import matching as mt
 from bcclab.algorithms import AlwaysSilent, IdExchange, RandomTable
 from bcclab.crossing import are_independent, cross, directed_input_edges, states_identical
+from bcclab.errors import InternalConsistencyError
 from bcclab.sim import Symbol, simulate
 
 
@@ -171,6 +172,15 @@ class TestBuildAtRoundZero:
     def test_x_y_length_validation(self, fam6):
         with pytest.raises(ValueError, match=r"\|x\|"):
             ig.build_indist_graph(fam6, AlwaysSilent(), 1, (), ())
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_family_missing_a_class_raises(self, n):
+        fam = fm.enumerate_family(n)
+        for i in fam.two_cycles:
+            twos = {j: keys for j, keys in fam.two_cycles.items() if j != i}
+            broken = replace(fam, two_cycles=twos)
+            with pytest.raises(InternalConsistencyError, match="missing from the enumerated family"):
+                ig.build_indist_graph(broken, AlwaysSilent(), 0)
 
 
 class TestBuildAtLaterRounds:

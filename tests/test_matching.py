@@ -1,10 +1,16 @@
 """Hopcroft-Karp, k-matchings, and the Hall-condition duality."""
 
 import random
+from collections import deque
 
 import pytest
 
+from bcclab import families as fm
+from bcclab import indist as ig
 from bcclab import matching as mt
+from bcclab.algorithms import AlwaysSilent
+
+INF = float("inf")
 
 
 def random_bipartite(rng, left, right, density):
@@ -12,6 +18,56 @@ def random_bipartite(rng, left, right, density):
         u: [r for r in range(right) if rng.random() < density]
         for u in range(left)
     }
+
+
+def hopcroft_karp_oracle(adjacency):
+    """Reference Hopcroft-Karp on the caller's keys, with a recursive search.
+
+    Lefts in sorted order, each neighbor list as sorted(set(...)); the
+    list-indexed solver must return exactly what this returns.
+    """
+    lefts = sorted(adjacency)
+    adj = {u: sorted(set(adjacency[u])) for u in lefts}
+    match_left = {}
+    match_right = {}
+    dist = {}
+
+    def bfs():
+        queue = deque()
+        for u in lefts:
+            if u not in match_left:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        found = INF
+        while queue:
+            u = queue.popleft()
+            if dist[u] < found:
+                for r in adj[u]:
+                    nxt = match_right.get(r)
+                    if nxt is None:
+                        found = dist[u] + 1
+                    elif dist[nxt] == INF:
+                        dist[nxt] = dist[u] + 1
+                        queue.append(nxt)
+        return found != INF
+
+    def dfs(u):
+        for r in adj[u]:
+            nxt = match_right.get(r)
+            if nxt is None or (dist[nxt] == dist[u] + 1 and dfs(nxt)):
+                match_left[u] = r
+                match_right[r] = u
+                return True
+        dist[u] = INF
+        return False
+
+    while bfs():
+        for u in lefts:
+            if u not in match_left:
+                dfs(u)
+    return len(match_left), match_left, match_right
 
 
 class TestHopcroftKarp:
@@ -50,6 +106,39 @@ class TestHopcroftKarp:
             adj = random_bipartite(rng, rng.randint(1, 9), rng.randint(1, 9),
                                    rng.random())
             assert mt.hopcroft_karp(adj)[0] == augment_oracle(adj)
+
+
+    @pytest.mark.parametrize("name", [
+        lambda v: v,
+        lambda v: f"v{v:02d}",
+        lambda v: ((v % 3, (v, "x")), (v // 3,)),
+    ], ids=["int", "str", "nested-tuple"])
+    def test_identical_to_the_dict_oracle(self, name):
+        rng = random.Random(2024)
+        for _ in range(200):
+            adj = random_bipartite(rng, rng.randint(1, 12), rng.randint(1, 14),
+                                   rng.uniform(0.05, 0.8))
+            # repeated and unsorted neighbors; right names disjoint from lefts
+            adj = {u: rs + rs[:2] for u, rs in adj.items()}
+            rng.shuffle(adj[0])
+            graph = {name(u): [name(100 + r) for r in rs] for u, rs in adj.items()}
+            got = mt.hopcroft_karp(graph)
+            want = hopcroft_karp_oracle(graph)
+            assert got == want
+            assert list(got[1].items()) == list(want[1].items())
+            assert list(got[2].items()) == list(want[2].items())
+
+    def test_long_augmenting_path(self):
+        # the last left must shift all 3000 earlier matches along one path,
+        # deeper than the interpreter's recursion limit
+        adj = {i: [i - 1, i] for i in range(1, 3001)}
+        adj[3001] = [0]
+        size, ml, mr = mt.hopcroft_karp(adj)
+        assert size == 3001
+        assert ml == {i: i for i in range(1, 3001)} | {3001: 0}
+        assert mr == {r: u for u, r in ml.items()}
+        result = mt.k_matching(adj, 1)
+        assert isinstance(result, mt.KMatching) and result.size == 3001
 
 
 class TestKMatching:
@@ -111,6 +200,24 @@ class TestKMatching:
                 violated_seen += 1
                 assert len(witness.neighborhood) < k * len(witness.subset)
         assert saturated_seen and violated_seen
+
+
+    @pytest.fixture(scope="class")
+    def g7(self):
+        return ig.build_indist_graph(fm.enumerate_family(7), AlwaysSilent(), 0)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_indist_graph_identical_to_the_dict_oracle(self, g7, side, k, monkeypatch):
+        if side == "left":
+            adjacency = g7.bipartite_adjacency()
+        else:
+            adjacency = {rk: sorted(lks) for rk, lks in g7.right_adjacency.items()}
+        got = mt.k_matching(adjacency, k)
+        monkeypatch.setattr(mt, "hopcroft_karp", hopcroft_karp_oracle)
+        want = mt.k_matching(adjacency, k)
+        assert type(got) is type(want)
+        assert got == want
 
 
 class TestHallCheck:

@@ -17,6 +17,7 @@ from bcclab.algorithms import (
     FullExchangeSparse,
     IdExchange,
     RandomTable,
+    _stable_trit,
     make_algorithm,
     reference_algorithms,
 )
@@ -536,6 +537,22 @@ class TestRandomTable:
         folded = simulate(inst, FoldingRandomTable(seed=5, modulus=1), 4)
         assert_same_run(record_only, delivered)
         assert_same_run(folded, delivered)
+
+    def test_memoized_symbols_are_the_hashed_trits(self):
+        seed, modulus, t = 11, 3, 6
+        machine = RandomTable(seed=seed, modulus=modulus)
+        rng = random.Random(4)
+        for n in (5, 8):
+            simulate(cycle_instance(n), machine, t)
+            simulate(cycle_instance(n, ports=random_kt0_ports(rng, n)), machine, t)
+        assert machine._symbols
+        for (r, d), symbol in machine._symbols.items():
+            assert 1 <= r <= t and 0 <= d < modulus
+            assert symbol is Symbol(_stable_trit(seed, r, d))
+        for r in range(1, t + 1):
+            for d in range(modulus):
+                assert machine.broadcast((d,), r) is Symbol(_stable_trit(seed, r, d))
+        assert len(machine._symbols) == t * modulus
 
     def test_folding_requires_b_one(self):
         inst = cycle_instance(4, b=2)
