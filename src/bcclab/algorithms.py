@@ -12,10 +12,10 @@ decodes a vertex's ports from the run, and ``FullExchangeSparse``
 decides in ``decide_run``. States therefore compare only the initial
 knowledge; the transcript is compared through ``SimulationRun.sent``.
 ``RandomTable`` with modulus 1 is record-only too; with modulus > 1 it
-is a ``FoldingRandomTable``, the adaptive machine, which folds every
-round into its state. It overrides ``round_receiver`` instead of
-``receive``: its digest is a sum over the inbox, so a whole round costs
-one sum over the broadcasts plus O(1) per vertex, with no inboxes.
+is the adaptive machine, which folds every round into its state. It
+overrides ``round_receiver`` instead of ``receive``: its digest is a sum
+over the inbox, so a whole round costs one sum over the broadcasts plus
+O(1) per vertex, with no inboxes.
 
 Round budgets
 -------------
@@ -214,9 +214,15 @@ class RandomTable(Algorithm):
     that need a deterministic but arbitrary-looking machine.
 
     With modulus 1 the digest never changes, so the machine is
-    record-only. A larger modulus makes the object a
-    ``FoldingRandomTable``, the adaptive machine that folds every round.
-    A subclass keeps its own class.
+    record-only. A larger modulus folds every round into the digest:
+    after a round at v it is
+    ``(31*acc + sum over u != v of (7*port_v(u) + sym_u + 1)) mod modulus``.
+    The port terms and the symbol terms are added separately, so the sum
+    splits into ``7*R_v``, with ``R_v`` the sum of v's port labels (fixed
+    for the run), plus ``H - (sym_v + 1)``, with ``H`` the sum of
+    ``sym_u + 1`` over every vertex (one per round). Exact integers keep
+    it right for ids of any size. Symbols are single, so folding needs
+    b = 1.
     """
 
     name = "random-table"
@@ -228,10 +234,10 @@ class RandomTable(Algorithm):
         self.modulus = modulus
         # (round, digest) -> symbol; a run meets at most t * modulus of them
         self._symbols = {}
-        if modulus > 1 and type(self) is RandomTable:
-            self.__class__ = FoldingRandomTable
 
     def initialize(self, view):
+        if self.modulus > 1 and view.b != 1:
+            raise ValueError(f"random-table with modulus > 1 requires b = 1, got b = {view.b}")
         return (0,)
 
     def broadcast(self, state, round_no):
@@ -244,26 +250,10 @@ class RandomTable(Algorithm):
     def decide(self, state):
         return Verdict.YES
 
-
-class FoldingRandomTable(RandomTable):
-    """``RandomTable`` with modulus > 1: every inbox is folded into the digest.
-
-    The digest after a round at v is
-    ``(31*acc + sum over u != v of (7*port_v(u) + sym_u + 1)) mod modulus``.
-    The port terms and the symbol terms are added separately, so the sum
-    splits into ``7*R_v``, with ``R_v`` the sum of v's port labels (fixed
-    for the run), plus ``H - (sym_v + 1)``, with ``H`` the sum of
-    ``sym_u + 1`` over every vertex (one per round). Exact integers keep
-    it right for ids of any size. Symbols are single, so b must be 1.
-    """
-
-    def initialize(self, view):
-        if view.b != 1:
-            raise ValueError(f"random-table with modulus > 1 requires b = 1, got b = {view.b}")
-        return super().initialize(view)
-
     def round_receiver(self, instance):
         modulus = self.modulus
+        if modulus == 1:
+            return None
         # the zero diagonal drops v's own slot from its row sum
         port_terms = [7 * sum(row) for row in instance.ports]
 

@@ -12,6 +12,7 @@ line on stderr.
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -230,6 +231,8 @@ def cmd_indist_stats(args, rep):
 
 
 def cmd_kmatch(args, rep):
+    if not 0 <= args.density <= 1:  # NaN included
+        raise ValueError(f"--density must lie in [0, 1], got {args.density}")
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):
@@ -413,10 +416,17 @@ def cmd_error_eval(args, rep):
 
 
 def cmd_bounds(args, rep):
+    # the config echoes --comm-bits whatever --which says, and JSON has no NaN
+    if not math.isfinite(args.comm_bits):
+        raise ValueError(f"--comm-bits must be finite, got {args.comm_bits}")
     if args.which == "pigeonhole":
         report = bd.pigeonhole_report(args.n, args.t)
     elif args.which == "entropy":
-        report = bd.entropy_report(args.n, Fraction(args.eps))
+        try:
+            eps = Fraction(args.eps)
+        except ZeroDivisionError:
+            raise ValueError(f"--eps {args.eps} has a zero denominator") from None
+        report = bd.entropy_report(args.n, eps)
     else:
         report = bd.round_bound_report(args.comm_bits, args.n)
     rep.emit(report.to_record())

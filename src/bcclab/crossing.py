@@ -280,7 +280,7 @@ def find_fooling_pairs(
         oriented_edge(instance, cycle[i], cycle[(i + 1) % n]) for i in range(n)
     )
     labels = tuple(
-        run.sent_sequence(cycle[i], t) + run.sent_sequence(cycle[(i + 1) % n], t)
+        run.sent[cycle[i]] + run.sent[cycle[(i + 1) % n]]
         for i in range(n)
     )
     buckets = {}

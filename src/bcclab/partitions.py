@@ -80,9 +80,6 @@ class SetPartition:
     def is_pair_partition(self):
         return all(len(b) == 2 for b in self.blocks)
 
-    def block_of(self, element):
-        return self.blocks[self._block_of[element]]
-
     def same_block(self, a, b):
         return self._block_of[a] == self._block_of[b]
 

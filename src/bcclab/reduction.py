@@ -10,12 +10,10 @@ every component is an even cycle of length at least 4.
 ``two_party_simulate`` runs a KT1 algorithm on such a graph with one
 party hosting Alice's vertices and one hosting Bob's; per round each
 party sends the symbols its hosted vertices broadcast, in increasing id
-order, and both rebuild every broadcast from the fixed id scheme. It
-runs the simulator's own round loop with that exchange in place of the
-monolithic delivery: adaptive machines receive what the parties
-rebuilt, and record-only machines decide from it. The result is checked
-to be a bisimulation of the monolithic simulator (same states, same
-verdicts, and a rebuilt transcript equal to the monolithic one), with
+order, and both rebuild every broadcast from the fixed id scheme. The
+messages are read off one monolithic run, and the rebuilt transcript is
+checked to equal that run's, which makes the two-party run a
+bisimulation of the monolithic one (same states, same verdicts), with
 exact communication accounting.
 """
 
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import partitions as pt
-from .sim import KT1, Symbol, Verdict, _run_rounds, make_instance, simulate
+from .sim import KT1, Symbol, Verdict, make_instance, simulate
 from .unionfind import DisjointSet
 
 GENERAL = "general"
@@ -173,7 +171,7 @@ class TwoPartyResult:
     states: dict  # vertex index -> final state
     verdicts: dict  # vertex index -> Verdict
     system: object
-    equivalent: bool  # bit-identical to the monolithic simulation
+    equivalent: bool  # the rebuilt transcript equals the monolithic one
 
 
 def _rebuilt_round(graph, msg_a, msg_b):
@@ -200,29 +198,27 @@ def two_party_simulate_graph(graph, algorithm, t, coins=()):
     Alice hosts her construction's vertices and Bob his; each round both
     emit the symbols their hosted vertices broadcast (ascending id
     order) and rebuild every broadcast from the id scheme (a position in
-    a message reveals the sender id, which is the port label). Hosted
-    vertices receive, and decide from, the rebuilt broadcasts. Returns
-    the trace with exact symbol counts plus an equivalence flag against
-    the monolithic simulator.
+    a message reveals the sender id, which is the port label). The
+    messages are the projections of one monolithic run. Returns the
+    trace with exact symbol counts plus a flag that the rebuilt
+    transcript equals the run's.
     """
-    inst = graph.instance
     alice, bob = graph.alice_vertices, graph.bob_vertices
-    rounds = []
-
-    def exchange(payloads):
-        msg_a = tuple(payloads[v] for v in alice)
-        msg_b = tuple(payloads[v] for v in bob)
-        rounds.append((msg_a, msg_b))
-        return _rebuilt_round(graph, msg_a, msg_b)
-
-    run, rebuilt = _run_rounds(inst, algorithm, t, coins, exchange)
-    mono = simulate(inst, algorithm, t, coins)
-    equivalent = (
-        run.states == mono.states
-        and run.verdicts == mono.verdicts
-        and rebuilt == mono.sent
+    run = simulate(graph.instance, algorithm, t, coins)
+    sent_rounds = tuple(zip(*run.sent))
+    messages = tuple(
+        (tuple(sent[v] for v in alice), tuple(sent[v] for v in bob)) for sent in sent_rounds
     )
-    trace = TwoPartyTrace(tuple(rounds), len(alice))
+    # One run suffices: a deterministic machine's state after round r is
+    # a function of its view and the broadcasts of rounds 1..r, and its
+    # verdicts one of its final state and the whole transcript. So when
+    # every round the parties rebuild equals the run's, vertices fed the
+    # rebuilt broadcasts reach the run's states and verdicts (induction
+    # on r).
+    equivalent = sent_rounds == tuple(
+        tuple(_rebuilt_round(graph, msg_a, msg_b)) for msg_a, msg_b in messages
+    )
+    trace = TwoPartyTrace(messages, len(alice))
     return TwoPartyResult(
         graph, t, trace, dict(enumerate(run.states)), dict(enumerate(run.verdicts)),
         run.system_verdict, equivalent,

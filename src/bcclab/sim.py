@@ -22,8 +22,6 @@ states never change after ``initialize``, and they decide from the
 run's broadcasts through ``Algorithm.decide_run``. The default step of
 an adaptive machine builds every vertex's port-keyed inbox and calls
 ``receive``; a machine may instead fold a whole round at once.
-``simulate`` and the two-party simulation of :mod:`bcclab.reduction`
-share one round loop; the latter only swaps in its own exchange.
 """
 
 import json
@@ -258,9 +256,9 @@ class Algorithm:
         """The run's delivery step, or None for a record-only machine.
 
         The step maps ``(states, round_no, heard)`` to the states after
-        the round, where ``heard[u]`` is what vertex u broadcast as the
-        receivers learnt it. By default each vertex's ``receive`` gets
-        its inbox keyed by its own port labels.
+        the round, where ``heard[u]`` is what vertex u broadcast in it.
+        By default each vertex's ``receive`` gets its inbox keyed by its
+        own port labels.
         """
         # read on the class, so a wrapper bound on the instance (a tracer,
         # say) does not make a record-only machine adaptive
@@ -310,10 +308,6 @@ class SimulationRun:
     sent: tuple  # sent[v] = tuple over rounds
     states: tuple
     verdicts: tuple
-
-    def sent_sequence(self, v, upto=None):
-        seq = self.sent[v]
-        return seq if upto is None else seq[:upto]
 
     def received(self, v, round_no):
         """Symbols delivered to v at the end of `round_no`, keyed by port."""
@@ -367,18 +361,6 @@ def simulate(instance, algorithm, t, coins=()):
     broadcasts of rounds 1..r, and reruns with identical arguments are
     bit-identical.
     """
-    return _run_rounds(instance, algorithm, t, coins)[0]
-
-
-def _run_rounds(instance, algorithm, t, coins=(), exchange=None):
-    """The round loop behind :func:`simulate` and the two-party simulation.
-
-    ``exchange(payloads)``, if given, returns the round's broadcasts by
-    vertex index as the receivers learn them; by default they learn the
-    payloads themselves. Receptions and verdicts follow from what was
-    learnt. Returns the run and the learnt transcript, laid out per
-    vertex like ``SimulationRun.sent``.
-    """
     if t < 0:
         raise ValueError("round count must be nonnegative")
     n = instance.n
@@ -387,26 +369,18 @@ def _run_rounds(instance, algorithm, t, coins=(), exchange=None):
     views = tuple(instance.view(v, coins) for v in range(n))
     states = [algorithm.initialize(view) for view in views]
     step = algorithm.round_receiver(instance)
-    rounds, heard_rounds = [], []
+    rounds = []
     for r in range(1, t + 1):
         payloads = [
             _normalize_payload(algorithm.broadcast(states[v], r), b, v, r)
             for v in range(n)
         ]
-        heard = payloads if exchange is None else exchange(payloads)
         rounds.append(payloads)
-        heard_rounds.append(heard)
         if step is not None:
-            states = step(states, r, heard)
-    sent = _per_vertex(rounds, n)
-    heard_sent = sent if exchange is None else _per_vertex(heard_rounds, n)
-    verdicts = tuple(algorithm.decide_run(views, states, heard_sent))
-    run = SimulationRun(instance, t, coins, views, sent, tuple(states), verdicts)
-    return run, heard_sent
-
-
-def _per_vertex(rounds, n):
-    return tuple(zip(*rounds)) if rounds else ((),) * n
+            states = step(states, r, payloads)
+    sent = tuple(zip(*rounds)) if rounds else ((),) * n
+    verdicts = tuple(algorithm.decide_run(views, states, sent))
+    return SimulationRun(instance, t, coins, views, sent, tuple(states), verdicts)
 
 
 def system_verdict(verdicts):

@@ -234,6 +234,16 @@ class TestReportDiscipline:
             (["error-eval", "--n", "7", "--min-cycle-len", "2"],
              "min_cycle_len must be at least 3"),
             (["bell", "--n", "5000"], "bell(5000) takes about 12502500 big-integer additions"),
+            (["bounds", "--which", "entropy", "--n", "5", "--eps", "1/0"],
+             "--eps 1/0 has a zero denominator"),
+            (["bounds", "--which", "rounds", "--n", "5", "--comm-bits", "inf"],
+             "--comm-bits must be finite, got inf"),
+            (["bounds", "--which", "entropy", "--n", "5", "--comm-bits", "nan"],
+             "--comm-bits must be finite, got nan"),
+            (["kmatch", "--left", "3", "--right", "3", "--density", "nan"],
+             "--density must lie in [0, 1], got nan"),
+            (["kmatch", "--left", "3", "--right", "3", "--density", "1.5"],
+             "--density must lie in [0, 1], got 1.5"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):

@@ -39,7 +39,7 @@ def split_key(cycle, i, k):
 
 def label_from_run(run, edge, t):
     """2t-symbol label: head broadcasts for rounds 1..t, then tail's."""
-    return run.sent_sequence(edge.head, t) + run.sent_sequence(edge.tail, t)
+    return run.sent[edge.head][:t] + run.sent[edge.tail][:t]
 
 
 def edge_label(instance, algorithm, t, edge, coins=()):
@@ -55,7 +55,7 @@ def active_edges(instance, algorithm, t, x, y, coins=()):
     return tuple(
         e
         for e in cx.directed_input_edges(instance)
-        if run.sent_sequence(e.head, t) == x and run.sent_sequence(e.tail, t) == y
+        if run.sent[e.head][:t] == x and run.sent[e.tail][:t] == y
     )
 
 

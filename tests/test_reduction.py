@@ -197,6 +197,26 @@ class TestTwoParty:
         monkeypatch.setattr(rd, "_rebuilt_round", swapped)
         assert not rd.two_party_simulate(algo, p_a, p_b, rd.TWO_REGULAR, t).equivalent
 
+    @pytest.mark.parametrize("variant", [rd.TWO_REGULAR, rd.GENERAL])
+    def test_one_run_per_simulation(self, variant):
+        p_a = pt.parse_partition("(1,4)(2,3)")
+        p_b = pt.parse_partition("(1,2)(3,4)")
+        graph = rd.build_reduction(variant, p_a, p_b)
+        degree = max(len(nbrs) for nbrs in graph.instance.input_neighbors)
+        for base, params in ((FullExchangeSparse, {"max_degree": degree}),
+                             (RandomTable, {"seed": 5, "modulus": 3})):
+
+            class Counting(base):
+                initialized = 0
+
+                def initialize(self, view):
+                    Counting.initialized += 1
+                    return super().initialize(view)
+
+            res = rd.two_party_simulate_graph(graph, Counting(**params), 6)
+            assert res.equivalent
+            assert Counting.initialized == graph.instance.n
+
     def test_b_greater_one_rejected(self):
         p = pt.parse_partition("(1,2)")
         graph = rd.build_reduction(rd.TWO_REGULAR, p, p)

@@ -13,7 +13,6 @@ from bcclab import reduction as rd
 from bcclab.algorithms import (
     AlwaysSilent,
     AlwaysYes,
-    FoldingRandomTable,
     FullExchangeSparse,
     IdExchange,
     RandomTable,
@@ -74,10 +73,11 @@ class RecordingIdExchange(IdExchange):
 class InboxRandomTable(RandomTable):
     """RandomTable folding each port-keyed inbox through ``receive``.
 
-    The per-inbox reference for ``FoldingRandomTable``'s round fold: a
-    subclass keeps its class at any modulus, so it takes the default
-    per-vertex delivery step.
+    The per-inbox reference for ``RandomTable``'s round fold: it takes
+    the default per-vertex delivery step at any modulus.
     """
+
+    round_receiver = Algorithm.round_receiver
 
     def receive(self, state, round_no, inbox):
         acc = state[0] * 31
@@ -522,7 +522,7 @@ class TestRandomTable:
         assert record_only.round_receiver(inst) is None
         folding = RandomTable(seed=5, modulus=3)
         assert isinstance(folding, RandomTable)
-        assert type(folding) is FoldingRandomTable
+        assert type(folding) is RandomTable
         assert folding.round_receiver(inst) is not None
         oracle = InboxRandomTable(seed=5, modulus=3)
         assert type(oracle) is InboxRandomTable
@@ -534,9 +534,7 @@ class TestRandomTable:
         inst = cycle_instance(9)
         record_only = simulate(inst, RandomTable(seed=5), 4)
         delivered = simulate(inst, InboxRandomTable(seed=5, modulus=1), 4)
-        folded = simulate(inst, FoldingRandomTable(seed=5, modulus=1), 4)
         assert_same_run(record_only, delivered)
-        assert_same_run(folded, delivered)
 
     def test_memoized_symbols_are_the_hashed_trits(self):
         seed, modulus, t = 11, 3, 6
@@ -573,13 +571,13 @@ def crossed_instance(rng, n):
 
 
 class TestRoundFoldAgainstInboxOracle:
-    """FoldingRandomTable's round fold equals the per-inbox receive exactly."""
+    """RandomTable's round fold equals the per-inbox receive exactly."""
 
     @staticmethod
     def assert_fold_matches(inst, seed):
         for modulus in range(1, 6):
             for t in range(7):
-                fast = simulate(inst, FoldingRandomTable(seed, modulus), t)
+                fast = simulate(inst, RandomTable(seed, modulus), t)
                 slow = simulate(inst, InboxRandomTable(seed, modulus), t)
                 assert_same_run(fast, slow)
 
