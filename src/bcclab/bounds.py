@@ -85,14 +85,23 @@ def entropy_comm_bound(n, eps):
     uniform input, so any protocol erring on at most an eps fraction
     must carry at least this many bits.
     """
-    eps = Fraction(eps)
+    eps = _fraction(eps)
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
     return float(1 - eps) * log2_big(bell(n))
 
 
+def _fraction(eps):
+    """eps as an exact Fraction; ValueError, not ZeroDivisionError or
+    OverflowError, for "1/0" or an infinite float."""
+    try:
+        return Fraction(eps)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"eps must be a finite rational, got {eps!r}") from None
+
+
 def entropy_report(n, eps):
-    eps = Fraction(eps)
+    eps = _fraction(eps)
     return BoundReport(
         "entropy-communication",
         {"n": n, "eps": f"{eps.numerator}/{eps.denominator}"},
@@ -106,6 +115,8 @@ def round_bound_from_comm(comm_bits, n):
     """Rounds a 1-bit-broadcast algorithm needs if its two-party shadow
     must carry comm_bits: each simulated round moves 4n trits, i.e.
     4n*log2(3) bits."""
+    if not math.isfinite(comm_bits):
+        raise ValueError(f"comm_bits must be finite, got {comm_bits}")
     if comm_bits <= 0 or n <= 0:
         raise ValueError("inputs must be positive")
     per_round = 4 * n * LOG2_3

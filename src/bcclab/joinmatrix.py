@@ -13,16 +13,31 @@ block of element 1 in the join of partitions i and j is the fixed point
 of S -> closure[j, closure[i, S]] from S = {1}, computed for a whole row
 at once; the entry is 1 when that block is all of {1..n}.
 
-Ranks are exact and use no floating point. Elimination modulo the prime
-PRIME = 2^31 - 1 gives a lower bound on the rank over the rationals (a
-minor that is nonzero mod p is nonzero over the integers), so a full
-rank mod p certifies full rank. Any other matrix is ranked again by
-fraction-free (Bareiss) integer elimination, which alone decides a
-deficient rank.
+Ranks are exact and use no floating point. One row echelon elimination
+modulo the prime PRIME = 16777213 (the largest below 2^24) gives the
+rank r mod p, a lower bound on the rank over the rationals (a minor that
+is nonzero mod p is nonzero over the integers), so a full r is returned
+at once. Reduction is delayed: a step reduces only its pivot column and
+pivot row, and an int64 entry takes up to _UPDATES = 2^15 unreduced
+products of two residues before the trailing block is reduced.
+
+A deficient r is returned only with an integer kernel certificate. With
+R and C the pivot rows and columns and F the other columns, Dixon's
+p-adic lifting solves A[R, C] Y = A[R, F] over the rationals in int64,
+lifting until p^k exceeds twice the squared Hadamard bound of the pivot
+rows; rational reconstruction with one running denominator gives
+Y = Num / den, and A[:, C] Num == den A[:, F] is checked in Python
+integers on every row. Those are n - r independent kernel vectors, so
+the rank is at most r. A matrix whose certificate cannot be built or
+fails (entries too large for int64 lifting, a failed reconstruction, a
+failed identity) is ranked by fraction-free (Bareiss) integer
+elimination, which stays the oracle: no deficient rank rests on the
+prime alone.
 """
 
 import hashlib
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -32,7 +47,10 @@ from . import partitions as pt
 from .errors import ResourceLimitError
 
 DIMENSION_CAP = 1000
-PRIME = 2**31 - 1  # products of two residues stay below 2^62
+PRIME = 16777213  # the largest prime below 2^24
+# an int64 holds a residue minus _UPDATES products of two residues:
+# PRIME + _UPDATES * (PRIME - 1)^2 < 2^63
+_UPDATES = 2**15
 
 # kind -> (closed-form count of its index, the index enumeration)
 KINDS = {
@@ -122,54 +140,186 @@ def _block_closures(index, n):
 def exact_rank(matrix):
     """Rank over the rationals of a JoinMatrix or rectangular integer rows.
 
-    Full rank mod PRIME is returned directly, as it is exact (see the
-    module docstring); every other answer comes from bareiss_rank.
+    The rank r mod PRIME is a lower bound. A full r is returned at once,
+    a deficient r only when _kernel_certificate checks it exactly, and
+    every other matrix is ranked by bareiss_rank (see the module
+    docstring).
     """
     rows = matrix.rows if isinstance(matrix, JoinMatrix) else matrix
-    rows = [list(r) for r in rows]
-    if not rows:
+    a = _integer_array(rows)
+    if not a.size:
         return 0
-    full = min(len(rows), len(rows[0]))
-    if _rank_mod_prime(rows) == full:
-        return full
+    rank, pivot_rows, pivot_cols = _echelon_mod_prime(a)
+    if rank == min(a.shape) or _kernel_certificate(a, pivot_rows, pivot_cols):
+        return rank
     return bareiss_rank(rows)
 
 
-def _rank_mod_prime(rows):
-    """Rank over GF(PRIME) by row echelon elimination in int64.
+def _integer_array(rows):
+    """The rows as an int64 array, or as an object array of Python ints
+    when an entry does not fit one.
 
-    Entries must be integers (a float would be truncated by the int64
-    cast, so it raises TypeError here instead).
+    A non-integer entry raises TypeError: truncating it would rank a
+    different matrix.
     """
-    a = np.array([[operator.index(v) % PRIME for v in r] for r in rows], dtype=np.int64)
+    a = np.array(rows)
+    if a.dtype.kind in "bi":
+        return a.astype(np.int64, copy=False)
+    return np.array([[operator.index(v) for v in r] for r in rows], dtype=object)
+
+
+def _rank_mod_prime(rows):
+    """Rank over GF(PRIME), a lower bound on the rank over the rationals."""
+    return _echelon_mod_prime(_integer_array(rows))[0]
+
+
+def _echelon_mod_prime(a):
+    """Row echelon elimination of the integer array a over GF(PRIME).
+
+    Returns the rank r, the original ids of the r pivot rows and the r
+    pivot columns, both in pivot order. The pivot of a column is the
+    first remaining row that is nonzero mod PRIME there, so A[R, C] is
+    nonsingular mod PRIME with nonzero leading minors. Reduction is
+    delayed: a step reduces only its pivot column and pivot row and
+    subtracts one product of two residues from each trailing entry, and
+    the trailing block is reduced every _UPDATES steps.
+    """
+    a = (a % PRIME).astype(np.int64, copy=False)
     nrows, ncols = a.shape
-    rank = 0
+    order = np.arange(nrows)
+    pivot_cols = []
     for col in range(ncols):
-        nonzero = np.flatnonzero(a[rank:, col])
+        rank = len(pivot_cols)
+        column = a[rank:, col] % PRIME
+        nonzero = np.flatnonzero(column)
         if not nonzero.size:
             continue
         if nonzero[0]:  # rows rank..pivot-1 are zero in col
-            a[[rank, rank + nonzero[0]]] = a[[rank + nonzero[0], rank]]
-        top = a[rank, col:] * pow(int(a[rank, col]), PRIME - 2, PRIME) % PRIME
-        sub = a[rank + 1:, col:]
-        sub -= a[rank + 1:, col, None] * top
-        sub %= PRIME
-        rank += 1
-        if rank == nrows:
+            swap = [rank, rank + nonzero[0]]
+            a[swap] = a[swap[::-1]]
+            order[swap] = order[swap[::-1]]
+            column[[0, nonzero[0]]] = column[[nonzero[0], 0]]
+        pivot_cols.append(col)
+        if rank + 1 == nrows:
             break
-    return rank
+        row = a[rank, col + 1:] % PRIME * pow(int(column[0]), -1, PRIME) % PRIME
+        trailing = a[rank + 1:, col + 1:]
+        trailing -= column[1:, None] * row
+        if len(pivot_cols) % _UPDATES == 0:
+            trailing %= PRIME
+    rank = len(pivot_cols)
+    return rank, order[:rank], np.array(pivot_cols, dtype=np.intp)
+
+
+def _kernel_certificate(a, pivot_rows, pivot_cols):
+    """True when the integer array a provably has rank len(pivot_rows).
+
+    With R the pivot rows and C the pivot columns of _echelon_mod_prime,
+    B = A[R, C] is nonsingular mod PRIME, so a nonzero r x r minor gives
+    rank >= r. Dixon's p-adic lifting solves B Y = A[R, F] over the
+    rationals, F the other columns; Y = Num / den is rebuilt by rational
+    reconstruction and checked as A[:, C] Num == den A[:, F] over the
+    integers on every row. That gives n - r independent integer kernel
+    vectors, so rank <= r. False (the caller falls back to Bareiss) when
+    the lifting would leave int64, B is singular mod PRIME, the
+    reconstruction fails or the identity does not hold.
+    """
+    r = len(pivot_rows)
+    free = np.ones(a.shape[1], dtype=bool)
+    free[pivot_cols] = False
+    # |residual| <= r * beta and |residual - B y| < r * beta * PRIME stay
+    # in int64, and so does a product of B^-1 with r residues
+    beta = max(int(a.max()), -int(a.min()))
+    if r * max(beta, PRIME) * PRIME >= 2**63:
+        return False
+    b = a[np.ix_(pivot_rows, pivot_cols)].astype(np.int64)
+    b_inverse = _inverse_mod_prime(b)
+    if b_inverse is None:
+        return False
+    # by Cramer's rule an entry of Y is det(B_j) / det(B), both at most
+    # the Hadamard bound H of the pivot rows; a fraction with numerator
+    # and denominator at most H is unique mod M once M > 2 H^2
+    h_squared = math.prod((a[pivot_rows].astype(object) ** 2).sum(axis=1).tolist())
+    lifted, modulus = _padic_solution(
+        b, b_inverse, a[np.ix_(pivot_rows, free)].astype(np.int64), 2 * h_squared
+    )
+    bound = math.isqrt((modulus - 1) // 2)
+    den = 1  # lcm of the denominators so far, a divisor of det(B)
+    for x in lifted.flat:
+        d = _reconstructed_denominator(x * den % modulus, modulus, bound)
+        if d is None:
+            return False
+        den *= d
+    num = lifted * den % modulus
+    num = np.where(num > modulus // 2, num - modulus, num)
+    lhs = a[:, pivot_cols].astype(object) @ num
+    return bool((lhs == den * a[:, free].astype(object)).all())
+
+
+def _inverse_mod_prime(b):
+    """B^-1 mod PRIME by in-place Gauss-Jordan elimination without row
+    exchanges, or None when a leading minor of B is 0 mod PRIME.
+
+    Reduction is delayed as in _echelon_mod_prime; the caller keeps the
+    order of B below _UPDATES.
+    """
+    inverse = b % PRIME
+    for k in range(len(inverse)):
+        pivot = int(inverse[k, k] % PRIME)
+        if not pivot:
+            return None
+        inverse[k, k] = 1
+        row = inverse[k] % PRIME * pow(pivot, -1, PRIME) % PRIME
+        column = inverse[:, k] % PRIME
+        column[k] = 0
+        inverse[:, k] = 0
+        inverse -= column[:, None] * row
+        inverse[k] = row
+    return inverse % PRIME
+
+
+def _padic_solution(b, b_inverse, rhs, limit):
+    """(X, M) with B X == rhs (mod M), M = PRIME^k the first power over limit.
+
+    Each step takes the next base-PRIME digit y = B^-1 residual mod
+    PRIME and divides residual - B y, which PRIME divides, by PRIME.
+    """
+    lifted = np.zeros(rhs.shape, dtype=object)
+    residual, modulus = rhs, 1
+    while modulus <= limit:
+        y = b_inverse @ (residual % PRIME) % PRIME
+        residual = (residual - b @ y) // PRIME
+        lifted += modulus * y.astype(object)
+        modulus *= PRIME
+    return lifted, modulus
+
+
+def _reconstructed_denominator(z, modulus, bound):
+    """The denominator d of the fraction n / d == z (mod modulus) with
+    |n| <= bound and 0 < d <= bound, or None.
+
+    Wang's rational reconstruction by the extended Euclidean algorithm;
+    the fraction is unique when 2 bound^2 < modulus.
+    """
+    r0, r1, t0, t1 = modulus, z, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if 0 < abs(t1) <= bound else None
 
 
 def bareiss_rank(matrix):
     """Rank over the rationals by fraction-free (Bareiss) elimination.
 
-    Accepts a JoinMatrix or any rectangular list of integer rows. All
-    arithmetic is unbounded-integer; the two-term update divides exactly
-    by the previous pivot, and pivots are chosen as the first nonzero
-    entry in column order, so the result is reproducible.
+    Accepts a JoinMatrix or any rectangular list of integer rows; a
+    non-integer entry raises TypeError, as the floor division below
+    would rank a different matrix. All arithmetic is unbounded-integer;
+    the two-term update divides exactly by the previous pivot, and
+    pivots are chosen as the first nonzero entry in column order, so the
+    result is reproducible.
     """
     rows = matrix.rows if isinstance(matrix, JoinMatrix) else matrix
-    m = [list(r) for r in rows]
+    m = [[operator.index(v) for v in r] for r in rows]
     if not m:
         return 0
     nrows, ncols = len(m), len(m[0])

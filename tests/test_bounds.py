@@ -70,6 +70,14 @@ class TestEntropy:
         with pytest.raises(ValueError):
             bd.entropy_comm_bound(5, -0.1)
 
+    @pytest.mark.parametrize("eps", ["1/0", math.inf, -math.inf, math.nan])
+    def test_bad_eps_raises_value_error(self, eps):
+        # not ZeroDivisionError or OverflowError from Fraction
+        with pytest.raises(ValueError):
+            bd.entropy_comm_bound(5, eps)
+        with pytest.raises(ValueError):
+            bd.entropy_report(5, eps)
+
     def test_log2_big_precision(self):
         # float conversion is exact while bell(n) stays in float range
         for n in (10, 50, 120):
@@ -101,6 +109,14 @@ class TestRoundConversion:
     def test_positivity_required(self):
         with pytest.raises(ValueError):
             bd.round_bound_from_comm(0, 5)
+
+    @pytest.mark.parametrize("comm_bits", [math.inf, -math.inf, math.nan])
+    def test_non_finite_comm_bits_raise_value_error(self, comm_bits):
+        # math.ceil(inf) would raise OverflowError
+        with pytest.raises(ValueError, match="finite"):
+            bd.round_bound_from_comm(comm_bits, 5)
+        with pytest.raises(ValueError, match="finite"):
+            bd.round_bound_report(comm_bits, 5)
 
 
 class TestCrossModuleSanityLink:

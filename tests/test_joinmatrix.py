@@ -2,8 +2,9 @@
 
 Each fast path is checked against a slow oracle kept here or in the
 module: the bitmask build against pairwise partition joins, and the
-modular rank against fraction-free (Bareiss) elimination and plain
-rational Gaussian elimination on everything small enough to afford it.
+modular rank and its kernel certificate against fraction-free (Bareiss)
+elimination and plain rational Gaussian elimination on everything small
+enough to afford it.
 """
 
 import json
@@ -251,16 +252,78 @@ class TestModularCertificate:
         assert jm.exact_rank(jm.build_join_matrix("M", 4)) == 15
         assert len(calls) == 1  # full rank mod p needs no fallback
 
-    def test_deficient_rank_comes_from_bareiss(self, monkeypatch):
+    def test_deficient_rank_needs_an_exact_certificate(self, monkeypatch):
+        # with Bareiss answering -1, any other answer is the certificate's
+        monkeypatch.setattr(jm, "bareiss_rank", lambda rows: -1)
         rows = [list(r) for r in jm.build_join_matrix("M", 4).rows]
         rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
-        monkeypatch.setattr(jm, "bareiss_rank", lambda rows: -1)
+        assert jm.exact_rank(rows) == 14
+        # rank 1 mod p, 2 over Q: the kernel identity fails on row 0
+        assert jm.exact_rank([[P, 0], [0, 1]]) == -1
+        lift = jm._padic_solution
+
+        def perturbed(*args):
+            lifted, modulus = lift(*args)
+            lifted[0, 0] += 1
+            return lifted, modulus
+
+        monkeypatch.setattr(jm, "_padic_solution", perturbed)
         assert jm.exact_rank(rows) == -1
+
+    def test_hadamard_bound_lifts_far_enough(self, monkeypatch):
+        # Y = (a + 1) / a with a near 0.45 P: P < 2 (a^2 + (a + 1)^2) < P^2,
+        # so the lifting needs two steps (mod P alone this fraction cannot
+        # be reconstructed) and two suffice
+        a = 9 * P // 20
+        rows = [[a, a + 1], [2 * a, 2 * a + 2]]
+        monkeypatch.setattr(jm, "bareiss_rank", lambda rows: -1)
+        assert jm.exact_rank(rows) == 1
 
     def test_non_integer_entries_rejected(self):
         # truncating 1.5 to 1 would certify a rank-1 matrix as full rank
         with pytest.raises(TypeError):
             jm.exact_rank([[1.5, 3], [1, 2]])
+
+    def test_bareiss_rejects_non_integer_entries(self):
+        # floor division by the pivot 0.5 would rank this rank-2 matrix 1
+        with pytest.raises(TypeError):
+            jm.bareiss_rank([[0.5, 1], [1, 3]])
+
+
+def low_rank_product(rng, m, n, k):
+    """U V with U m x k and V k x n, entries in -3..3: rank at most k."""
+    u = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+    v = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+    return [[sum(u[i][t] * v[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+
+
+class TestKernelCertificateAgainstOracles:
+    @pytest.mark.parametrize(
+        "m, n",
+        [(1, 1), (1, 6), (6, 1), (7, 7), (12, 9), (9, 12), (23, 40), (40, 17), (40, 40)],
+    )
+    def test_low_rank_products(self, m, n, monkeypatch):
+        rng = random.Random(f"low-rank/{m}x{n}")
+        cases = [low_rank_product(rng, m, n, k) for k in range(min(m, n) + 1)]
+        truths = [jm.bareiss_rank(rows) for rows in cases]
+        if min(m, n) <= 12:
+            assert truths == [rank_by_rational_elimination(rows) for rows in cases]
+        assert truths == list(range(min(m, n) + 1))  # every rank occurs
+        # entries this small always fit the certificate: no fallback
+        monkeypatch.setattr(jm, "bareiss_rank", lambda rows: -1)
+        assert [jm.exact_rank(rows) for rows in cases] == truths
+
+    def test_m6_with_a_dependent_row(self):
+        rows = [list(r) for r in jm.build_join_matrix("M", 6).rows]
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        assert jm.exact_rank(rows) == jm.bareiss_rank(rows) == 202
+
+    def test_deficient_principal_subset_of_m7(self):
+        m = jm.build_join_matrix("M", 7)
+        subset = sorted(random.Random(3).sample(range(m.dimension), 220))
+        sub = [[m.rows[i][j] for j in subset] for i in subset]
+        assert not jm.verify_principal_submatrix_rank(m, subset)
+        assert jm.exact_rank(sub) == jm.bareiss_rank(sub) == 219
 
 
 class TestPrincipalSubmatrix:
