@@ -28,7 +28,8 @@ from . import partitions as pt
 from . import reduction as rd
 from .algorithms import make_algorithm
 from .crossing import cross, find_fooling_pairs, oriented_edge
-from .errors import InternalConsistencyError, ResourceLimitError
+from .errors import PY_OP, InternalConsistencyError, ResourceLimitError
+from .errors import capped_count, check_work
 from .sim import (
     KT0,
     KT1,
@@ -108,12 +109,8 @@ def cmd_bell(args, rep):
 
 
 def cmd_partitions(args, rep):
-    if args.pairs:
-        seq = pt.enumerate_pair_partitions(args.n)
-        expected = pt.pair_partition_count(args.n)
-    else:
-        seq = pt.enumerate_partitions(args.n)
-        expected = pt.bell(args.n)
+    count, enum = jm.KINDS["E" if args.pairs else "M"]  # the two index families
+    seq, expected = enum(args.n), count(args.n)
     count = 0
     for i, p in enumerate(seq):
         if not args.count_only:
@@ -323,9 +320,15 @@ def _join_pairs(args):
     """The (p_a, p_b) pairs a verify-join sweep checks, in sweep order."""
     pairings = args.variant == rd.TWO_REGULAR
     if args.exhaustive:
-        enum = pt.enumerate_pair_partitions if pairings else pt.enumerate_partitions
+        count, enum = jm.KINDS["E" if pairings else "M"]
+        members = capped_count(count, args.n)  # a pair: about 100 n Python-level operations
+        check_work(f"the exhaustive sweep at n={args.n}",
+                   members * members * 100 * args.n * PY_OP, members * 100 * args.n)
         yield from product(list(enum(args.n)), repeat=2)
         return
+    smallest = 2 if pairings else 1
+    if args.random and args.size < smallest:
+        raise ValueError(f"--size must be at least {smallest}, got {args.size}")
     rng = random.Random(args.seed)
     draw = pt.random_pair_partition if pairings else pt.random_partition
     for _ in range(args.random):
@@ -578,8 +581,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # admitted exact counts pass 4300 digits
+        sys.set_int_max_str_digits(0)
     rep = _Reporter(args)
     try:
+        for name in ("left", "right", "trials", "limit", "sample", "random"):  # count options
+            if getattr(args, name, 0) < 0:
+                raise ValueError(f"--{name} must be nonnegative, got {getattr(args, name)}")
         return args.func(args, rep)
     except (ResourceLimitError, ValueError, OSError) as e:  # bad input or path
         parser.exit(2, f"{parser.prog}: error: {e}\n")

@@ -20,12 +20,8 @@ from math import comb, factorial, log
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import PY_OP, capped_count, check_work
 from .sim import KT0, make_instance
-
-FAMILY_LIMIT = 11
-EXACT_COUNT_LIMIT = 2000
-EXACT_RATIO_LIMIT = 2000
 
 
 def canonical_cycle(seq):
@@ -86,8 +82,8 @@ def two_cycle_codes(a, b):
 
     Row j of a and of b are two disjoint canonical cycles covering n
     vertices. A key is coded as its first cycle's length times n**n plus
-    its vertices, in key order, read as n base-n digits; the largest
-    code fits int64 up to n = FAMILY_LIMIT. Equal codes mean equal keys.
+    its vertices, in key order, read as n base-n digits; codes stay below
+    (n // 2 + 1) n**n < 2^63 up to n = 15 > 11, the largest family admitted.
     """
     if a.shape[1] > b.shape[1]:
         a, b = b, a
@@ -208,13 +204,13 @@ class CycleFamily:
 
 
 def enumerate_family(n, min_cycle_len=3):
-    """Complete duplicate-free families for 5 <= n <= FAMILY_LIMIT."""
+    """Complete duplicate-free families for n >= 5 (n <= 11 is admitted)."""
     if n < 5:
         raise ValueError("family enumeration needs n >= 5")
-    if n > FAMILY_LIMIT:
-        raise ResourceLimitError(
-            f"family enumeration for n={n} exceeds the limit n<={FAMILY_LIMIT}"
-        )
+    # a key takes about n Python-level operations and 8 n + 150 bytes
+    keys = capped_count(
+        lambda n: one_cycle_count(n) * (1 + family_ratio_float(n, min_cycle_len)), n)
+    check_work(f"family enumeration at n={n}", keys * n * PY_OP, keys * (8 * n + 150))
     twos = {}
     for i, key in two_cycle_keys(n, min_cycle_len):
         twos.setdefault(i, []).append(key)
@@ -247,7 +243,7 @@ class FamilyCounts:
     v1: int
     t_counts: dict  # i -> |T_i|
     v2: int
-    ratio: object  # Fraction, or None when past the exact-ratio limit
+    ratio: object  # Fraction
     ratio_float: float
 
 
@@ -273,22 +269,12 @@ def family_ratio_float(n, min_cycle_len=3):
     return total
 
 
-def family_ratio_exact(n, min_cycle_len=3):
-    if n > EXACT_RATIO_LIMIT:
-        raise ResourceLimitError(
-            f"exact ratio for n={n} exceeds the limit n<={EXACT_RATIO_LIMIT}"
-        )
-    return sum(family_ratio_terms(n, min_cycle_len).values(), Fraction(0))
-
-
 def family_counts(n, min_cycle_len=3):
     """Exact closed-form counts; enumeration-free, so n can be large."""
     if n < 6:
         raise ValueError("closed forms are for n >= 6")
-    if n > EXACT_COUNT_LIMIT:
-        raise ResourceLimitError(
-            f"exact closed-form counts for n={n} exceed the limit n<={EXACT_COUNT_LIMIT}"
-        )
+    digits = 1 + n * n.bit_length() // 30  # of numbers below n^n, multiplied n/2 times
+    check_work(f"exact closed-form counts at n={n}", n // 2 * digits * digits, n * digits * 4)
     v1 = one_cycle_count(n)
     t_counts = {i: t_class_count(n, i) for i in two_cycle_classes(n, min_cycle_len)}
     v2 = sum(t_counts.values())

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossing import split_codes, splitting_pairs
-from .errors import InternalConsistencyError
+from .errors import PY_OP, InternalConsistencyError, check_work
 from .sim import simulate
 
 SPLIT_BLOCK_ROWS = 1024  # members per split-code block; bounds the transient arrays
@@ -95,6 +95,10 @@ def build_indist_graph(family, algorithm, t, x=(), y=(), coins=()):
         raise ValueError(f"need |x| = |y| = t = {t}")
     n = family.n
     ones = family.one_cycles
+    pairs = splitting_pairs(range(n), n, family.min_cycle_len)
+    cells = len(ones) * len(pairs)  # each coded, then kept as an edge of 130 B (n = 10)
+    check_work(f"the indistinguishability graph at n={n}, up to {cells} edges",
+               cells * (25 * n + 5 * PY_OP), 130 * cells)
     forward = np.zeros((len(ones), n), dtype=bool)
     backward = np.zeros((len(ones), n), dtype=bool)
     active_directed = {}
@@ -110,7 +114,6 @@ def build_indist_graph(family, algorithm, t, x=(), y=(), coins=()):
         forward[row] = fwd
         backward[row] = bwd
 
-    pairs = splitting_pairs(range(n), n, family.min_cycle_len)
     right = tuple(family.all_two_cycle_keys())
     codes = family.key_codes()
     order = codes.argsort()

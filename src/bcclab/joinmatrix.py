@@ -4,8 +4,8 @@ The matrix of kind "M" is indexed by all partitions of {1..n}; kind "E"
 by the perfect pairings only. Entry (i,j) is 1 exactly when the join of
 the i-th and j-th index partition is the one-block partition.
 
-A matrix is built only when its dimension, the closed-form count that is
-also its expected rank, is at most DIMENSION_CAP: M^7 (877), E^10 (945).
+A matrix is built when check_work admits the 2 d^3 / 3 steps of its rank,
+d its closed-form dimension: M^7 (877) and E^10 (945), not M^8 (4140).
 
 Rows are built on element bitmasks. For each index partition r,
 closure[r, S] is the union of the blocks of r that meet the set S. The
@@ -44,9 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import partitions as pt
-from .errors import ResourceLimitError
+from .errors import capped_count, check_work
 
-DIMENSION_CAP = 1000
 PRIME = 16777213  # the largest prime below 2^24
 # an int64 holds a residue minus _UPDATES products of two residues:
 # PRIME + _UPDATES * (PRIME - 1)^2 < 2^63
@@ -95,14 +94,10 @@ def expected_rank(kind, n):
 def build_join_matrix(kind, n):
     """Construct the 0/1 join matrix of the given kind over {1..n}."""
     count, enumerate_index = _kind(kind)
-    # both counts are at least n - 1, so past the cap n alone decides and
-    # the count (quadratic time in n for a Bell number) is not computed
-    dim = count(n) if n <= DIMENSION_CAP else f"at least {n - 1}"
-    if n > DIMENSION_CAP or dim > DIMENSION_CAP:
-        raise ResourceLimitError(
-            f"kind {kind} at n={n} has dimension {dim}, over the "
-            f"dense-representation cap {DIMENSION_CAP}"
-        )
+    dim = capped_count(count, n)
+    # the elimination, n closure rounds a row; rows, int64 copy, closures (2^n <= 8 d)
+    check_work(f"kind {kind} at n={n} with dimension {dim if n <= 64 else 'over 2^63'}",
+               dim * dim * (2 * dim // 3 + 3 * n), 32 * dim * dim)
     index = tuple(enumerate_index(n))
     closure = _block_closures(index, n)
     flat = closure.ravel()
@@ -166,11 +161,6 @@ def _integer_array(rows):
     if a.dtype.kind in "bi":
         return a.astype(np.int64, copy=False)
     return np.array([[operator.index(v) for v in r] for r in rows], dtype=object)
-
-
-def _rank_mod_prime(rows):
-    """Rank over GF(PRIME), a lower bound on the rank over the rationals."""
-    return _echelon_mod_prime(_integer_array(rows))[0]
 
 
 def _echelon_mod_prime(a):

@@ -11,7 +11,7 @@ alternating-reachability cut of a maximum matching.
 from collections import deque
 from dataclasses import dataclass
 
-HALL_CHECK_LIMIT = 20  # left vertices; the oracle visits all 2^left subsets
+from .errors import PY_OP, check_work
 
 
 def hopcroft_karp(adjacency):
@@ -151,8 +151,8 @@ def hall_check(adjacency, subset, k):
 def exhaustive_hall_check(adjacency, k):
     """Check |N(S)| >= k|S| over every left subset (oracle; exponential)."""
     lefts = sorted(adjacency)
-    if len(lefts) > HALL_CHECK_LIMIT:
-        raise ValueError(f"exhaustive check capped at {HALL_CHECK_LIMIT} left vertices")
+    m = len(lefts)  # a subset takes about 5 Python-level operations per left vertex
+    check_work(f"the exhaustive Hall check on {m} left vertices", 2**m * 5 * m * PY_OP, 8 * m)
     for mask in range(1, 1 << len(lefts)):
         subset = [lefts[i] for i in range(len(lefts)) if mask >> i & 1]
         ok, witness = hall_check(adjacency, subset, k)

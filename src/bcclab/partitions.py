@@ -7,14 +7,11 @@ order so that enumeration indices are stable and can serve as matrix
 row/column indices.
 """
 
+from functools import lru_cache
 from math import factorial
 
-from .errors import PartitionParseError, ResourceLimitError
+from .errors import PY_OP, PartitionParseError, capped_count, check_work
 from .unionfind import DisjointSet
-
-ENUMERATION_LIMIT = 12
-PAIR_ENUMERATION_LIMIT = 14
-BELL_ADDITION_LIMIT = 10**6  # n <= 1413; serves the join-matrix cap n <= 1000
 
 
 class SetPartition:
@@ -67,10 +64,6 @@ class SetPartition:
     def as_rgs(self):
         """Restricted growth string: position i carries the block index of i+1."""
         return tuple(self._block_of[e] for e in range(1, self.ground_size + 1))
-
-    @property
-    def block_count(self):
-        return len(self.blocks)
 
     @property
     def is_trivial(self):
@@ -129,20 +122,17 @@ def is_refinement(p, q):
     return True
 
 
-def bell(n):
-    """Exact n-th Bell number, by the Bell triangle recurrence.
+def _check_triangle(what, n, rows):
+    """n(n+1)/2 updates of numbers below n^n >= B_n, keeping `rows` rows."""
+    digits = 1 + n * n.bit_length() // 30  # 30-bit digits
+    check_work(what, n * (n + 1) // 2 * (PY_OP + digits), rows * (n + 1) * (28 + 4 * digits))
 
-    The triangle takes n(n+1)/2 additions of integers up to B_n in size,
-    which bound n through BELL_ADDITION_LIMIT.
-    """
+
+def bell(n):
+    """Exact n-th Bell number, by the Bell triangle recurrence."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    additions = n * (n + 1) // 2
-    if additions > BELL_ADDITION_LIMIT:
-        raise ResourceLimitError(
-            f"bell({n}) takes about {additions} big-integer additions (O(n^2)), "
-            f"over the limit {BELL_ADDITION_LIMIT}"
-        )
+    _check_triangle(f"bell({n})", n, 2)
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]
@@ -163,10 +153,8 @@ def enumerate_partitions(n):
     """Yield every partition of {1..n} once, in RGS-lexicographic order."""
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if n > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"partition enumeration for n={n} exceeds the limit n<={ENUMERATION_LIMIT}"
-        )
+    count = capped_count(bell, n)
+    check_work(f"partition enumeration at n={n}", count * 10 * n * PY_OP, 100 * n)
     rgs = [0] * n
     caps = [0] * n  # caps[i] = 1 + max(rgs[:i]), the largest digit allowed at i
     for i in range(1, n):
@@ -187,12 +175,8 @@ def enumerate_partitions(n):
 
 def enumerate_pair_partitions(n):
     """Yield all perfect pairings of {1..n}, smallest-free-element first."""
-    if n % 2 != 0 or n < 2:
-        raise ValueError("n must be a positive even integer")
-    if n > PAIR_ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"pairing enumeration for n={n} exceeds the limit n<={PAIR_ENUMERATION_LIMIT}"
-        )
+    count = capped_count(pair_partition_count, n)  # rejects an odd n
+    check_work(f"pairing enumeration at n={n}", count * 10 * n * PY_OP, 100 * n)
 
     def rec(free):
         if not free:
@@ -259,14 +243,36 @@ def parse_partition(text):
     return SetPartition(n, blocks)
 
 
-def random_partition(rng, n):
-    """A random partition of {1..n} (sequential block choice; not uniform)."""
-    rgs = [0] * n
-    top = 0
+@lru_cache(maxsize=1)
+def _completions(n):
+    """c[r][m] = m c[r-1][m] + c[r-1][m+1]: the RGS tails of length r, m blocks open."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    _check_triangle(f"the completion counts at n={n}", n, n)
+    c = [[1] * (n + 1)]
+    for r in range(1, n):
+        c.append([m * c[-1][m] + c[-1][m + 1] for m in range(n - r + 1)])
+    return c
+
+
+def partition_at(n, index):
+    """The index-th partition of enumerate_partitions(n), by unranking its RGS."""
+    c = _completions(n)
+    if not 0 <= index < c[n - 1][1]:
+        raise ValueError(f"index {index} outside 0..B_{n} - 1")
+    rgs, m = [0] * n, 1  # m blocks open
     for i in range(1, n):
-        rgs[i] = rng.randint(0, top + 1)
-        top = max(top, rgs[i])
+        rest = c[n - 1 - i][m]  # completions after each digit below m
+        if index < m * rest:
+            rgs[i], index = divmod(index, rest)
+        else:  # digit m opens a block
+            rgs[i], index, m = m, index - m * rest, m + 1
     return SetPartition.from_rgs(rgs)
+
+
+def random_partition(rng, n):
+    """A uniformly random partition of {1..n}."""
+    return partition_at(n, rng.randrange(_completions(n)[n - 1][1]))
 
 
 def random_pair_partition(rng, n):

@@ -45,10 +45,6 @@ class ReductionGraph:
         """The KT1 BccInstance realizing the construction, built on first use."""
         return make_instance(len(self.ids), self.edges, mode=KT1, ids=self.ids)
 
-    def vertex_label(self, v):
-        group, i = divmod(v, self.n)
-        return GROUPS[self.variant][group] + str(i + 1)
-
     def l_vertex(self, i):
         return GROUPS[self.variant].index("l") * self.n + i - 1
 

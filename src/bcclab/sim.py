@@ -30,7 +30,7 @@ from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ProtocolViolation
+from .errors import PY_OP, ProtocolViolation, check_work
 
 KT0 = "KT0"
 KT1 = "KT1"
@@ -213,12 +213,12 @@ def make_instance(n, input_edges, mode=KT0, ids=None, ports=None, b=1):
         ids = range(n) if type(n) is int else ()  # the field check names a bad n
     ids = tuple(ids)
     edges = frozenset(_normalize_edge(e) for e in input_edges)
-    if ports is not None:
-        ports = tuple(tuple(row) for row in ports)
-        return BccInstance(n, mode, ids, edges, ports, b).validate()
     _check_fields(n, mode, ids, edges, b)
-    ports = canonical_kt0_ports(ids) if mode == KT0 else kt1_ports(ids)
-    return BccInstance(n, mode, ids, edges, ports, b)
+    check_work(f"an instance on {n} vertices", n * n * PY_OP, 22 * n * n)  # the port table
+    if ports is None:
+        ports = canonical_kt0_ports(ids) if mode == KT0 else kt1_ports(ids)
+        return BccInstance(n, mode, ids, edges, ports, b)
+    return BccInstance(n, mode, ids, edges, tuple(map(tuple, ports)), b).validate()
 
 
 class Algorithm:
@@ -365,6 +365,8 @@ def simulate(instance, algorithm, t, coins=()):
         raise ValueError("round count must be nonnegative")
     n = instance.n
     b = instance.b
+    # n t broadcasts, each a Python-level call delivered to n - 1 ports
+    check_work(f"{t} rounds on {n} vertices", n * t * (n + PY_OP), 8 * n * t)
     coins = tuple(coins)
     views = tuple(instance.view(v, coins) for v in range(n))
     states = [algorithm.initialize(view) for view in views]

@@ -145,7 +145,7 @@ def test_criterion_04_log_ratio_shadow():
     ok = True
     for n, expected in pinned.items():
         ok &= abs(fm.ratio_over_log(n) - expected) <= 0.02
-    exact = [fm.family_ratio_exact(n) for n in range(6, 301)]
+    exact = [sum(fm.family_ratio_terms(n).values(), Fraction(0)) for n in range(6, 301)]
     ok &= all(a < b for a, b in zip(exact, exact[1:]))
     grid = [int(10 ** (k / 8)) for k in range(8, 49)]  # 10 .. 1e6
     floats = [fm.family_ratio_float(n) for n in grid]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -35,6 +36,11 @@ class TestBasicCommands:
         code, records = run_cli(capsys, "bell", "--n", "6")
         assert code == 0
         assert records[0]["record"] == {"n": 6, "bell": 203}
+
+    def test_admitted_counts_print_past_4300_digits(self, capsys):
+        code, records = run_cli(capsys, "family", "--n", "2000")
+        assert code == 0
+        assert records[0]["record"]["v1_closed"] == math.factorial(1999) // 2
 
     def test_join(self, capsys):
         code, records = run_cli(
@@ -233,7 +239,7 @@ class TestReportDiscipline:
              "min_cycle_len must be at least 3"),
             (["error-eval", "--n", "7", "--min-cycle-len", "2"],
              "min_cycle_len must be at least 3"),
-            (["bell", "--n", "5000"], "bell(5000) takes about 12502500 big-integer additions"),
+            (["bell", "--n", "5000"], "bell(5000) is estimated at 2.747e+10 steps"),
             (["bounds", "--which", "entropy", "--n", "5", "--eps", "1/0"],
              "--eps 1/0 has a zero denominator"),
             (["bounds", "--which", "rounds", "--n", "5", "--comm-bits", "inf"],
@@ -244,6 +250,22 @@ class TestReportDiscipline:
              "--density must lie in [0, 1], got nan"),
             (["kmatch", "--left", "3", "--right", "3", "--density", "1.5"],
              "--density must lie in [0, 1], got 1.5"),
+            (["kmatch", "--left", "3", "--right", "3", "--trials", "-2"],
+             "--trials must be nonnegative, got -2"),
+            (["kmatch", "--left", "-1", "--right", "3"], "--left must be nonnegative, got -1"),
+            (["kmatch", "--left", "3", "--right", "-1"], "--right must be nonnegative, got -1"),
+            (["fool", "--n", "30", "--t", "1", "--limit", "-1"],
+             "--limit must be nonnegative, got -1"),
+            (["fool", "--n", "30", "--t", "1", "--sample", "-1"],
+             "--sample must be nonnegative, got -1"),
+            (["verify-join", "--random", "-1"], "--random must be nonnegative, got -1"),
+            (["verify-join", "--random", "3", "--size", "0"],
+             "--size must be at least 1, got 0"),
+            (["verify-join", "--variant", "two-regular", "--random", "3", "--size", "1"],
+             "--size must be at least 2, got 1"),
+            (["fool", "--n", "20000", "--t", "3"], "an instance on 20000 vertices is estimated"),
+            (["verify-join", "--exhaustive", "--n", "7"],
+             "the exhaustive sweep at n=7 is estimated"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):

@@ -115,18 +115,21 @@ class TestBuild:
         "kind, n, dimension", [("M", 8, 4140), ("E", 12, 10395), ("M", 9, 21147)]
     )
     def test_cap_is_on_the_dimension_formula(self, kind, n, dimension):
-        assert jm.expected_rank(kind, n) == dimension > jm.DIMENSION_CAP
+        assert jm.expected_rank(kind, n) == dimension
         with pytest.raises(ResourceLimitError, match=f"dimension {dimension}"):
             jm.build_join_matrix(kind, n)
 
-    def test_bell_count_serves_the_cap(self):
-        # M at n = DIMENSION_CAP computes B_1000 and refuses on its size
-        dimension = pt.bell(jm.DIMENSION_CAP)
-        with pytest.raises(ResourceLimitError, match=f"n=1000 has dimension {dimension},"):
-            jm.build_join_matrix("M", jm.DIMENSION_CAP)
+    def test_bell_count_serves_the_cap(self, monkeypatch):
+        # M at n = 1000 refuses on the floor 2^63 of its dimension, and
+        # computes no Bell number past B_64 to get there
+        counted = []
+        monkeypatch.setitem(jm.KINDS, "M", (lambda n: counted.append(n) or pt.bell(n), None))
+        with pytest.raises(ResourceLimitError, match="n=1000 with dimension over 2\\^63"):
+            jm.build_join_matrix("M", 1000)
+        assert counted == []
 
     def test_huge_n_refused_without_its_count(self):
-        with pytest.raises(ResourceLimitError, match="at least 99999"):
+        with pytest.raises(ResourceLimitError, match="n=100000 with dimension over 2\\^63"):
             jm.build_join_matrix("M", 10**5)
 
     def test_unknown_kind(self):
@@ -246,7 +249,7 @@ class TestModularCertificate:
             return bareiss(rows)
 
         monkeypatch.setattr(jm, "bareiss_rank", spy)
-        assert jm._rank_mod_prime([[P, 0], [0, 1]]) == 1
+        assert jm._echelon_mod_prime(jm._integer_array([[P, 0], [0, 1]]))[0] == 1
         assert jm.exact_rank([[P, 0], [0, 1]]) == 2
         assert len(calls) == 1
         assert jm.exact_rank(jm.build_join_matrix("M", 4)) == 15

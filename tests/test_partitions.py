@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcclab import partitions as pt
-from bcclab.errors import PartitionParseError, ResourceLimitError
+from bcclab.errors import STEP_LIMIT, PartitionParseError, ResourceLimitError
 from bcclab.partitions import SetPartition
+from work_estimates import estimate
 
 
 def brute_partitions(n):
@@ -150,8 +151,34 @@ class TestEnumeration:
         assert seqs == sorted(seqs)
 
     def test_limit(self):
-        with pytest.raises(ResourceLimitError, match="12"):
+        with pytest.raises(ResourceLimitError, match="partition enumeration at n=13 is estimated"):
             next(pt.enumerate_partitions(13))
+
+
+class TestUnranking:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_partition_at_follows_the_enumeration(self, n):
+        # so a uniform index gives an exactly uniform partition
+        assert [pt.partition_at(n, i) for i in range(pt.bell(n))] == list(
+            pt.enumerate_partitions(n)
+        )
+
+    def test_index_out_of_range(self):
+        for index in (-1, 52):
+            with pytest.raises(ValueError, match="outside 0..B_5 - 1"):
+                pt.partition_at(5, index)
+        with pytest.raises(ValueError, match="positive integer"):
+            pt.partition_at(0, 0)
+
+    def test_random_partition_draws_a_uniform_index(self):
+        rng, twin = random.Random(7), random.Random(7)
+        for n in (1, 5, 200):
+            assert pt.random_partition(rng, n) == pt.partition_at(n, twin.randrange(pt.bell(n)))
+
+    def test_large_index_unranks_exactly(self):
+        last = pt.partition_at(60, pt.bell(60) - 1)
+        assert last == pt.SetPartition.singletons(60)
+        assert pt.partition_at(60, 0) == pt.SetPartition.trivial(60)
 
 
 class TestPairPartitions:
@@ -174,7 +201,7 @@ class TestPairPartitions:
             next(pt.enumerate_pair_partitions(5))
 
     def test_limit(self):
-        with pytest.raises(ResourceLimitError, match="14"):
+        with pytest.raises(ResourceLimitError, match="pairing enumeration at n=16 is estimated"):
             next(pt.enumerate_pair_partitions(16))
 
 
@@ -192,12 +219,12 @@ class TestBell:
             )
 
     def test_work_limit(self):
-        n = 1413  # the largest n with n(n+1)/2 <= BELL_ADDITION_LIMIT
-        assert n * (n + 1) // 2 <= pt.BELL_ADDITION_LIMIT < (n + 1) * (n + 2) // 2
-        with pytest.raises(ResourceLimitError, match=r"bell\(1414\) takes about 1000405 "
-                           r"big-integer additions \(O\(n\^2\)\)"):
+        n = 2688  # the largest n whose triangle estimate is within STEP_LIMIT
+        assert estimate(pt.bell, n)[1] <= STEP_LIMIT < estimate(pt.bell, n + 1)[1]
+        with pytest.raises(ResourceLimitError, match=r"bell\(2689\) is estimated at 4e\+09 "
+                           r"steps and 2.331e\+07 bytes, over the limits of 4e\+09 steps"):
             pt.bell(n + 1)
-        with pytest.raises(ResourceLimitError, match="additions"):
+        with pytest.raises(ResourceLimitError, match=r"bell\(1000000000\) is estimated"):
             pt.bell(10**9)  # refused before any work
 
 

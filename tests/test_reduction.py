@@ -10,6 +10,12 @@ from bcclab.algorithms import AlwaysSilent, FullExchangeSparse, RandomTable
 from bcclab.sim import Symbol, Verdict, simulate
 
 
+def vertex_label(graph, v):
+    """The paper's name of vertex v: its group letter and 1-based index."""
+    group, i = divmod(v, graph.n)
+    return rd.GROUPS[graph.variant][group] + str(i + 1)
+
+
 def transcript_from_trace(result):
     """Per-vertex broadcasts read back from the two parties' messages."""
     graph = result.graph
@@ -63,7 +69,7 @@ class TestBuildTwoRegular:
 
                 cycles = cycles_of_instance(inst)
                 assert all(len(c) >= 4 and len(c) % 2 == 0 for c in cycles)
-                assert len(cycles) == pt.join(p_a, p_b).block_count
+                assert len(cycles) == len(pt.join(p_a, p_b).blocks)
 
 
 class TestBuildGeneral:
@@ -82,7 +88,7 @@ class TestBuildGeneral:
         p = pt.SetPartition.singletons(3)
         g = rd.build_reduction(rd.GENERAL, p, p)
         assert g.instance.ids == tuple(range(1, 13))
-        assert [g.vertex_label(v) for v in (0, 3, 6, 9)] == ["a1", "l1", "r1", "b1"]
+        assert [vertex_label(g, v) for v in (0, 3, 6, 9)] == ["a1", "l1", "r1", "b1"]
 
     def test_leftover_hubs_attach_to_last_rung(self):
         p_a = pt.parse_partition("(1,2,3)")  # one part: a_2, a_3 are leftovers
