@@ -1,8 +1,7 @@
 """Reference vertex state machines for the simulator.
 
 All machines are deterministic and keep their per-vertex state as plain
-values that compare with ==. Broadcast payloads are single symbols
-(b = 1).
+values that compare with ==. Broadcast payloads are single symbols.
 
 ``AlwaysYes``/``AlwaysSilent``, ``IdExchange`` and ``FullExchangeSparse``
 are record-only: they do not override ``receive``, so their states stay
@@ -178,8 +177,7 @@ class FullExchangeSparse(Algorithm):
     def _decode(self, row, w):
         """The ids in one vertex's slots, read as every receiver reads them.
 
-        An all-silent slot is empty, and only ONE sets a bit (a b > 1
-        payload is neither, so it reads as 0).
+        An all-silent slot is empty, and only ONE sets a bit.
         """
         decoded = []
         for slot in range(self.max_degree):
@@ -221,8 +219,7 @@ class RandomTable(Algorithm):
     splits into ``7*R_v``, with ``R_v`` the sum of v's port labels (fixed
     for the run), plus ``H - (sym_v + 1)``, with ``H`` the sum of
     ``sym_u + 1`` over every vertex (one per round). Exact integers keep
-    it right for ids of any size. Symbols are single, so folding needs
-    b = 1.
+    it right for ids of any size.
     """
 
     name = "random-table"
@@ -236,8 +233,6 @@ class RandomTable(Algorithm):
         self._symbols = {}
 
     def initialize(self, view):
-        if self.modulus > 1 and view.b != 1:
-            raise ValueError(f"random-table with modulus > 1 requires b = 1, got b = {view.b}")
         return (0,)
 
     def broadcast(self, state, round_no):

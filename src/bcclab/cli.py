@@ -183,6 +183,7 @@ def _family_and_machine(args, mode=KT0):
 
 
 def _built_graph(args):
+    ig.check_graph_size(args.n, args.min_cycle_len)
     fam, algorithm = _family_and_machine(args)
     # x and y default to all-silent strings of length t
     x = _parse_symbols(args.x if args.x else "-" * args.t)

@@ -97,10 +97,7 @@ def cross(instance, e1, e2):
     edges.discard(tuple(sorted((v2, u2))))
     edges.add(tuple(sorted((v1, u2))))
     edges.add(tuple(sorted((v2, u1))))
-    return BccInstance(
-        instance.n, instance.mode, instance.ids, frozenset(edges),
-        tuple(rows), instance.b,
-    )
+    return BccInstance(instance.n, instance.mode, instance.ids, frozenset(edges), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,8 @@ def compare_states(i1, i2, algorithm, t, coins=()):
     port tables, so they are only re-compared where the port tables
     themselves differ.
     """
-    if i1.n != i2.n or i1.mode != i2.mode or i1.b != i2.b:
-        raise ValueError("instances must share n, mode and bandwidth")
+    if i1.n != i2.n or i1.mode != i2.mode:
+        raise ValueError("instances must share n and mode")
     r1 = simulate(i1, algorithm, t, coins)
     r2 = simulate(i2, algorithm, t, coins)
     n = i1.n

@@ -27,7 +27,7 @@ def capped_count(count, n):
 
 
 class ProtocolViolation(RuntimeError):
-    """A vertex state machine broke the per-round bandwidth contract."""
+    """A vertex state machine broadcast other than exactly one Symbol in a round."""
 
 
 class PartitionParseError(ValueError):

@@ -58,13 +58,13 @@ def cycle_edges(seq):
     return [tuple(sorted((seq[i], seq[(i + 1) % n]))) for i in range(n)]
 
 
-def instance_from_cycles(cycles, mode=KT0, b=1, n=None):
+def instance_from_cycles(cycles, mode=KT0, n=None):
     """Canonical-port instance whose input graph is the given cycles."""
     cycles = [tuple(c) for c in cycles]
     covered = [v for c in cycles for v in c]
     size = n if n is not None else len(covered)
     edges = [e for c in cycles for e in cycle_edges(c)]
-    return make_instance(size, edges, mode=mode, b=b)
+    return make_instance(size, edges, mode=mode)
 
 
 def cycle_order(cycle):
@@ -196,11 +196,11 @@ class CycleFamily:
             parts.append(two_cycle_codes(first, second))
         return np.concatenate(parts)
 
-    def one_cycle_instance(self, key, mode=KT0, b=1):
-        return instance_from_cycles([key], mode=mode, b=b, n=self.n)
+    def one_cycle_instance(self, key, mode=KT0):
+        return instance_from_cycles([key], mode=mode, n=self.n)
 
-    def two_cycle_instance(self, key, mode=KT0, b=1):
-        return instance_from_cycles(list(key), mode=mode, b=b, n=self.n)
+    def two_cycle_instance(self, key, mode=KT0):
+        return instance_from_cycles(list(key), mode=mode, n=self.n)
 
 
 def enumerate_family(n, min_cycle_len=3):

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossing import split_codes, splitting_pairs
-from .errors import PY_OP, InternalConsistencyError, check_work
+from .errors import PY_OP, InternalConsistencyError, capped_count, check_work
+from .families import one_cycle_count
 from .sim import simulate
 
 SPLIT_BLOCK_ROWS = 1024  # members per split-code block; bounds the transient arrays
@@ -74,6 +75,23 @@ class IndistGraph:
         }
 
 
+def check_graph_size(n, min_cycle_len):
+    """Refuse the graph of the n-vertex family before the family is built.
+
+    Each (one-cycle, splitting pair) cell may become an edge. Both counts
+    are closed forms: |V1| = (n-1)!/2, and with m = max(3, min_cycle_len)
+    the splitting pairs of an n-cycle number sum_{d=m}^{n-m} (n - d) =
+    n (n - 2m + 1) / 2, as many as :func:`bcclab.crossing.splitting_pairs`
+    lists.
+    """
+    pairs = n * max(0, n - 2 * max(3, min_cycle_len) + 1) // 2
+    # pairs is 0 below n = 6, so (n-1)! is never taken at n < 1
+    cells = pairs and capped_count(one_cycle_count, n) * pairs
+    # each cell is coded, then kept as an edge of 130 B (n = 10)
+    check_work(f"the indistinguishability graph at n={n}, up to {cells} edges",
+               cells * (25 * n + 5 * PY_OP), 130 * cells)
+
+
 def build_indist_graph(family, algorithm, t, x=(), y=(), coins=()):
     """Construct the KT0 graph for the given broadcast strings x, y.
 
@@ -95,10 +113,8 @@ def build_indist_graph(family, algorithm, t, x=(), y=(), coins=()):
         raise ValueError(f"need |x| = |y| = t = {t}")
     n = family.n
     ones = family.one_cycles
+    check_graph_size(n, family.min_cycle_len)
     pairs = splitting_pairs(range(n), n, family.min_cycle_len)
-    cells = len(ones) * len(pairs)  # each coded, then kept as an edge of 130 B (n = 10)
-    check_work(f"the indistinguishability graph at n={n}, up to {cells} edges",
-               cells * (25 * n + 5 * PY_OP), 130 * cells)
     forward = np.zeros((len(ones), n), dtype=bool)
     backward = np.zeros((len(ones), n), dtype=bool)
     active_directed = {}

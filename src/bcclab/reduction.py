@@ -152,6 +152,8 @@ def pack_trits(symbols):
 
 def unpack_trits(text, length):
     value = int(text, 16)
+    if not 0 <= value < 3**length:
+        raise ValueError(f"{text!r} does not pack {length} trits")
     out = []
     for _ in range(length):
         value, digit = divmod(value, 3)

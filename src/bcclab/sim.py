@@ -102,13 +102,12 @@ def _require_ints(what, values):
             raise ValueError(f"{what} must be integers, got {x!r}")
 
 
-def _check_fields(n, mode, ids, input_edges, b):
+def _check_fields(n, mode, ids, input_edges):
     """Every instance check but the port rows; edges are normalized pairs."""
-    _require_ints("n and b", (n, b))
+    if type(n) is not int:
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("an instance needs at least 2 vertices")
-    if b < 1:
-        raise ValueError("bandwidth b must be >= 1")
     if mode not in (KT0, KT1):
         raise ValueError(f"unknown mode {mode!r}")
     _require_ints("ids", ids)
@@ -135,7 +134,6 @@ class VertexView:
 
     mode: str
     n: int
-    b: int
     own_id: int
     coins: tuple = ()
     input_ports: frozenset = frozenset()  # KT0: ports carrying input edges
@@ -157,10 +155,9 @@ class BccInstance:
     ids: tuple
     input_edges: frozenset  # of (u, v) tuples with u < v, vertex indices
     ports: tuple  # ports[v][u] = port label of the network edge at v facing u
-    b: int = 1
 
     def validate(self):
-        _check_fields(self.n, self.mode, self.ids, self.input_edges, self.b)
+        _check_fields(self.n, self.mode, self.ids, self.input_edges)
         if len(self.ports) != self.n:
             raise ValueError("one port row per vertex required")
         labels = list(range(self.n))  # a KT0 row, sorted
@@ -189,7 +186,7 @@ class BccInstance:
         return self.ports[v][u]
 
     def view(self, v, coins=()):
-        base = dict(mode=self.mode, n=self.n, b=self.b, own_id=self.ids[v], coins=tuple(coins))
+        base = dict(mode=self.mode, n=self.n, own_id=self.ids[v], coins=tuple(coins))
         if self.mode == KT0:
             return VertexView(
                 input_ports=frozenset(self.ports[v][u] for u in self.input_neighbors[v]),
@@ -203,7 +200,7 @@ class BccInstance:
             **base,
         )
 
-def make_instance(n, input_edges, mode=KT0, ids=None, ports=None, b=1):
+def make_instance(n, input_edges, mode=KT0, ids=None, ports=None):
     """Build an instance; ids default to 0..n-1 and ports to the mode's canon.
 
     Explicitly supplied port tables are fully validated; canonical tables
@@ -213,22 +210,23 @@ def make_instance(n, input_edges, mode=KT0, ids=None, ports=None, b=1):
         ids = range(n) if type(n) is int else ()  # the field check names a bad n
     ids = tuple(ids)
     edges = frozenset(_normalize_edge(e) for e in input_edges)
-    _check_fields(n, mode, ids, edges, b)
+    _check_fields(n, mode, ids, edges)
     check_work(f"an instance on {n} vertices", n * n * PY_OP, 22 * n * n)  # the port table
     if ports is None:
         ports = canonical_kt0_ports(ids) if mode == KT0 else kt1_ports(ids)
-        return BccInstance(n, mode, ids, edges, ports, b)
-    return BccInstance(n, mode, ids, edges, tuple(map(tuple, ports)), b).validate()
+        return BccInstance(n, mode, ids, edges, ports)
+    return BccInstance(n, mode, ids, edges, tuple(map(tuple, ports))).validate()
 
 
 class Algorithm:
     """Vertex state machine interface; one shared object drives every vertex.
 
     The machine must be deterministic given the view (the public coin tape
-    lives inside the view). For b = 1 ``broadcast`` returns a single
-    Symbol; for b > 1 it may return a tuple of up to b Symbols. ``receive``
-    is handed the symbols broadcast in ``round`` as a dict keyed by the
-    vertex's own port labels, and returns the successor state.
+    lives inside the view). The lab simulates BCC(1): ``broadcast``
+    returns exactly one Symbol per vertex-round, and ``simulate`` raises
+    ProtocolViolation on anything else. ``receive`` is handed the symbols
+    broadcast in ``round`` as a dict keyed by the vertex's own port
+    labels, and returns the successor state.
 
     The simulator delivers through ``round_receiver``, once per run. A
     machine that does not override ``receive`` is record-only: it gets
@@ -294,11 +292,10 @@ class Algorithm:
 class SimulationRun:
     """Transcript bundle: everything simulate() produced, immutably.
 
-    ``sent[v]`` holds vertex v's broadcasts per round (a Symbol per round
-    for b = 1, otherwise a tuple of Symbols). Received symbols are exposed
-    through :meth:`received`, reconstructed from the senders' rows and the
-    port tables; by construction the symbol seen at u in round r on the
-    port facing v equals sent[v][r-1].
+    ``sent[v]`` holds vertex v's broadcasts, one Symbol per round.
+    Received symbols are exposed through :meth:`received`, reconstructed
+    from the senders' rows and the port tables; by construction the symbol
+    seen at u in round r on the port facing v equals sent[v][r-1].
     """
 
     instance: BccInstance
@@ -326,31 +323,6 @@ class SimulationRun:
         return system_verdict(self.verdicts)
 
 
-def _normalize_payload(payload, b, vertex, round_no):
-    if isinstance(payload, Symbol):
-        if b == 1:
-            return payload
-        return (payload,)
-    payload = tuple(payload)
-    if any(not isinstance(s, Symbol) for s in payload):
-        raise ProtocolViolation(
-            f"vertex {vertex} broadcast a non-symbol value in round {round_no}"
-        )
-    if len(payload) > b:
-        raise ProtocolViolation(
-            f"vertex {vertex} broadcast {len(payload)} symbols in round "
-            f"{round_no}, bandwidth is {b}"
-        )
-    if b == 1:
-        if len(payload) != 1:
-            raise ProtocolViolation(
-                f"vertex {vertex} must broadcast exactly one symbol per round "
-                f"at b=1 (round {round_no})"
-            )
-        return payload[0]
-    return payload
-
-
 def simulate(instance, algorithm, t, coins=()):
     """Run `t` synchronous rounds and return the full transcript bundle.
 
@@ -364,7 +336,6 @@ def simulate(instance, algorithm, t, coins=()):
     if t < 0:
         raise ValueError("round count must be nonnegative")
     n = instance.n
-    b = instance.b
     # n t broadcasts, each a Python-level call delivered to n - 1 ports
     check_work(f"{t} rounds on {n} vertices", n * t * (n + PY_OP), 8 * n * t)
     coins = tuple(coins)
@@ -373,10 +344,13 @@ def simulate(instance, algorithm, t, coins=()):
     step = algorithm.round_receiver(instance)
     rounds = []
     for r in range(1, t + 1):
-        payloads = [
-            _normalize_payload(algorithm.broadcast(states[v], r), b, v, r)
-            for v in range(n)
-        ]
+        payloads = [algorithm.broadcast(state, r) for state in states]
+        if set(map(type, payloads)) != {Symbol}:
+            v = next(v for v, p in enumerate(payloads) if type(p) is not Symbol)
+            raise ProtocolViolation(
+                f"vertex {v} broadcast {payloads[v]!r} in round {r}; "
+                "a payload is exactly one Symbol"
+            )
         rounds.append(payloads)
         if step is not None:
             states = step(states, r, payloads)
@@ -420,17 +394,20 @@ def evaluate_error(algorithm, t, yes_family, no_family, coins=()):
     )
 
 
-def instance_to_json(instance, include_ports=True):
-    """Serialize to the structured-text instance format."""
+def instance_to_json(instance):
+    """Serialize to the structured-text instance format.
+
+    ``"b": 1`` is the bandwidth of BCC(1), the only one the lab simulates;
+    :func:`instance_from_json` reads a missing ``b`` as 1 and refuses others.
+    """
     doc = {
         "n": instance.n,
         "mode": instance.mode,
-        "b": instance.b,
+        "b": 1,
         "ids": list(instance.ids),
         "input_edges": sorted(list(e) for e in instance.input_edges),
+        "ports": [list(row) for row in instance.ports],
     }
-    if include_ports:
-        doc["ports"] = [list(row) for row in instance.ports]
     return json.dumps(doc, sort_keys=True)
 
 
@@ -441,10 +418,13 @@ def instance_from_json(text):
     for key in ("n", "input_edges"):
         if key not in doc:
             raise ValueError(f"instance file has no {key!r} key")
+    b = doc.get("b", 1)
+    if type(b) is not int or b != 1:  # JSON true is a bool, not 1
+        raise ValueError(f"b must be 1 (the lab simulates BCC(1)), got {json.dumps(b)}")
     try:
         return make_instance(
             doc["n"], doc["input_edges"], mode=doc.get("mode", KT0),
-            ids=doc.get("ids"), ports=doc.get("ports"), b=doc.get("b", 1),
+            ids=doc.get("ids"), ports=doc.get("ports"),
         )
     except TypeError as e:  # a number where a list belongs, or the reverse
         raise ValueError(f"malformed instance file: {e}") from None

@@ -175,9 +175,9 @@ BAD_INSTANCES = {
     "long-row": (("ports", 0), [0, 1, 2, 3, 4, 5, 6], "KT0 ports at vertex 0"),
     "short-row": (("ports", 0), [0, 1, 2, 3, 4], "KT0 ports at vertex 0"),
     "diagonal": (("ports", 0, 0), 5, "KT0 ports at vertex 0"),
-    "n-string": (("n",), "6", "n and b must be integers, got '6'"),
-    "n-float": (("n",), 6.5, "n and b must be integers, got 6.5"),
-    "b-string": (("b",), "x", "n and b must be integers, got 'x'"),
+    "n-string": (("n",), "6", "n must be an integer, got '6'"),
+    "n-float": (("n",), 6.5, "n must be an integer, got 6.5"),
+    "b-string": (("b",), "x", 'b must be 1 (the lab simulates BCC(1)), got "x"'),
     "id-string": (("ids", 1), "a", "ids must be integers, got 'a'"),
     "id-float": (("ids", 5), 5.5, "ids must be integers, got 5.5"),
     "edge-string": (("input_edges", 0, 1), "1", "edge endpoints must be integers, got '1'"),
@@ -291,15 +291,15 @@ class TestReportDiscipline:
             for name, (_, _, message) in BAD_INSTANCES.items()
         ] + [
             (["simulate", "--instance", "{dir}/wide.json", "--algo", "random-table",
-              "--modulus", "3", "--t", "2"], "random-table with modulus > 1 requires b = 1"),
+              "--modulus", "3", "--t", "2"], "b must be 1 (the lab simulates BCC(1)), got 2"),
         ],
     )
     def test_bad_file_input_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
         cycle = make_instance(6, [(i, (i + 1) % 6) for i in range(6)])
         (tmp_path / "cycle.json").write_text(instance_to_json(cycle))
         (tmp_path / "no-edges.json").write_text('{"n": 3}')
-        wide = make_instance(6, cycle.input_edges, b=2)
-        (tmp_path / "wide.json").write_text(instance_to_json(wide))
+        wide = json.loads(instance_to_json(cycle)) | {"b": 2}
+        (tmp_path / "wide.json").write_text(json.dumps(wide))
         for name, (path, value, _) in BAD_INSTANCES.items():
             doc = json.loads(instance_to_json(cycle))
             parent = doc
@@ -331,6 +331,21 @@ class TestReportDiscipline:
         rec = records[0]["record"]
         assert rec["system"] == "YES"
         assert rec["sent"][5] == "101"  # id 5 LSB-first
+
+    @pytest.mark.parametrize("b, refused", [
+        (None, None), (1, None), (2, "got 2"), ("x", 'got "x"'), (True, "got true"),
+    ])
+    def test_instance_b_is_missing_or_one(self, tmp_path, capsys, b, refused):
+        doc = {"n": 4, "input_edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+        if b is not None:
+            doc["b"] = b
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        argv = ["simulate", "--instance", str(path), "--t", "1"]
+        if refused is None:
+            assert run_cli(capsys, *argv)[0] == 0
+        else:
+            assert_usage_error(capsys, argv, "b must be 1 (the lab simulates BCC(1)), " + refused)
 
 
 # SHA-256 of the stdout of one small run of each subcommand. Reports are

@@ -223,17 +223,20 @@ class TestTwoParty:
             assert res.equivalent
             assert Counting.initialized == graph.instance.n
 
-    def test_b_greater_one_rejected(self):
-        p = pt.parse_partition("(1,2)")
-        graph = rd.build_reduction(rd.TWO_REGULAR, p, p)
-        assert graph.instance.b == 1  # the wire format is defined for b=1
-
 
 class TestTritPacking:
     def test_round_trip(self):
         symbols = (Symbol.ZERO, Symbol.SILENT, Symbol.ONE, Symbol.SILENT)
         packed = rd.pack_trits(symbols)
         assert rd.unpack_trits(packed, 4) == symbols
+
+    @pytest.mark.parametrize("text, length", [
+        ("-1", 3),  # negative
+        (rd.pack_trits((Symbol.ONE,) * 5), 2),  # more trits than the length
+    ])
+    def test_malformed_text_refused(self, text, length):
+        with pytest.raises(ValueError, match="does not pack"):
+            rd.unpack_trits(text, length)
 
     def test_trace_hex_dump(self):
         p = pt.parse_partition("(1,2)(3,4)")

@@ -19,6 +19,7 @@ from bcclab import partitions as pt
 from bcclab import sim
 from bcclab.algorithms import AlwaysSilent
 from bcclab.cli import main
+from bcclab.crossing import splitting_pairs
 from bcclab.errors import ResourceLimitError
 from work_estimates import admitted, estimate, largest_admitted
 
@@ -48,7 +49,7 @@ ADMIT = [
      (family_stub(10), AlwaysSilent(), 0), "the indist"),
     ("fool --n 5000 --t 3: instance", sim.make_instance, (5000, []), "an instance"),
     ("fool --n 5000 --t 3: run", sim.simulate,
-     (SimpleNamespace(n=5000, b=1), AlwaysSilent(), 3), "3 rounds"),
+     (SimpleNamespace(n=5000), AlwaysSilent(), 3), "3 rounds"),
     ("family --n 2000", fm.family_counts, (2000,), "exact"),
     # the largest inputs tier-1 and the demos run
     ("partitions at n=10", pt.enumerate_partitions, (10,), "partition"),
@@ -112,6 +113,15 @@ class TestCheckWork:
         assert errors.capped_count(fail, 65) == 2**63
         for count in (pt.bell, pt.pair_partition_count, fm.one_cycle_count):
             assert count(64) > 2**63
+
+
+def test_graph_estimate_counts_every_splitting_pair():
+    # the closed form n (n - 2m + 1) / 2 against the pairs the build crosses
+    for n in range(5, 13):
+        for min_cycle_len in (3, 4, 5):
+            what = estimate(ig.check_graph_size, n, min_cycle_len, site="the indist")[0]
+            pairs = splitting_pairs(range(n), n, min_cycle_len)
+            assert what.endswith(f"up to {fm.one_cycle_count(n) * len(pairs)} edges")
 
 
 def test_largest_admitted_matrices_keep_block_closures_in_int16():
@@ -216,16 +226,15 @@ class TestCommandsRefuseFirst:
     def test_indist_stats_refuses_the_graph_before_any_member_runs(
         self, capsys, monkeypatch
     ):
-        # at n = 11 the family (admitted) is enumerated first; the same
-        # order at n = 8 with the graph's memory over a lowered limit
-        family = estimate(fm.enumerate_family, 8, site="family")
-        graph = estimate(ig.build_indist_graph, family_stub(8), AlwaysSilent(), 0,
+        # the graph's closed-form estimate refuses n = 11 before the family
+        # is enumerated, so no member is built or simulated
+        graph = estimate(ig.build_indist_graph, family_stub(11), AlwaysSilent(), 0,
                          site="the indist")
-        monkeypatch.setattr(errors, "MEMORY_LIMIT", family[2])
-        assert graph[2] > family[2]
+        assert not admitted(graph)
+        monkeypatch.setattr(fm, "enumerate_family", fail)
         monkeypatch.setattr(ig, "simulate", fail)
         with pytest.raises(SystemExit) as e:
-            main(["indist-stats", "--n", "8"])
+            main(["indist-stats", "--n", "11"])
         assert e.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
