@@ -135,7 +135,8 @@ class FullExchangeSparse(Algorithm):
     def initialize(self, view):
         if view.mode != KT1:
             raise ValueError("full-exchange-sparse requires KT1 knowledge")
-        neighbors = tuple(sorted(view.neighbor_ids))
+        # KT1 port labels are ids, so the input ports name the neighbors
+        neighbors = tuple(sorted(view.input_ports))
         if len(neighbors) > self.max_degree:
             raise ValueError(
                 f"vertex {view.own_id} has degree {len(neighbors)} > "

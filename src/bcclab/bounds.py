@@ -52,7 +52,8 @@ def pigeonhole_error_bound(n, t):
     if t < 0:
         raise ValueError("t must be nonnegative")
     m = n // 3
-    s = -(-m // 3 ** (2 * t))  # ceil division
+    # ceil division; once t >= bit_length(m), 9^t > m and s = 1 without a huge 9^t
+    s = 1 if t >= m.bit_length() else -(-m // 3 ** (2 * t))
     if s < 2:
         return Fraction(0)
     return Fraction(comb(s, 2), comb(m, 2))

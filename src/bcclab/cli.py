@@ -231,6 +231,11 @@ def cmd_indist_stats(args, rep):
 def cmd_kmatch(args, rep):
     if not 0 <= args.density <= 1:  # NaN included
         raise ValueError(f"--density must lie in [0, 1], got {args.density}")
+    pairs = args.left * args.right  # each about 3 Python-level operations and, kept, 36 bytes
+    check_work(f"a {args.left} x {args.right} pair draw per trial for --trials {args.trials}",
+               args.trials * pairs * 3 * PY_OP, 36 * pairs)
+    mt.check_hall_size(args.left)
+    mt.check_k_matching_size(args.left, pairs, args.k)  # a draw may keep every pair
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):
@@ -382,10 +387,7 @@ def cmd_simulate(args, rep):
     with open(args.instance) as f:
         inst = instance_from_json(f.read())
     algorithm = _algorithm(args, inst)
-    if args.coins and set(args.coins) - {"0", "1"}:
-        raise ValueError(f"--coins must be a 0/1 string, got {args.coins!r}")
-    coins = tuple(int(c) for c in args.coins) if args.coins else ()
-    run = simulate(inst, algorithm, args.t, coins)
+    run = simulate(inst, algorithm, args.t)
     rep.emit({
         "n": inst.n,
         "mode": inst.mode,
@@ -557,7 +559,6 @@ def build_parser():
     p.add_argument("--modulus", type=int)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--coins", help="shared coin tape as a 0/1 string")
 
     p = add("error-eval", cmd_error_eval, help="exact error on cycle families")
     p.add_argument("--n", type=int, required=True)

@@ -108,7 +108,7 @@ class StateDifference:
     kind: str  # "view", "sent", or "received"
 
 
-def compare_states(i1, i2, algorithm, t, coins=()):
+def compare_states(i1, i2, algorithm, t):
     """First difference between the two executions, or None if none.
 
     Vertices are matched by index; a vertex's state is its view plus its
@@ -119,8 +119,8 @@ def compare_states(i1, i2, algorithm, t, coins=()):
     """
     if i1.n != i2.n or i1.mode != i2.mode:
         raise ValueError("instances must share n and mode")
-    r1 = simulate(i1, algorithm, t, coins)
-    r2 = simulate(i2, algorithm, t, coins)
+    r1 = simulate(i1, algorithm, t)
+    r2 = simulate(i2, algorithm, t)
     n = i1.n
     for v in range(n):
         if r1.views[v] != r2.views[v]:
@@ -142,9 +142,9 @@ def compare_states(i1, i2, algorithm, t, coins=()):
     return None
 
 
-def states_identical(i1, i2, algorithm, t, coins=()):
+def states_identical(i1, i2, algorithm, t):
     """True iff every vertex's view and transcript agree across instances."""
-    return compare_states(i1, i2, algorithm, t, coins) is None
+    return compare_states(i1, i2, algorithm, t) is None
 
 
 def cycle_orientation(instance):
@@ -245,15 +245,7 @@ class FoolingPairReport:
         return sizes
 
 
-def find_fooling_pairs(
-    instance,
-    algorithm,
-    t,
-    coins=(),
-    verify="sampled",
-    sample=8,
-    rng=None,
-):
+def find_fooling_pairs(instance, algorithm, t, verify="sampled", sample=8, rng=None):
     """Fooling pairs of a one-cycle KT0 instance against a deterministic run.
 
     Simulates once, labels each canonically oriented cycle edge with the
@@ -272,7 +264,7 @@ def find_fooling_pairs(
         raise ValueError("fooling pairs are a KT0 construction")
     n = instance.n
     cycle = cycle_orientation(instance)
-    run = simulate(instance, algorithm, t, coins)
+    run = simulate(instance, algorithm, t)
     edges = tuple(
         oriented_edge(instance, cycle[i], cycle[(i + 1) % n]) for i in range(n)
     )
@@ -302,7 +294,7 @@ def find_fooling_pairs(
             if not are_independent(instance, e1, e2):
                 raise InternalConsistencyError(f"pair {idx} is not independent")
             crossed = cross(instance, e1, e2)
-            if not states_identical(instance, crossed, algorithm, t, coins):
+            if not states_identical(instance, crossed, algorithm, t):
                 verification["failures"] += 1
                 raise InternalConsistencyError(
                     f"pair {idx} failed the full indistinguishability re-check"

@@ -58,13 +58,11 @@ def cycle_edges(seq):
     return [tuple(sorted((seq[i], seq[(i + 1) % n]))) for i in range(n)]
 
 
-def instance_from_cycles(cycles, mode=KT0, n=None):
-    """Canonical-port instance whose input graph is the given cycles."""
+def instance_from_cycles(cycles, mode=KT0):
+    """Canonical-port instance whose input graph is the given cycles, covering every vertex."""
     cycles = [tuple(c) for c in cycles]
-    covered = [v for c in cycles for v in c]
-    size = n if n is not None else len(covered)
     edges = [e for c in cycles for e in cycle_edges(c)]
-    return make_instance(size, edges, mode=mode)
+    return make_instance(sum(map(len, cycles)), edges, mode=mode)
 
 
 def cycle_order(cycle):
@@ -197,10 +195,10 @@ class CycleFamily:
         return np.concatenate(parts)
 
     def one_cycle_instance(self, key, mode=KT0):
-        return instance_from_cycles([key], mode=mode, n=self.n)
+        return instance_from_cycles([key], mode=mode)
 
     def two_cycle_instance(self, key, mode=KT0):
-        return instance_from_cycles(list(key), mode=mode, n=self.n)
+        return instance_from_cycles(key, mode=mode)
 
 
 def enumerate_family(n, min_cycle_len=3):

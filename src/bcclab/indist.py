@@ -92,7 +92,7 @@ def check_graph_size(n, min_cycle_len):
                cells * (25 * n + 5 * PY_OP), 130 * cells)
 
 
-def build_indist_graph(family, algorithm, t, x=(), y=(), coins=()):
+def build_indist_graph(family, algorithm, t, x=(), y=()):
     """Construct the KT0 graph for the given broadcast strings x, y.
 
     Each one-cycle key is an oriented cycle whose position p is the input
@@ -120,7 +120,7 @@ def build_indist_graph(family, algorithm, t, x=(), y=(), coins=()):
     active_directed = {}
     active_undirected = {}
     for row, lk in enumerate(ones):
-        sent = simulate(family.one_cycle_instance(lk), algorithm, t, coins).sent
+        sent = simulate(family.one_cycle_instance(lk), algorithm, t).sent
         heads = [sent[v] == x for v in lk]
         tails = [sent[v] == y for v in lk]
         fwd = [heads[p] and tails[(p + 1) % n] for p in range(n)]

@@ -148,17 +148,29 @@ def hall_check(adjacency, subset, k):
     return False, HallViolation(k, frozenset(subset), frozenset(nbh))
 
 
+def check_hall_size(m):
+    """Refuse the exhaustive Hall check on m left vertices: 2^m subsets of
+    about 5 Python-level operations per left vertex."""
+    check_work(f"the exhaustive Hall check on {m} left vertices", 2**m * 5 * m * PY_OP, 8 * m)
+
+
 def exhaustive_hall_check(adjacency, k):
     """Check |N(S)| >= k|S| over every left subset (oracle; exponential)."""
     lefts = sorted(adjacency)
-    m = len(lefts)  # a subset takes about 5 Python-level operations per left vertex
-    check_work(f"the exhaustive Hall check on {m} left vertices", 2**m * 5 * m * PY_OP, 8 * m)
+    check_hall_size(len(lefts))
     for mask in range(1, 1 << len(lefts)):
         subset = [lefts[i] for i in range(len(lefts)) if mask >> i & 1]
         ok, witness = hall_check(adjacency, subset, k)
         if not ok:
             return False, witness
     return True, None
+
+
+def check_k_matching_size(lefts, edges, k):
+    """Refuse a k-matching before k copies of each left vertex are made; a copy
+    measures about 40 Python-level operations and 220 bytes, a copied edge 4."""
+    check_work(f"a {k}-matching on {lefts} left vertices and {edges} edges",
+               (40 * lefts + 4 * edges) * k * PY_OP, 220 * k * lefts)
 
 
 def k_matching(adjacency, k):
@@ -172,6 +184,7 @@ def k_matching(adjacency, k):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    check_k_matching_size(len(adjacency), sum(map(len, adjacency.values())), k)
     blown = {(u, c): adjacency[u] for u in adjacency for c in range(k)}
     size, match_left, match_right = hopcroft_karp(blown)
     if size == len(blown):

@@ -185,12 +185,12 @@ def _rebuilt_round(graph, msg_a, msg_b):
     return heard
 
 
-def two_party_simulate(algorithm, p_a, p_b, variant, t, coins=()):
+def two_party_simulate(algorithm, p_a, p_b, variant, t):
     """:func:`two_party_simulate_graph` on ``build_reduction(variant, p_a, p_b)``."""
-    return two_party_simulate_graph(build_reduction(variant, p_a, p_b), algorithm, t, coins)
+    return two_party_simulate_graph(build_reduction(variant, p_a, p_b), algorithm, t)
 
 
-def two_party_simulate_graph(graph, algorithm, t, coins=()):
+def two_party_simulate_graph(graph, algorithm, t):
     """Alice/Bob round-synchronous simulation of a KT1 algorithm on a built graph.
 
     Alice hosts her construction's vertices and Bob his; each round both
@@ -202,7 +202,7 @@ def two_party_simulate_graph(graph, algorithm, t, coins=()):
     transcript equals the run's.
     """
     alice, bob = graph.alice_vertices, graph.bob_vertices
-    run = simulate(graph.instance, algorithm, t, coins)
+    run = simulate(graph.instance, algorithm, t)
     sent_rounds = tuple(zip(*run.sent))
     messages = tuple(
         (tuple(sent[v] for v in alice), tuple(sent[v] for v in bob)) for sent in sent_rounds

@@ -130,15 +130,14 @@ def _normalize_edge(e):
 
 @dataclass(frozen=True)
 class VertexView:
-    """Everything a vertex knows before round 1 (plus the shared coin tape)."""
+    """Everything a vertex knows before round 1. In KT1 a port label is the
+    id behind it, so ``input_ports`` holds the input neighbors' ids."""
 
     mode: str
     n: int
     own_id: int
-    coins: tuple = ()
-    input_ports: frozenset = frozenset()  # KT0: ports carrying input edges
-    all_ids: tuple = ()  # KT1 only
-    neighbor_ids: frozenset = frozenset()  # KT1: ids across input edges
+    input_ports: frozenset
+    all_ids: tuple = ()  # KT1 only: the sorted id roster
 
 
 @dataclass(frozen=True)
@@ -185,20 +184,14 @@ class BccInstance:
     def port_at(self, v, u):
         return self.ports[v][u]
 
-    def view(self, v, coins=()):
-        base = dict(mode=self.mode, n=self.n, own_id=self.ids[v], coins=tuple(coins))
-        if self.mode == KT0:
-            return VertexView(
-                input_ports=frozenset(self.ports[v][u] for u in self.input_neighbors[v]),
-                **base,
-            )
-        neighbor_ids = frozenset(self.ids[u] for u in self.input_neighbors[v])
+    def view(self, v):
+        row = self.ports[v]
         return VertexView(
-            all_ids=self._sorted_ids,
-            neighbor_ids=neighbor_ids,
-            input_ports=neighbor_ids,  # KT1 port labels are the ids
-            **base,
+            self.mode, self.n, self.ids[v],
+            frozenset(row[u] for u in self.input_neighbors[v]),
+            self._sorted_ids if self.mode == KT1 else (),
         )
+
 
 def make_instance(n, input_edges, mode=KT0, ids=None, ports=None):
     """Build an instance; ids default to 0..n-1 and ports to the mode's canon.
@@ -221,12 +214,13 @@ def make_instance(n, input_edges, mode=KT0, ids=None, ports=None):
 class Algorithm:
     """Vertex state machine interface; one shared object drives every vertex.
 
-    The machine must be deterministic given the view (the public coin tape
-    lives inside the view). The lab simulates BCC(1): ``broadcast``
-    returns exactly one Symbol per vertex-round, and ``simulate`` raises
+    The machine must be deterministic given the view. A machine with a
+    fixed public tape is a deterministic machine, and the tape is a
+    constructor parameter. The lab simulates BCC(1): ``broadcast`` returns
+    exactly one Symbol per vertex-round, and ``simulate`` raises
     ProtocolViolation on anything else. ``receive`` is handed the symbols
-    broadcast in ``round`` as a dict keyed by the vertex's own port
-    labels, and returns the successor state.
+    broadcast in ``round`` as a dict keyed by the vertex's own port labels,
+    and returns the successor state.
 
     The simulator delivers through ``round_receiver``, once per run. A
     machine that does not override ``receive`` is record-only: it gets
@@ -300,7 +294,6 @@ class SimulationRun:
 
     instance: BccInstance
     t: int
-    coins: tuple
     views: tuple
     sent: tuple  # sent[v] = tuple over rounds
     states: tuple
@@ -323,7 +316,7 @@ class SimulationRun:
         return system_verdict(self.verdicts)
 
 
-def simulate(instance, algorithm, t, coins=()):
+def simulate(instance, algorithm, t):
     """Run `t` synchronous rounds and return the full transcript bundle.
 
     Round r: every vertex broadcasts a payload computed from its current
@@ -338,8 +331,7 @@ def simulate(instance, algorithm, t, coins=()):
     n = instance.n
     # n t broadcasts, each a Python-level call delivered to n - 1 ports
     check_work(f"{t} rounds on {n} vertices", n * t * (n + PY_OP), 8 * n * t)
-    coins = tuple(coins)
-    views = tuple(instance.view(v, coins) for v in range(n))
+    views = tuple(instance.view(v) for v in range(n))
     states = [algorithm.initialize(view) for view in views]
     step = algorithm.round_receiver(instance)
     rounds = []
@@ -356,7 +348,7 @@ def simulate(instance, algorithm, t, coins=()):
             states = step(states, r, payloads)
     sent = tuple(zip(*rounds)) if rounds else ((),) * n
     verdicts = tuple(algorithm.decide_run(views, states, sent))
-    return SimulationRun(instance, t, coins, views, sent, tuple(states), verdicts)
+    return SimulationRun(instance, t, views, sent, tuple(states), verdicts)
 
 
 def system_verdict(verdicts):
@@ -367,7 +359,7 @@ def system_verdict(verdicts):
     return Verdict.YES if all(v is Verdict.YES for v in verdicts) else Verdict.NO
 
 
-def evaluate_error(algorithm, t, yes_family, no_family, coins=()):
+def evaluate_error(algorithm, t, yes_family, no_family):
     """Exact error under the half/half uniform two-family distribution.
 
     Returns 1/2 * (fraction of yes instances judged NO) + 1/2 * (fraction
@@ -383,11 +375,11 @@ def evaluate_error(algorithm, t, yes_family, no_family, coins=()):
             raise ValueError("families must share n and mode")
     wrong_yes = sum(
         1 for inst in yes_family
-        if simulate(inst, algorithm, t, coins).system_verdict is Verdict.NO
+        if simulate(inst, algorithm, t).system_verdict is Verdict.NO
     )
     wrong_no = sum(
         1 for inst in no_family
-        if simulate(inst, algorithm, t, coins).system_verdict is Verdict.YES
+        if simulate(inst, algorithm, t).system_verdict is Verdict.YES
     )
     return Fraction(wrong_yes, 2 * len(yes_family)) + Fraction(
         wrong_no, 2 * len(no_family)

@@ -1,6 +1,7 @@
 """Bound arithmetic: exact rationals, precision, monotonicity."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,21 @@ class TestPigeonhole:
     def test_small_n_rejected(self):
         with pytest.raises(ValueError, match="n >= 9"):
             bd.pigeonhole_error_bound(8, 0)
+
+    def test_equals_the_formula_past_the_shortcut(self):
+        # the bound skips 3^(2t) once t >= bit_length(m); the values agree
+        for n in range(9, 400, 7):
+            m = n // 3
+            for t in range(m.bit_length() + 3):
+                s = -(-m // 3 ** (2 * t))
+                want = Fraction(math.comb(s, 2), math.comb(m, 2))
+                assert bd.pigeonhole_error_bound(n, t) == want
+
+    def test_huge_t_is_zero_at_once(self):
+        start = time.perf_counter()
+        assert bd.pigeonhole_error_bound(9, 10**9) == 0
+        assert bd.pigeonhole_error_bound(10**6, 10**9) == 0
+        assert time.perf_counter() - start < 1
 
 
 class TestEntropy:

@@ -284,8 +284,8 @@ class TestReportDiscipline:
              "No such file or directory"),
             (["matrix-rank", "--kind", "M", "--n", "3", "--export-text",
               "{dir}/no-dir/m.txt"], "No such file or directory"),
-            (["simulate", "--instance", "{dir}/cycle.json", "--t", "1", "--coins", "27"],
-             "--coins must be a 0/1 string, got '27'"),
+            (["simulate", "--instance", "{dir}/cycle.json", "--algo", "full-exchange-sparse",
+              "--t", "1"], "full-exchange-sparse requires KT1 knowledge"),
         ] + [
             (["simulate", "--instance", "{dir}/" + name + ".json", "--t", "1"], message)
             for name, (_, _, message) in BAD_INSTANCES.items()
@@ -308,6 +308,15 @@ class TestReportDiscipline:
             parent[path[-1]] = value
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         assert_usage_error(capsys, [a.format(dir=tmp_path) for a in argv], message)
+
+    def test_simulate_takes_no_tape_option(self):
+        # a machine's fixed public tape is one of its parameters, like --seed
+        from bcclab.cli import build_parser
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        options = {s for a in sub.choices["simulate"]._actions for s in a.option_strings}
+        assert options == {"-h", "--help", "--instance", "--algo", "--bits", "--max-degree",
+                           "--modulus", "--seed", "--t"}
 
     def test_rejected_command_leaves_out_file_unchanged(self, tmp_path, capsys):
         path = tmp_path / "o.jsonl"

@@ -42,16 +42,16 @@ def label_from_run(run, edge, t):
     return run.sent[edge.head][:t] + run.sent[edge.tail][:t]
 
 
-def edge_label(instance, algorithm, t, edge, coins=()):
-    return label_from_run(simulate(instance, algorithm, t, coins), edge, t)
+def edge_label(instance, algorithm, t, edge):
+    return label_from_run(simulate(instance, algorithm, t), edge, t)
 
 
-def active_edges(instance, algorithm, t, x, y, coins=()):
+def active_edges(instance, algorithm, t, x, y):
     """Directed input edges whose head broadcast x and tail broadcast y."""
     x, y = tuple(x), tuple(y)
     if len(x) != t or len(y) != t:
         raise ValueError(f"need |x| = |y| = t = {t}")
-    run = simulate(instance, algorithm, t, coins)
+    run = simulate(instance, algorithm, t)
     return tuple(
         e
         for e in cx.directed_input_edges(instance)

@@ -163,7 +163,7 @@ class TestCyclesOfInstance:
         assert fm.cycles_of_instance(inst) == ((0, 1, 2), (3, 4, 5), (6, 7, 8, 9))
 
     def test_isolated_vertices_are_skipped(self):
-        inst = fm.instance_from_cycles([(1, 2, 3)], n=5)
+        inst = make_instance(5, fm.cycle_edges((1, 2, 3)))
         assert fm.cycles_of_instance(inst) == ((1, 2, 3),)
 
     @pytest.mark.parametrize(

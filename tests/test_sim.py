@@ -1,5 +1,6 @@
 """Simulator semantics: delivery, verdicts, knowledge modes, error eval."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from bcclab.sim import (
     Algorithm,
     Symbol,
     Verdict,
+    VertexView,
     evaluate_error,
     instance_from_json,
     instance_to_json,
@@ -214,10 +216,34 @@ class TestSimulate:
                 tuple(sorted(run.received(v, r).items())) for r in range(1, 5)
             )
 
-    def test_coins_identical_at_all_vertices(self):
+    def test_no_public_tape(self):
+        # a fixed public tape is a constructor parameter of the machine, so
+        # no entry point takes one
         inst = cycle_instance(4)
-        run = simulate(inst, AlwaysYes(), 1, coins=(1, 0, 1))
-        assert all(view.coins == (1, 0, 1) for view in run.views)
+        calls = [
+            lambda: simulate(inst, AlwaysYes(), 1, ()),
+            lambda: evaluate_error(AlwaysYes(), 1, [inst], [inst], ()),
+            lambda: inst.view(0, ()),
+            lambda: cx.states_identical(inst, inst, AlwaysYes(), 1, ()),
+            lambda: rd.two_party_simulate(AlwaysYes(), "(1)(2)", "(1)(2)", rd.GENERAL, 1, ()),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+        assert [f.name for f in dataclasses.fields(VertexView)] == [
+            "mode", "n", "own_id", "input_ports", "all_ids"
+        ]
+
+    def test_views_hold_input_port_labels(self):
+        ids = [10, 3, 7, 22, 5]
+        for mode, labels in ((KT0, lambda inst, v, u: inst.ports[v][u]),
+                             (KT1, lambda inst, v, u: inst.ids[u])):  # KT1 labels are ids
+            inst = cycle_instance(5, mode=mode, ids=ids)
+            for v in range(5):
+                view = inst.view(v)
+                assert (view.mode, view.n, view.own_id) == (mode, 5, ids[v])
+                assert view.input_ports == {labels(inst, v, u) for u in inst.input_neighbors[v]}
+                assert view.all_ids == (tuple(sorted(ids)) if mode == KT1 else ())
 
 
 class TestBandwidth:
@@ -322,7 +348,7 @@ def per_vertex_verdicts(run, algo):
             verdicts.append(Verdict.YES)
             continue
         rows = [run.received(v, r) for r in range(1, run.t + 1)]
-        edges = {(view.own_id, x) for x in view.neighbor_ids}
+        edges = {(view.own_id, x) for x in view.input_ports}  # KT1 labels are ids
         for sender in view.all_ids:
             if sender == view.own_id:
                 continue

@@ -6,11 +6,12 @@ each site refuses before its work starts.
 """
 
 import re
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
 
-from bcclab import errors
+from bcclab import cli, errors
 from bcclab import families as fm
 from bcclab import indist as ig
 from bcclab import joinmatrix as jm
@@ -39,6 +40,25 @@ def fail(*args, **kwargs):
     raise AssertionError("work started before the size check")
 
 
+@cache
+def family_graph(n):
+    # every directed edge is active, as in the benchmark's family workload
+    return ig.build_indist_graph(fm.enumerate_family(n), AlwaysSilent(), 0)
+
+
+def family_k_matching(n, side, k):
+    graph = family_graph(n)
+    if side == "right":
+        adjacency = {rk: sorted(lks) for rk, lks in graph.right_adjacency.items()}
+    else:
+        adjacency = graph.bipartite_adjacency()
+    return mt.k_matching(adjacency, k)
+
+
+def kmatch(*args):
+    return main(["kmatch", *args])
+
+
 # (description, call, args, site label)
 ADMIT = [
     ("bell --n 1413", pt.bell, (1413,), "bell"),
@@ -58,6 +78,16 @@ ADMIT = [
     ("Hall check on 12 lefts", mt.exhaustive_hall_check,
      ({u: [] for u in range(12)}, 1), "the exhaustive"),
     ("completion counts at n=200", pt._completions.__wrapped__, (200,), "the completion"),
+    # the benchmark's family k-matchings
+    *[(f"family k-matching at n=8: right, k={k}", family_k_matching, (8, "right", k),
+       f"a {k}-matching") for k in (1, 2, 3)],
+    ("family k-matching at n=8: left, k=1", family_k_matching, (8, "left", 1), "a 1-matching"),
+    ("kmatch --left 6 --right 12 --k 2 --trials 5: draw", kmatch,
+     ("--left", "6", "--right", "12", "--k", "2", "--trials", "5"), "a 6 x 12"),
+    ("kmatch --left 6 --right 12 --k 100000: k-matching", kmatch,
+     ("--left", "6", "--right", "12", "--k", "100000"), "a 100000-matching"),
+    ("kmatch --left 6 --right 1000000: draw", kmatch,
+     ("--left", "6", "--right", "1000000"), "a 6 x"),
 ]
 
 REFUSE = [
@@ -74,6 +104,9 @@ REFUSE = [
     ("indist-stats --n 11: graph", ig.build_indist_graph,
      (family_stub(11), AlwaysSilent(), 0), "the indist"),
     ("fool --n 20000 --t 3: instance", sim.make_instance, (20000, []), "an instance"),
+    ("k_matching k=10^8 on 6 lefts", mt.k_matching,
+     ({u: list(range(12)) for u in range(6)}, 10**8), "a 100000000-matching"),
+    # the kmatch commands' refusals: TestCommandsRefuseFirst
 ]
 
 
@@ -189,6 +222,12 @@ class TestRefusalComesFirst:
         with pytest.raises(ResourceLimitError, match="^the exhaustive Hall check on 2 left"):
             mt.exhaustive_hall_check({0: [0], 1: [1]}, 1)
 
+    def test_k_matching(self, limits, monkeypatch):
+        monkeypatch.setattr(mt, "hopcroft_karp", fail)
+        limits(memory=1000)
+        with pytest.raises(ResourceLimitError, match="^a 5-matching on 2 left vertices and 3 edges"):
+            mt.k_matching({0: [0, 1], 1: [1]}, 5)
+
     def test_make_instance_builds_no_port_table(self, limits, monkeypatch):
         monkeypatch.setattr(sim, "canonical_kt0_ports", fail)
         limits(memory=100)
@@ -222,6 +261,20 @@ class TestCommandsRefuseFirst:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("bcclab: error: an instance on 20000 vertices is estimated")
+
+    @pytest.mark.parametrize("args, what", [
+        ("--left 6 --right 12 --k 100000000", "a 100000000-matching on 6 left vertices"),
+        ("--left 30 --right 100000000", "a 30 x 100000000 pair draw"),
+        ("--left 22 --right 100000", "the exhaustive Hall check on 22 left vertices"),
+    ])
+    def test_kmatch_refuses_before_the_first_draw(self, capsys, monkeypatch, args, what):
+        monkeypatch.setattr(cli.random, "Random", fail)
+        with pytest.raises(SystemExit) as e:
+            main(["kmatch", *args.split()])
+        assert e.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"bcclab: error: {what}")
 
     def test_indist_stats_refuses_the_graph_before_any_member_runs(
         self, capsys, monkeypatch
