@@ -14,7 +14,8 @@ knowledge; the transcript is compared through ``SimulationRun.sent``.
 is the adaptive machine, which folds every round into its state. It
 overrides ``round_receiver`` instead of ``receive``: its digest is a sum
 over the inbox, so a whole round costs one sum over the broadcasts plus
-O(1) per vertex, with no inboxes.
+O(1) per vertex, with no inboxes. ``members_receiver`` folds the same sum
+for many family members at once, in int64 arrays.
 
 Round budgets
 -------------
@@ -142,11 +143,11 @@ class FullExchangeSparse(Algorithm):
                 f"vertex {view.own_id} has degree {len(neighbors)} > "
                 f"configured bound {self.max_degree}"
             )
-        # state = (view, own sorted neighbor ids, id width W)
-        return (view, neighbors, id_width(view.all_ids))
+        # state = (own sorted neighbor ids, id width W)
+        return (neighbors, id_width(view.all_ids))
 
     def broadcast(self, state, round_no):
-        _, neighbors, w = state
+        neighbors, w = state
         if round_no > self.max_degree * w:
             return Symbol.SILENT
         slot, bit = divmod(round_no - 1, w)
@@ -167,10 +168,10 @@ class FullExchangeSparse(Algorithm):
         )
         verdicts = []
         for v, state in enumerate(states):
-            if slots[v] == list(state[1]):
+            if slots[v] == list(state[0]):
                 verdicts.append(shared)
                 continue
-            edges = [(ids[v], x) for x in state[1]]
+            edges = [(ids[v], x) for x in state[0]]
             edges += [(ids[u], x) for u, row in enumerate(slots) if u != v for x in row]
             verdicts.append(self._connected(all_ids, edges))
         return tuple(verdicts)
@@ -220,7 +221,9 @@ class RandomTable(Algorithm):
     splits into ``7*R_v``, with ``R_v`` the sum of v's port labels (fixed
     for the run), plus ``H - (sym_v + 1)``, with ``H`` the sum of
     ``sym_u + 1`` over every vertex (one per round). Exact integers keep
-    it right for ids of any size.
+    it right for ids of any size. The array fold of ``members_receiver``
+    reduces every term mod the modulus first, so it stays exact in int64
+    while 33 * (modulus - 1) < 2**63; past that, members run one by one.
     """
 
     name = "random-table"
@@ -259,6 +262,22 @@ class RandomTable(Algorithm):
                 ((31 * state[0] + ports + everyone - sym) % modulus,)
                 for state, ports, sym in zip(states, port_terms, heard)
             ]
+
+        return step
+
+    def members_receiver(self, port_sums):
+        modulus = self.modulus
+        # a subclass that delivers another way keeps its own path
+        if type(self).round_receiver is not RandomTable.round_receiver:
+            return None
+        if 33 * (modulus - 1) >= 2**63:  # 31 acc + three reduced terms overflow int64
+            return None
+        ports = 7 * port_sums % modulus
+
+        def step(digests, round_no, heard):
+            n = heard.shape[1]
+            everyone = (heard.sum(axis=1) + n - 1) % modulus  # H minus the 1 of v's own term
+            return (31 * digests + ports + everyone[:, None] - heard) % modulus
 
         return step
 

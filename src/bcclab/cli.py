@@ -34,12 +34,11 @@ from .sim import (
     KT0,
     KT1,
     SYMBOL_FROM_CHAR,
-    Verdict,
-    evaluate_error,
     instance_from_json,
     instance_to_json,
     make_instance,
     simulate,
+    simulate_members,
 )
 
 DEFAULT_SEED = 1789
@@ -177,14 +176,16 @@ def cmd_family(args, rep):
 
 
 def _family_and_machine(args, mode=KT0):
-    """The family of args.n and the machine, its defaults from the first one-cycle."""
+    """The family of args.n, its first one-cycle instance, and the machine
+    with its defaults from that instance."""
     fam = fm.enumerate_family(args.n, args.min_cycle_len)
-    return fam, _algorithm(args, fam.one_cycle_instance(fam.one_cycles[0], mode=mode))
+    first = fam.one_cycle_instance(fam.one_cycles[0], mode=mode)
+    return fam, first, _algorithm(args, first)
 
 
 def _built_graph(args):
     ig.check_graph_size(args.n, args.min_cycle_len)
-    fam, algorithm = _family_and_machine(args)
+    fam, _, algorithm = _family_and_machine(args)
     # x and y default to all-silent strings of length t
     x = _parse_symbols(args.x if args.x else "-" * args.t)
     y = _parse_symbols(args.y if args.y else "-" * args.t)
@@ -234,8 +235,8 @@ def cmd_kmatch(args, rep):
     pairs = args.left * args.right  # each about 3 Python-level operations and, kept, 36 bytes
     check_work(f"a {args.left} x {args.right} pair draw per trial for --trials {args.trials}",
                args.trials * pairs * 3 * PY_OP, 36 * pairs)
-    mt.check_hall_size(args.left)
-    mt.check_k_matching_size(args.left, pairs, args.k)  # a draw may keep every pair
+    mt.check_hall_size(args.left, args.trials)
+    mt.check_k_matching_size(args.left, pairs, args.k, args.trials)  # a draw may keep every pair
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):
@@ -404,18 +405,20 @@ def cmd_simulate(args, rep):
 
 
 def cmd_error_eval(args, rep):
-    fam, algorithm = _family_and_machine(args, args.mode)
-    yes_family = [fam.one_cycle_instance(k, mode=args.mode) for k in fam.one_cycles]
-    no_family = [
-        fam.two_cycle_instance(k, mode=args.mode) for k in fam.all_two_cycle_keys()
-    ]
+    # sim.evaluate_error's exact error, each family side run as one batch
+    fam, first, algorithm = _family_and_machine(args, args.mode)
     t = args.t
     if t is None:
-        t = algorithm.round_budget(yes_family[0]) or 0
-    error = evaluate_error(algorithm, t, yes_family, no_family)
+        t = algorithm.round_budget(first) or 0
+    sizes, error = [], Fraction(0)
+    for neighbors, truth in ((fam.one_cycle_neighbors(), True),
+                             (fam.two_cycle_neighbors(), False)):
+        yes = simulate_members(neighbors, args.mode, algorithm, t, verdicts=True).system_yes
+        sizes.append(len(yes))
+        error += Fraction(int((yes != truth).sum()), 2 * len(yes))
     rep.emit({
         "n": args.n, "t": t, "algo": args.algo, "mode": args.mode,
-        "yes_size": len(yes_family), "no_size": len(no_family),
+        "yes_size": sizes[0], "no_size": sizes[1],
         "error": _fraction_str(error), "error_float": float(error),
     })
     return 0

@@ -8,9 +8,10 @@ stored as canonical keys; a key is the cycle vertex sequence rotated to
 its lexicographically minimal rotation/reflection. Key order
 (:func:`cycle_order`), cycle walks, the cycles on a vertex set and the
 class lengths i of T_i (:func:`two_cycle_classes`) each have one owner.
-The canonical rule and the two-cycle key order also have batch forms
-over integer arrays (:func:`canonical_cycles`, :func:`two_cycle_codes`),
-kept next to their scalar forms.
+The canonical rule, the two-cycle key order and the cycle walk also have
+batch forms over integer arrays (:func:`canonical_cycles`,
+:func:`two_cycle_codes`, :func:`cycle_neighbors`), kept next to their
+scalar forms.
 """
 
 from dataclasses import dataclass
@@ -109,6 +110,23 @@ def walk_cycle(neighbors, start, toward):
     return seq
 
 
+def cycle_neighbors(*cycles):
+    """(m, n, 2) input neighbors of m members given as arrays of cycles.
+
+    Each argument is an (m, L) integer array whose row j is one cycle of
+    member j; together the cycles of a member cover 0..n-1. Entry [j, v]
+    holds the two vertices next to v on its cycle, the one before it
+    first.
+    """
+    m = len(cycles[0])
+    neighbors = np.empty((m, sum(c.shape[1] for c in cycles), 2), dtype=np.int8)
+    rows = np.arange(m)[:, None]
+    for c in cycles:
+        neighbors[rows, c, 0] = np.roll(c, 1, axis=1)
+        neighbors[rows, c, 1] = np.roll(c, -1, axis=1)
+    return neighbors
+
+
 def cycles_of_instance(instance):
     """Canonical key of a disjoint-cycles input graph (any cycle count)."""
     nbr = instance.input_neighbors
@@ -184,15 +202,31 @@ class CycleFamily:
         for i in sorted(self.two_cycles):
             yield from self.two_cycles[i]
 
-    def key_codes(self):
-        """:func:`two_cycle_codes` of :meth:`all_two_cycle_keys`, in that order."""
-        parts = [np.empty(0, dtype=np.int64)]
+    def one_cycle_array(self):
+        """:attr:`one_cycles` as an (|V1|, n) int8 array."""
+        return np.array(self.one_cycles, dtype=np.int8).reshape(-1, self.n)
+
+    def _two_cycle_arrays(self):
+        """Per class i, in key order, the keys' first and second cycles as arrays."""
         for i in sorted(self.two_cycles):
             keys = self.two_cycles[i]
             first = np.array([key[0] for key in keys], dtype=np.int8).reshape(-1, i)
             second = np.array([key[1] for key in keys], dtype=np.int8).reshape(-1, self.n - i)
-            parts.append(two_cycle_codes(first, second))
-        return np.concatenate(parts)
+            yield first, second
+
+    def key_codes(self):
+        """:func:`two_cycle_codes` of :meth:`all_two_cycle_keys`, in that order."""
+        parts = [two_cycle_codes(*pair) for pair in self._two_cycle_arrays()]
+        return np.concatenate([np.empty(0, dtype=np.int64)] + parts)
+
+    def one_cycle_neighbors(self):
+        """:func:`cycle_neighbors` of the one-cycle members, in key order."""
+        return cycle_neighbors(self.one_cycle_array())
+
+    def two_cycle_neighbors(self):
+        """:func:`cycle_neighbors` of :meth:`all_two_cycle_keys`, in that order."""
+        parts = [cycle_neighbors(*pair) for pair in self._two_cycle_arrays()]
+        return np.concatenate([np.empty((0, self.n, 2), dtype=np.int8)] + parts)
 
     def one_cycle_instance(self, key, mode=KT0):
         return instance_from_cycles([key], mode=mode)

@@ -10,10 +10,12 @@ only its adjacency, keyed by the family's own key objects; ``op_counts``
 is derived from it, operation totals equal edge totals, and no witness
 pair is stored (the tests rebuild witnesses by instance-level crossing).
 
-The build works on integer codes: numpy computes the code of the key
-each (member, splitting pair) crossing leaves, a block of members at a
-time, and finds it among the family's sorted key codes; only the live
-cells are turned back into the family's key objects.
+The build works on arrays. One :func:`bcclab.sim.simulate_members`
+call gives every one-cycle member's broadcasts, and numpy marks the
+active positions from them. It then computes the code of the key each
+(member, splitting pair) crossing leaves, a block of members at a time,
+and finds it among the family's sorted key codes; only the live cells
+are turned back into the family's key objects.
 """
 
 from collections import Counter
@@ -23,8 +25,8 @@ import numpy as np
 
 from .crossing import split_codes, splitting_pairs
 from .errors import PY_OP, InternalConsistencyError, capped_count, check_work
-from .families import one_cycle_count
-from .sim import simulate
+from .families import cycle_neighbors, one_cycle_count
+from .sim import KT0, simulate_members
 
 SPLIT_BLOCK_ROWS = 1024  # members per split-code block; bounds the transient arrays
 
@@ -97,12 +99,13 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
 
     Each one-cycle key is an oriented cycle whose position p is the input
     edge key[p] -- key[p+1]; a directed edge is active when its head
-    broadcast x and its tail y over rounds 1..t. One simulation per member
-    marks each position active forward, backward or neither. A member's
-    neighbors are the two-cycle keys that :func:`bcclab.crossing.split_codes`
-    codes for the :func:`bcclab.crossing.splitting_pairs` of all positions
-    (cycles of at least the family's minimum length) whose two edges are
-    active in a common direction. The split codes are computed for blocks
+    broadcast x and its tail y over rounds 1..t. One batched simulation of
+    every member marks each position active forward, backward or neither.
+    A member's neighbors are the two-cycle keys that
+    :func:`bcclab.crossing.split_codes` codes for the
+    :func:`bcclab.crossing.splitting_pairs` of all positions (cycles of at
+    least the family's minimum length) whose two edges are active in a
+    common direction. The split codes are computed for blocks
     of members at once and looked up among the family's
     :meth:`~bcclab.families.CycleFamily.key_codes`, so both adjacencies
     hold the family's own key objects. A crossed key absent from the
@@ -112,23 +115,18 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
     if len(x) != t or len(y) != t:
         raise ValueError(f"need |x| = |y| = t = {t}")
     n = family.n
-    ones = family.one_cycles
     check_graph_size(n, family.min_cycle_len)
+    ones = family.one_cycles
+    cycles = family.one_cycle_array()
     pairs = splitting_pairs(range(n), n, family.min_cycle_len)
-    forward = np.zeros((len(ones), n), dtype=bool)
-    backward = np.zeros((len(ones), n), dtype=bool)
-    active_directed = {}
-    active_undirected = {}
-    for row, lk in enumerate(ones):
-        sent = simulate(family.one_cycle_instance(lk), algorithm, t).sent
-        heads = [sent[v] == x for v in lk]
-        tails = [sent[v] == y for v in lk]
-        fwd = [heads[p] and tails[(p + 1) % n] for p in range(n)]
-        bwd = [heads[(p + 1) % n] and tails[p] for p in range(n)]
-        active_directed[lk] = sum(fwd) + sum(bwd)
-        active_undirected[lk] = sum(f or b for f, b in zip(fwd, bwd))
-        forward[row] = fwd
-        backward[row] = bwd
+    sent = simulate_members(cycle_neighbors(cycles), KT0, algorithm, t).sent
+    # heads[j, p]: the vertex at position p of member j broadcast x
+    heads = np.take_along_axis((sent == np.array(x, dtype=np.int8)).all(axis=2), cycles, axis=1)
+    tails = np.take_along_axis((sent == np.array(y, dtype=np.int8)).all(axis=2), cycles, axis=1)
+    forward = heads & np.roll(tails, -1, axis=1)
+    backward = np.roll(heads, -1, axis=1) & tails
+    active_directed = dict(zip(ones, (forward.sum(axis=1) + backward.sum(axis=1)).tolist()))
+    active_undirected = dict(zip(ones, (forward | backward).sum(axis=1).tolist()))
 
     right = tuple(family.all_two_cycle_keys())
     codes = family.key_codes()
@@ -144,8 +142,7 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
         rows, cols = np.nonzero(live)
         if not len(rows):
             continue
-        cycles = np.array(ones[block], dtype=np.int8)
-        wanted = split_codes(cycles, pairs)[rows, cols]
+        wanted = split_codes(cycles[block], pairs)[rows, cols]
         at = codes[:-1].searchsorted(wanted)
         missing = codes[at] != wanted
         if missing.any():

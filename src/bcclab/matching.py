@@ -148,10 +148,13 @@ def hall_check(adjacency, subset, k):
     return False, HallViolation(k, frozenset(subset), frozenset(nbh))
 
 
-def check_hall_size(m):
-    """Refuse the exhaustive Hall check on m left vertices: 2^m subsets of
-    about 5 Python-level operations per left vertex."""
-    check_work(f"the exhaustive Hall check on {m} left vertices", 2**m * 5 * m * PY_OP, 8 * m)
+def check_hall_size(m, times=1):
+    """Refuse `times` exhaustive Hall checks on m left vertices: each takes
+    2^m subsets of about 5 Python-level operations per left vertex."""
+    what = f"the exhaustive Hall check on {m} left vertices"
+    if times != 1:
+        what += f", {times} times"
+    check_work(what, times * 2**m * 5 * m * PY_OP, 8 * m)
 
 
 def exhaustive_hall_check(adjacency, k):
@@ -166,11 +169,14 @@ def exhaustive_hall_check(adjacency, k):
     return True, None
 
 
-def check_k_matching_size(lefts, edges, k):
-    """Refuse a k-matching before k copies of each left vertex are made; a copy
-    measures about 40 Python-level operations and 220 bytes, a copied edge 4."""
-    check_work(f"a {k}-matching on {lefts} left vertices and {edges} edges",
-               (40 * lefts + 4 * edges) * k * PY_OP, 220 * k * lefts)
+def check_k_matching_size(lefts, edges, k, times=1):
+    """Refuse `times` k-matchings before k copies of each left vertex are made;
+    a copy measures about 40 Python-level operations and 220 bytes, a copied
+    edge 4."""
+    what = f"a {k}-matching on {lefts} left vertices and {edges} edges"
+    if times != 1:
+        what += f", {times} times"
+    check_work(what, times * (40 * lefts + 4 * edges) * k * PY_OP, 220 * k * lefts)
 
 
 def k_matching(adjacency, k):

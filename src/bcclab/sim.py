@@ -22,6 +22,13 @@ states never change after ``initialize``, and they decide from the
 run's broadcasts through ``Algorithm.decide_run``. The default step of
 an adaptive machine builds every vertex's port-keyed inbox and calls
 ``receive``; a machine may instead fold a whole round at once.
+
+:func:`simulate_members` runs many members of a cycle family at once,
+with the same answers as :func:`simulate` on each. It computes the views
+from the canonical port formulas and keeps the transcripts in one int8
+array. A record-only machine broadcasts once per distinct (state, round),
+a machine with an array fold (``Algorithm.members_receiver``) once per
+distinct (digest, round), and any other machine runs member by member.
 """
 
 import json
@@ -29,6 +36,8 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 from .errors import PY_OP, ProtocolViolation, check_work
 
@@ -277,6 +286,20 @@ class Algorithm:
         """
         return tuple(self.decide(s) for s in states)
 
+    def members_receiver(self, port_sums):
+        """The delivery step of :func:`simulate_members` as arrays, or None.
+
+        A machine whose state is a 1-tuple ``(digest,)`` of an integer
+        may fold a round of m members at once. ``port_sums[v]`` is the
+        sum of vertex v's port labels, the same in every member. The step
+        maps ``(digests, round_no, heard)`` to the digests after the
+        round: ``digests`` is an (m, n) int64 array and ``heard[j, u]``
+        the int8 code of what u broadcast in member j. Without a step (the
+        default) each member of an adaptive machine runs through
+        :func:`simulate`.
+        """
+        return None
+
     def round_budget(self, instance):
         """Rounds after which decide() is meaningful; None if unconditional."""
         return None
@@ -349,6 +372,159 @@ def simulate(instance, algorithm, t):
     sent = tuple(zip(*rounds)) if rounds else ((),) * n
     verdicts = tuple(algorithm.decide_run(views, states, sent))
     return SimulationRun(instance, t, views, sent, tuple(states), verdicts)
+
+
+@dataclass(frozen=True)
+class MemberRuns:
+    """What :func:`simulate_members` produced for m members, as arrays.
+
+    ``sent[j, v, r]`` is the code of the Symbol vertex v of member j
+    broadcast in round r + 1. ``system_yes[j]`` says whether member j's
+    system verdict is YES; it is None unless verdicts were asked for.
+    """
+
+    sent: np.ndarray
+    system_yes: np.ndarray = None
+
+
+def _distinct(values):
+    """The distinct values, and the index of each value among them.
+
+    Unhashable values are all kept, each its own.
+    """
+    index = {}
+    try:
+        at = [index.setdefault(value, len(index)) for value in values]
+    except TypeError:
+        return list(values), np.arange(len(values))
+    return list(index), np.array(at, dtype=np.intp)
+
+
+def _checked_codes(payloads, round_no, index):
+    """Codes of one Symbol per payload; else name a vertex that sent it."""
+    if set(map(type, payloads)) - {Symbol}:
+        k = next(k for k, p in enumerate(payloads) if type(p) is not Symbol)
+        j, v = np.argwhere(index == k)[0].tolist()
+        raise ProtocolViolation(
+            f"vertex {v} of member {j} broadcast {payloads[k]!r} in round {round_no}; "
+            "a payload is exactly one Symbol"
+        )
+    return np.array(payloads, dtype=np.int8)
+
+
+def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
+    """Run `t` rounds on m cycle-family members at once, as arrays.
+
+    ``neighbors[j, v]`` holds the two input neighbors of vertex v in
+    member j, an (m, n, 2) integer array. Ids are 0..n-1 and ports
+    canonical, as the family fixes them, so no instance is built: in KT0
+    the port of v facing u is u + 1 if u < v, else u, and in KT1 it is u.
+    The transcripts equal :func:`simulate`'s on each member's instance.
+
+    A record-only machine (``receive`` and ``round_receiver`` left as
+    they are) initializes once per distinct view and broadcasts once per
+    distinct (state, round). A machine with a ``members_receiver`` step
+    folds an (m, n) digest array and broadcasts once per distinct
+    (digest, round). Any other machine runs member by member.
+
+    With ``verdicts`` each member's system verdict is computed too: the
+    default ``decide_run`` decides once per distinct final state, and an
+    overriding one gets each member's run as :func:`simulate` hands it.
+    """
+    neighbors = np.asarray(neighbors)
+    if neighbors.ndim != 3 or neighbors.shape[2] != 2:
+        raise ValueError(f"neighbors must have shape (m, n, 2), got {neighbors.shape}")
+    if mode not in (KT0, KT1):
+        raise ValueError(f"unknown mode {mode!r}")
+    if t < 0:
+        raise ValueError("round count must be nonnegative")
+    m, n, _ = neighbors.shape
+    cls = type(algorithm)
+    record_only = cls.receive is Algorithm.receive and cls.round_receiver is Algorithm.round_receiver
+    total = n * (n - 1) // 2
+    port_sums = np.full(n, total) if mode == KT0 else total - np.arange(n)
+    fold = None if record_only else algorithm.members_receiver(port_sums)
+    hook = verdicts and cls.decide_run is not Algorithm.decide_run
+    # Python-level calls: one per distinct view (an own id and two input
+    # ports) and round, at worst one digest per cell, or whole runs
+    if record_only:
+        calls = min(m * n, n * (n - 1) * (n - 2) // 2) * (t + 1)
+    else:
+        calls = m * n * (t if fold is not None else n + t)
+    if hook:
+        calls += m * n * (t + 1)
+    check_work(f"a batch of {m} members on {n} vertices over {t} rounds",
+               20 * m * n * (t + 1) + calls * PY_OP, m * n * (2 * t + 64))
+    vertex = np.arange(n)
+    if m and (neighbors.min() < 0 or neighbors.max() >= n or (neighbors == vertex[:, None]).any()):
+        raise ValueError(f"input neighbors must be other vertices among 0..{n - 1}")
+    if not record_only and fold is None:
+        return _members_one_by_one(neighbors, mode, algorithm, t, verdicts)
+
+    lo = neighbors.min(axis=2).astype(np.int64)
+    hi = neighbors.max(axis=2).astype(np.int64)
+    if mode == KT0:  # the port of v facing u is u + 1 if u < v, else u
+        lo, hi = lo + (lo < vertex), hi + (hi < vertex)
+    codes = (vertex * n + lo) * n + hi
+    keys, view_index = np.unique(codes.ravel(), return_inverse=True)
+    view_index = view_index.reshape(m, n)
+    all_ids = tuple(range(n)) if mode == KT1 else ()
+    views = [
+        VertexView(mode, n, key // (n * n), frozenset((key // n % n, key % n)), all_ids)
+        for key in keys.tolist()
+    ]
+    initial = [algorithm.initialize(view) for view in views]
+    if record_only:
+        states, state_of_view = _distinct(initial)
+        state_index = state_of_view[view_index]
+        table = np.empty((len(states), t), dtype=np.int8)
+        for r in range(1, t + 1):
+            payloads = [algorithm.broadcast(state, r) for state in states]
+            table[:, r - 1] = _checked_codes(payloads, r, state_index)
+        sent = table[state_index]
+    else:
+        digests = np.array([state[0] for state in initial], dtype=np.int64)[view_index]
+        sent = np.empty((m, n, t), dtype=np.int8)
+        for r in range(1, t + 1):
+            values, at = np.unique(digests.ravel(), return_inverse=True)
+            at = at.reshape(m, n)
+            payloads = [algorithm.broadcast((d,), r) for d in values.tolist()]
+            heard = sent[:, :, r - 1] = _checked_codes(payloads, r, at)[at]
+            digests = fold(digests, r, heard)
+        values, state_index = np.unique(digests.ravel(), return_inverse=True)
+        states = [(d,) for d in values.tolist()]
+        state_index = state_index.reshape(m, n)
+    if not verdicts:
+        return MemberRuns(sent)
+    if not hook:
+        said = [algorithm.decide(state) for state in states]
+        if any(v not in (Verdict.YES, Verdict.NO) for v in said):
+            raise ValueError("need one YES/NO verdict per vertex")
+        yes = np.array([v is Verdict.YES for v in said], dtype=bool)
+        return MemberRuns(sent, yes[state_index].all(axis=1))
+    # the hook reads each member's run as simulate hands it over
+    symbol = tuple(Symbol).__getitem__  # by code
+    yes = np.empty(m, dtype=bool)
+    for j, (vs, ss) in enumerate(zip(view_index.tolist(), state_index.tolist())):
+        said = algorithm.decide_run(
+            tuple(views[k] for k in vs), tuple(states[k] for k in ss),
+            tuple(tuple(map(symbol, row)) for row in sent[j].tolist()),
+        )
+        yes[j] = system_verdict(said) is Verdict.YES
+    return MemberRuns(sent, yes)
+
+
+def _members_one_by_one(neighbors, mode, algorithm, t, verdicts):
+    """:func:`simulate_members` for a machine without an array path."""
+    m, n, _ = neighbors.shape
+    sent = np.empty((m, n, t), dtype=np.int8)
+    yes = np.empty(m, dtype=bool)
+    for j, row in enumerate(neighbors.tolist()):
+        edges = [(v, u) for v, pair in enumerate(row) for u in pair]
+        run = simulate(make_instance(n, edges, mode=mode), algorithm, t)
+        sent[j] = run.sent
+        yes[j] = run.system_verdict is Verdict.YES
+    return MemberRuns(sent, yes if verdicts else None)
 
 
 def system_verdict(verdicts):

@@ -179,6 +179,19 @@ class TestCyclesOfInstance:
             fm.cycles_of_instance(make_instance(6, edges))
 
 
+class TestCycleNeighbors:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_each_members_input_neighbors(self, n):
+        fam = fm.enumerate_family(n)
+        for neighbors, keys, make in (
+            (fam.one_cycle_neighbors(), fam.one_cycles, fam.one_cycle_instance),
+            (fam.two_cycle_neighbors(), list(fam.all_two_cycle_keys()), fam.two_cycle_instance),
+        ):
+            assert neighbors.shape == (len(keys), n, 2)
+            for row, key in zip(neighbors.tolist(), keys):
+                assert tuple(tuple(sorted(pair)) for pair in row) == make(key).input_neighbors
+
+
 class TestClosedForms:
     def test_spec_values(self):
         c6 = fm.family_counts(6)

@@ -4,14 +4,17 @@ import dataclasses
 import json
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
+import numpy as np
 import pytest
 
 from bcclab import crossing as cx
 from bcclab import families as fm
 from bcclab import partitions as pt
 from bcclab import reduction as rd
+from bcclab import sim
 from bcclab.algorithms import (
     AlwaysSilent,
     AlwaysYes,
@@ -36,6 +39,7 @@ from bcclab.sim import (
     make_instance,
     random_kt0_ports,
     simulate,
+    simulate_members,
     system_verdict,
 )
 
@@ -381,11 +385,14 @@ class MisreportingExchange(FullExchangeSparse):
         super().__init__(max_degree)
         self.liar, self.fake = liar, fake
 
+    def initialize(self, view):
+        return super().initialize(view) + (view.own_id,)
+
     def broadcast(self, state, round_no):
-        view, neighbors, w = state
-        if view.own_id == self.liar:
-            state = (view, tuple(sorted((self.fake,) + neighbors[1:])), w)
-        return super().broadcast(state, round_no)
+        neighbors, w, own_id = state
+        if own_id == self.liar:
+            neighbors = tuple(sorted((self.fake,) + neighbors[1:]))
+        return super().broadcast((neighbors, w), round_no)
 
 
 def _random_reduction(rng, n):
@@ -495,6 +502,13 @@ class TestFullExchangeSparse:
     def test_requires_kt1(self):
         with pytest.raises(ValueError, match="KT1"):
             simulate(cycle_instance(6), FullExchangeSparse(), 1)
+
+    def test_state_holds_no_view(self):
+        inst = cycle_instance(8, mode=KT1)
+        run = simulate(inst, FullExchangeSparse(), 2)
+        for v, state in enumerate(run.states):
+            assert not any(isinstance(part, VertexView) for part in state)
+            assert state == (inst.input_neighbors[v], 3)
 
 
 class TestEvaluateError:
@@ -662,6 +676,182 @@ class TestRoundFoldAgainstInboxOracle:
                     assert fast.states == slow.states
                     assert fast.verdicts == slow.verdicts
                     assert fast.trace == slow.trace
+
+
+@cache
+def family_sides(n, mode):
+    """Each side of the n-vertex family: its neighbor array and its instances."""
+    fam = fm.enumerate_family(n)
+    return (
+        (fam.one_cycle_neighbors(), [fam.one_cycle_instance(k, mode) for k in fam.one_cycles]),
+        (fam.two_cycle_neighbors(),
+         [fam.two_cycle_instance(k, mode) for k in fam.all_two_cycle_keys()]),
+    )
+
+
+def assert_members_match(neighbors, instances, mode, algorithm, t):
+    """simulate_members equals simulate + system_verdict on every member."""
+    got = simulate_members(neighbors, mode, algorithm, t, verdicts=True)
+    runs = [simulate(inst, algorithm, t) for inst in instances]
+    assert got.sent.dtype == np.int8
+    assert got.sent.shape == (len(instances), neighbors.shape[1], t)
+    assert got.sent.tolist() == [[list(map(int, row)) for row in run.sent] for run in runs]
+    assert got.system_yes.tolist() == [run.system_verdict is Verdict.YES for run in runs]
+    return got
+
+
+class InputPorts(Algorithm):
+    """Record-only machine that shows its input port labels.
+
+    No shipped machine reads the port labels in KT0, so this one makes a
+    wrong port formula visible: round r says whether port r is an input
+    port, and a vertex says YES iff its labels sum to a multiple of 3.
+    """
+
+    name = "input-ports"
+
+    def initialize(self, view):
+        return view.input_ports
+
+    def broadcast(self, ports, round_no):
+        return Symbol.ONE if round_no in ports else Symbol.ZERO
+
+    def decide(self, ports):
+        return Verdict.YES if sum(ports) % 3 == 0 else Verdict.NO
+
+
+# name -> (machine factory, modes, round budget on n <= 8 vertices or None)
+MEMBER_MACHINES = {
+    "input-ports": (InputPorts, (KT0, KT1), None),
+    "always-yes": (AlwaysYes, (KT0, KT1), None),
+    "always-silent": (AlwaysSilent, (KT0, KT1), None),
+    "id-exchange": (lambda: IdExchange(bits=3), (KT0, KT1), 3),
+    "full-exchange-sparse": (FullExchangeSparse, (KT1,), 6),
+    **{f"random-table-{modulus}": (lambda modulus=modulus: RandomTable(19, modulus), (KT0, KT1),
+                                   None) for modulus in (1, 3, 5, 2**61 + 1)},
+    "inbox-random-table": (lambda: InboxRandomTable(19, 3), (KT0, KT1), None),
+}
+
+
+def fail(*args, **kwargs):
+    raise AssertionError("a member ran one by one")
+
+
+class TestSimulateMembers:
+    """The batched family runs against per-member simulate, the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(MEMBER_MACHINES))
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_equals_simulate_on_both_family_sides(self, n, name):
+        make, modes, budget = MEMBER_MACHINES[name]
+        assert make().round_budget(cycle_instance(n, mode=modes[-1])) == budget
+        largest = (budget or 3) + 1
+        # every t up to n = 7; the n = 8 oracle runs 3507 members a round
+        # count, so there t is 0, the budget and the budget + 1
+        rounds = range(largest + 1) if n < 8 else sorted({0, budget or 0, largest})
+        for mode in modes:
+            for neighbors, instances in family_sides(n, mode):
+                for t in rounds:
+                    got = assert_members_match(neighbors, instances, mode, make(), t)
+                # without verdicts the call skips them, and sends the same
+                bare = simulate_members(neighbors, mode, make(), largest)
+                assert bare.system_yes is None
+                assert np.array_equal(bare.sent, got.sent)
+
+    def test_the_path_follows_the_machine(self, monkeypatch):
+        # the int64 fold stays exact while 33 (modulus - 1) < 2^63
+        sums = np.full(5, 10)
+        edge = (2**63 - 1) // 33 + 1
+        assert RandomTable(0, edge).members_receiver(sums) is not None
+        assert RandomTable(0, edge + 1).members_receiver(sums) is None
+        assert RandomTable(0, 2**61 + 1).members_receiver(sums) is None
+        assert InboxRandomTable(0, 3).members_receiver(sums) is None
+        assert AlwaysYes().members_receiver(sums) is None
+        # record-only machines and the array fold build no instance
+        neighbors = family_sides(7, KT1)[0][0]
+        runs = {name: simulate_members(neighbors, KT1, make(), 6, verdicts=True)
+                for name, (make, _, _) in MEMBER_MACHINES.items()}
+        monkeypatch.setattr(sim, "simulate", fail)
+        monkeypatch.setattr(sim, "make_instance", fail)
+        for name, (make, _, _) in MEMBER_MACHINES.items():
+            if name in (f"random-table-{2**61 + 1}", "inbox-random-table"):
+                with pytest.raises(AssertionError, match="one by one"):
+                    simulate_members(neighbors, KT1, make(), 6)
+                continue
+            again = simulate_members(neighbors, KT1, make(), 6, verdicts=True)
+            assert np.array_equal(again.sent, runs[name].sent)
+            assert np.array_equal(again.system_yes, runs[name].system_yes)
+
+    def test_array_fold_equals_exact_fold_at_the_int64_edge(self):
+        edge = (2**63 - 1) // 33 + 1
+        rng = random.Random(12)
+        for mode in (KT0, KT1):
+            inst = cycle_instance(7, mode=mode)
+            machine = RandomTable(0, edge)
+            exact = machine.round_receiver(inst)
+            fold = machine.members_receiver(np.array([sum(row) for row in inst.ports]))
+            for _ in range(50):
+                digests = [rng.choice((0, edge - 1, rng.randrange(edge))) for _ in range(7)]
+                heard = [Symbol(rng.randrange(3)) for _ in range(7)]
+                want = exact([(d,) for d in digests], 1, heard)
+                got = fold(np.array([digests], dtype=np.int64), 1,
+                           np.array([heard], dtype=np.int8))
+                assert got.tolist() == [[d for (d,) in want]]
+
+    def test_machine_wrapped_on_the_instance(self):
+        # as the benchmark's tracer wraps broadcast and decide
+        neighbors, instances = family_sides(6, KT0)[1]
+        for make in (lambda: IdExchange(bits=3), lambda: RandomTable(4, 3)):
+            machine = make()
+            calls = []
+            for method in ("broadcast", "decide"):
+                def traced(*args, _inner=getattr(machine, method)):
+                    calls.append(args)
+                    return _inner(*args)
+                setattr(machine, method, traced)
+            got = simulate_members(neighbors, KT0, machine, 3, verdicts=True)
+            want = simulate_members(neighbors, KT0, make(), 3, verdicts=True)
+            assert calls
+            assert np.array_equal(got.sent, want.sent)
+            assert np.array_equal(got.system_yes, want.system_yes)
+            assert_members_match(neighbors, instances, KT0, machine, 3)
+
+    def test_full_exchange_sparse_requires_kt1(self):
+        neighbors, instances = family_sides(6, KT0)[0]
+        with pytest.raises(ValueError, match="requires KT1 knowledge") as batched:
+            simulate_members(neighbors, KT0, FullExchangeSparse(), 1)
+        with pytest.raises(ValueError, match="requires KT1 knowledge") as single:
+            simulate(instances[0], FullExchangeSparse(), 1)
+        assert str(batched.value) == str(single.value)
+
+    @pytest.mark.parametrize("payload", [(Symbol.ONE,), 1, None])
+    def test_anything_but_one_symbol_is_a_violation(self, payload):
+        neighbors = family_sides(6, KT0)[0][0]
+        with pytest.raises(ProtocolViolation, match="vertex 2 .* round 2"):
+            simulate_members(neighbors, KT0, TestBandwidth.OddOneOut(payload), 3)
+
+    def test_unhashable_states(self):
+        class ListState(IdExchange):
+            def initialize(self, view):
+                return [view]
+
+            def broadcast(self, state, round_no):
+                return super().broadcast(state[0], round_no)
+
+        for neighbors, instances in family_sides(6, KT1):
+            assert_members_match(neighbors, instances, KT1, ListState(bits=3), 3)
+
+    def test_bad_input(self):
+        neighbors = family_sides(6, KT0)[0][0]
+        with pytest.raises(ValueError, match="shape"):
+            simulate_members(neighbors[:, :, 0], KT0, AlwaysYes(), 1)
+        with pytest.raises(ValueError, match="mode"):
+            simulate_members(neighbors, "KT2", AlwaysYes(), 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            simulate_members(neighbors, KT0, AlwaysYes(), -1)
+        for bad in (neighbors + 1, neighbors - 1, np.zeros_like(neighbors)):
+            with pytest.raises(ValueError, match="other vertices"):
+                simulate_members(bad, KT0, AlwaysYes(), 1)
 
 
 class TestInstanceFormat:

@@ -9,6 +9,7 @@ import re
 from functools import cache
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bcclab import cli, errors
@@ -30,9 +31,12 @@ def cycle_edges(n):
 
 
 def family_stub(n, min_cycle_len=3):
-    """What build_indist_graph reads before its check, without the family."""
+    """What build_indist_graph reads before its checks, without the family:
+    every one-cycle member is the cycle 0, 1, ..., n-1."""
+    count = fm.one_cycle_count(n)
     return SimpleNamespace(
-        n=n, min_cycle_len=min_cycle_len, one_cycles=range(fm.one_cycle_count(n))
+        n=n, min_cycle_len=min_cycle_len, one_cycles=range(count),
+        one_cycle_array=lambda: np.broadcast_to(np.arange(n, dtype=np.int8), (count, n)),
     )
 
 
@@ -67,6 +71,11 @@ ADMIT = [
     ("indist-stats --n 10: family", fm.enumerate_family, (10,), "family"),
     ("indist-stats --n 10: graph", ig.build_indist_graph,
      (family_stub(10), AlwaysSilent(), 0), "the indist"),
+    ("indist-stats --n 10: member runs", ig.build_indist_graph,
+     (family_stub(10), AlwaysSilent(), 0), "a batch"),
+    ("error-eval --n 9 --algo full-exchange-sparse --mode KT1: member runs", main,
+     (["error-eval", "--n", "9", "--algo", "full-exchange-sparse", "--mode", "KT1"],),
+     "a batch"),
     ("fool --n 5000 --t 3: instance", sim.make_instance, (5000, []), "an instance"),
     ("fool --n 5000 --t 3: run", sim.simulate,
      (SimpleNamespace(n=5000), AlwaysSilent(), 3), "3 rounds"),
@@ -82,8 +91,10 @@ ADMIT = [
     *[(f"family k-matching at n=8: right, k={k}", family_k_matching, (8, "right", k),
        f"a {k}-matching") for k in (1, 2, 3)],
     ("family k-matching at n=8: left, k=1", family_k_matching, (8, "left", 1), "a 1-matching"),
-    ("kmatch --left 6 --right 12 --k 2 --trials 5: draw", kmatch,
-     ("--left", "6", "--right", "12", "--k", "2", "--trials", "5"), "a 6 x 12"),
+    *[(f"kmatch --left 6 --right 12 --k 2 --trials 5: {what}", kmatch,
+       ("--left", "6", "--right", "12", "--k", "2", "--trials", "5"), site)
+      for what, site in (("draw", "a 6 x 12"), ("Hall checks", "the exhaustive"),
+                         ("k-matchings", "a 2-matching"))],
     ("kmatch --left 6 --right 12 --k 100000: k-matching", kmatch,
      ("--left", "6", "--right", "12", "--k", "100000"), "a 100000-matching"),
     ("kmatch --left 6 --right 1000000: draw", kmatch,
@@ -104,6 +115,9 @@ REFUSE = [
     ("indist-stats --n 11: graph", ig.build_indist_graph,
      (family_stub(11), AlwaysSilent(), 0), "the indist"),
     ("fool --n 20000 --t 3: instance", sim.make_instance, (20000, []), "an instance"),
+    ("10^7 members on 10 vertices: past the memory limit", sim.simulate_members,
+     (np.broadcast_to(np.array([[1, 2]], dtype=np.int8), (10**7, 10, 2)), sim.KT0,
+      AlwaysSilent(), 0), "a batch"),
     ("k_matching k=10^8 on 6 lefts", mt.k_matching,
      ({u: list(range(12)) for u in range(6)}, 10**8), "a 100000000-matching"),
     # the kmatch commands' refusals: TestCommandsRefuseFirst
@@ -121,6 +135,12 @@ def test_refused(name, call, args, site):
     assert not admitted(record)
     with pytest.raises(ResourceLimitError, match=f"^{re.escape(record[0])} is estimated at"):
         errors.check_work(*record)
+
+
+def test_member_batch_refused_on_memory_alone():
+    name, call, args, site = next(r for r in REFUSE if r[1] is sim.simulate_members)
+    _, steps, memory = estimate(call, *args, site=site)
+    assert steps <= errors.STEP_LIMIT and memory > errors.MEMORY_LIMIT
 
 
 class TestCheckWork:
@@ -246,7 +266,7 @@ class TestRefusalComesFirst:
 
     def test_indist_graph_simulates_no_member(self, limits, monkeypatch):
         family = fm.enumerate_family(7)
-        monkeypatch.setattr(ig, "simulate", fail)
+        monkeypatch.setattr(ig, "simulate_members", fail)
         limits(memory=10**5)
         with pytest.raises(ResourceLimitError, match="^the indistinguishability graph at n=7"):
             ig.build_indist_graph(family, AlwaysSilent(), 0)
@@ -266,6 +286,8 @@ class TestCommandsRefuseFirst:
         ("--left 6 --right 12 --k 100000000", "a 100000000-matching on 6 left vertices"),
         ("--left 30 --right 100000000", "a 30 x 100000000 pair draw"),
         ("--left 22 --right 100000", "the exhaustive Hall check on 22 left vertices"),
+        ("--left 20 --right 40 --trials 100",
+         "the exhaustive Hall check on 20 left vertices, 100 times"),
     ])
     def test_kmatch_refuses_before_the_first_draw(self, capsys, monkeypatch, args, what):
         monkeypatch.setattr(cli.random, "Random", fail)
@@ -285,7 +307,7 @@ class TestCommandsRefuseFirst:
                          site="the indist")
         assert not admitted(graph)
         monkeypatch.setattr(fm, "enumerate_family", fail)
-        monkeypatch.setattr(ig, "simulate", fail)
+        monkeypatch.setattr(ig, "simulate_members", fail)
         with pytest.raises(SystemExit) as e:
             main(["indist-stats", "--n", "11"])
         assert e.value.code == 2
