@@ -11,11 +11,10 @@ decodes a vertex's ports from the run, and ``FullExchangeSparse``
 decides in ``decide_run``. States therefore compare only the initial
 knowledge; the transcript is compared through ``SimulationRun.sent``.
 ``RandomTable`` with modulus 1 is record-only too; with modulus > 1 it
-is the adaptive machine, which folds every round into its state. It
-overrides ``round_receiver`` instead of ``receive``: its digest is a sum
-over the inbox, so a whole round costs one sum over the broadcasts plus
-O(1) per vertex, with no inboxes. ``members_receiver`` folds the same sum
-for many family members at once, in int64 arrays.
+is the folding machine: ``members_receiver`` folds a whole round into
+every vertex's digest at once, with no inboxes, for one run or for many
+family members alike. Its digest is a sum over the inbox, so a round
+costs one sum over the broadcasts plus O(1) per vertex.
 
 Round budgets
 -------------
@@ -28,6 +27,8 @@ Round budgets
 
 import hashlib
 import inspect
+
+import numpy as np
 
 from .sim import KT1, Algorithm, Symbol, Verdict
 from .unionfind import DisjointSet
@@ -220,10 +221,10 @@ class RandomTable(Algorithm):
     The port terms and the symbol terms are added separately, so the sum
     splits into ``7*R_v``, with ``R_v`` the sum of v's port labels (fixed
     for the run), plus ``H - (sym_v + 1)``, with ``H`` the sum of
-    ``sym_u + 1`` over every vertex (one per round). Exact integers keep
-    it right for ids of any size. The array fold of ``members_receiver``
-    reduces every term mod the modulus first, so it stays exact in int64
-    while 33 * (modulus - 1) < 2**63; past that, members run one by one.
+    ``sym_u + 1`` over every vertex (one per round). ``members_receiver``
+    reduces every term mod the modulus first, so int64 arrays stay exact
+    while 33 * (modulus - 1) < 2**63; past that the fold runs on Python
+    integers in object arrays, exact at any modulus.
     """
 
     name = "random-table"
@@ -249,34 +250,17 @@ class RandomTable(Algorithm):
     def decide(self, state):
         return Verdict.YES
 
-    def round_receiver(self, instance):
+    def members_receiver(self, port_sums):
         modulus = self.modulus
         if modulus == 1:
             return None
-        # the zero diagonal drops v's own slot from its row sum
-        port_terms = [7 * sum(row) for row in instance.ports]
-
-        def step(states, round_no, heard):
-            everyone = sum(heard) + len(heard) - 1  # H minus the 1 of v's own term
-            return [
-                ((31 * state[0] + ports + everyone - sym) % modulus,)
-                for state, ports, sym in zip(states, port_terms, heard)
-            ]
-
-        return step
-
-    def members_receiver(self, port_sums):
-        modulus = self.modulus
-        # a subclass that delivers another way keeps its own path
-        if type(self).round_receiver is not RandomTable.round_receiver:
-            return None
-        if 33 * (modulus - 1) >= 2**63:  # 31 acc + three reduced terms overflow int64
-            return None
-        ports = 7 * port_sums % modulus
+        # 31 acc plus three terms reduced mod the modulus
+        dtype = np.int64 if 33 * (modulus - 1) < 2**63 else object
+        ports = np.array([7 * s % modulus for s in port_sums], dtype=dtype)
 
         def step(digests, round_no, heard):
-            n = heard.shape[1]
-            everyone = (heard.sum(axis=1) + n - 1) % modulus  # H minus the 1 of v's own term
+            # H minus the 1 of v's own term
+            everyone = (heard.sum(axis=1, dtype=dtype) + heard.shape[1] - 1) % modulus
             return (31 * digests + ports + everyone[:, None] - heard) % modulus
 
         return step

@@ -260,6 +260,8 @@ def find_fooling_pairs(instance, algorithm, t, verify="sampled", sample=8, rng=N
     raises InternalConsistencyError, since emitted pairs are constructed
     to satisfy the exact indistinguishability hypothesis.
     """
+    if verify not in ("sampled", "full", "none"):
+        raise ValueError(f"unknown verify mode {verify!r}; know 'sampled', 'full' and 'none'")
     if instance.mode != KT0:
         raise ValueError("fooling pairs are a KT0 construction")
     n = instance.n

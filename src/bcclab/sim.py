@@ -15,20 +15,18 @@ step. Two knowledge modes are supported:
 
 The run owns the transcript: ``SimulationRun.sent`` holds every
 broadcast, and receptions follow from it through the port tables.
-The round loop hands each round's broadcasts, by sender index, to the
-per-run step that ``Algorithm.round_receiver`` returns. Machines that
-do not override ``receive`` get no step and are record-only: their
-states never change after ``initialize``, and they decide from the
-run's broadcasts through ``Algorithm.decide_run``. The default step of
-an adaptive machine builds every vertex's port-keyed inbox and calls
-``receive``; a machine may instead fold a whole round at once.
 
-:func:`simulate_members` runs many members of a cycle family at once,
-with the same answers as :func:`simulate` on each. It computes the views
-from the canonical port formulas and keeps the transcripts in one int8
-array. A record-only machine broadcasts once per distinct (state, round),
-a machine with an array fold (``Algorithm.members_receiver``) once per
-distinct (digest, round), and any other machine runs member by member.
+One private round engine runs every machine that does not override
+``receive``, for :func:`simulate` (one member) and for
+:func:`simulate_members` (many cycle-family members at once, as arrays).
+A record-only machine (no fold) initializes once per distinct view and
+broadcasts once per (view, round); its states never change after
+``initialize``, and it decides from the run's broadcasts through
+``Algorithm.decide_run``. A folding machine (``Algorithm.members_receiver``)
+folds an (m, n) digest array and broadcasts once per distinct (digest,
+round). A machine that overrides ``receive`` takes :func:`simulate`'s
+per-vertex inbox loop, the model's own definition of delivery, and
+:func:`simulate_members` runs it member by member.
 """
 
 import json
@@ -231,12 +229,11 @@ class Algorithm:
     broadcast in ``round`` as a dict keyed by the vertex's own port labels,
     and returns the successor state.
 
-    The simulator delivers through ``round_receiver``, once per run. A
-    machine that does not override ``receive`` is record-only: it gets
-    no step, the simulator delivers nothing to it, and its verdicts come
-    from ``decide_run``, which sees the run's broadcasts. A machine that
-    can fold a whole round without per-vertex inboxes overrides
-    ``round_receiver`` instead of ``receive``.
+    A machine that overrides ``receive`` gets every vertex's inbox, round
+    by round. One that does not gets no deliveries: it is record-only,
+    and its verdicts come from ``decide_run``, which sees the run's
+    broadcasts, unless ``members_receiver`` gives it a fold of whole
+    rounds.
     """
 
     name = "abstract"
@@ -253,31 +250,6 @@ class Algorithm:
     def decide(self, state):
         raise NotImplementedError
 
-    def round_receiver(self, instance):
-        """The run's delivery step, or None for a record-only machine.
-
-        The step maps ``(states, round_no, heard)`` to the states after
-        the round, where ``heard[u]`` is what vertex u broadcast in it.
-        By default each vertex's ``receive`` gets its inbox keyed by its
-        own port labels.
-        """
-        # read on the class, so a wrapper bound on the instance (a tracer,
-        # say) does not make a record-only machine adaptive
-        if type(self).receive is Algorithm.receive:
-            return None
-        # delivery[v] = v's port row without v, aligned with heard minus v,
-        # so a KT1 port labelled id 0 is never taken for v's own slot
-        delivery = [row[:v] + row[v + 1:] for v, row in enumerate(instance.ports)]
-        receive = self.receive
-
-        def step(states, round_no, heard):
-            return [
-                receive(state, round_no, dict(zip(delivery[v], heard[:v] + heard[v + 1:])))
-                for v, state in enumerate(states)
-            ]
-
-        return step
-
     def decide_run(self, views, states, sent):
         """One verdict per vertex of a finished run.
 
@@ -287,16 +259,15 @@ class Algorithm:
         return tuple(self.decide(s) for s in states)
 
     def members_receiver(self, port_sums):
-        """The delivery step of :func:`simulate_members` as arrays, or None.
+        """The machine's round fold as arrays, or None (the default).
 
-        A machine whose state is a 1-tuple ``(digest,)`` of an integer
-        may fold a round of m members at once. ``port_sums[v]`` is the
-        sum of vertex v's port labels, the same in every member. The step
-        maps ``(digests, round_no, heard)`` to the digests after the
-        round: ``digests`` is an (m, n) int64 array and ``heard[j, u]``
-        the int8 code of what u broadcast in member j. Without a step (the
-        default) each member of an adaptive machine runs through
-        :func:`simulate`.
+        A machine that does not override ``receive``, whose state is a
+        1-tuple ``(digest,)`` of an integer, may fold a round of m members
+        at once (:func:`simulate` runs one). ``port_sums[v]`` is the sum
+        of vertex v's port labels, the same in every member.
+        The step maps ``(digests, round_no, heard)`` to the digests after
+        the round: ``digests`` is an (m, n) integer array and ``heard[j, u]``
+        the int8 code of what u broadcast in member j.
         """
         return None
 
@@ -348,30 +319,105 @@ def simulate(instance, algorithm, t):
     advances each state. The state after round r therefore reflects all
     broadcasts of rounds 1..r, and reruns with identical arguments are
     bit-identical.
+
+    A machine that overrides ``receive`` runs the per-vertex inbox loop;
+    any other runs the round engine as a batch of one member.
     """
     if t < 0:
         raise ValueError("round count must be nonnegative")
     n = instance.n
-    # n t broadcasts, each a Python-level call delivered to n - 1 ports
-    check_work(f"{t} rounds on {n} vertices", n * t * (n + PY_OP), 8 * n * t)
+    # read on the class, so a wrapper bound on the instance (a tracer,
+    # say) does not make a record-only machine adaptive
+    inbox = type(algorithm).receive is not Algorithm.receive
+    # n t broadcasts, each a Python-level call; the inbox loop delivers
+    # each to n - 1 ports
+    check_work(f"{t} rounds on {n} vertices", n * t * (n * inbox + PY_OP), 8 * n * t)
     views = tuple(instance.view(v) for v in range(n))
-    states = [algorithm.initialize(view) for view in views]
-    step = algorithm.round_receiver(instance)
-    rounds = []
-    for r in range(1, t + 1):
-        payloads = [algorithm.broadcast(state, r) for state in states]
-        if set(map(type, payloads)) != {Symbol}:
-            v = next(v for v, p in enumerate(payloads) if type(p) is not Symbol)
-            raise ProtocolViolation(
-                f"vertex {v} broadcast {payloads[v]!r} in round {r}; "
-                "a payload is exactly one Symbol"
-            )
-        rounds.append(payloads)
-        if step is not None:
-            states = step(states, r, payloads)
+    vertices = np.arange(n)[None]
+    if inbox:
+        states = [algorithm.initialize(view) for view in views]
+        # delivery[v] = v's port row without v, aligned with the payloads
+        # minus v's, so a KT1 port labelled id 0 is never taken for v's slot
+        delivery = [row[:v] + row[v + 1:] for v, row in enumerate(instance.ports)]
+        receive = algorithm.receive
+        rounds = []
+        for r in range(1, t + 1):
+            payloads = [algorithm.broadcast(state, r) for state in states]
+            _check_payloads(payloads, r, vertices)
+            rounds.append(payloads)
+            states = [
+                receive(state, r, dict(zip(delivery[v], payloads[:v] + payloads[v + 1:])))
+                for v, state in enumerate(states)
+            ]
+    else:
+        fold = algorithm.members_receiver(_port_sums(instance.mode, instance.ids))
+        distinct, index, batched = _run_rounds(views, vertices, algorithm, t, fold)
+        # the views are the vertices in order, and a record-only run hands
+        # `vertices` itself back as its index
+        states = distinct if index is vertices else [distinct[k] for k in index[0].tolist()]
+        rounds = [payloads if at is vertices else [payloads[k] for k in at[0].tolist()]
+                  for payloads, at in batched]
     sent = tuple(zip(*rounds)) if rounds else ((),) * n
+    states = tuple(states)
     verdicts = tuple(algorithm.decide_run(views, states, sent))
-    return SimulationRun(instance, t, views, sent, tuple(states), verdicts)
+    return SimulationRun(instance, t, views, sent, states, verdicts)
+
+
+def _port_sums(mode, ids):
+    """The sum of each vertex's port labels, in closed form: a KT0 row
+    holds 1..n-1 in some order, and a KT1 row every other vertex's id."""
+    if mode == KT0:
+        n = len(ids)
+        return [n * (n - 1) // 2] * n
+    total = sum(ids)
+    return [total - i for i in ids]
+
+
+def _check_payloads(payloads, round_no, index):
+    """Raise unless each payload is one Symbol; name a vertex that sent another.
+
+    Vertex v of member j sent ``payloads[index[j, v]]``.
+    """
+    if set(map(type, payloads)) - {Symbol}:
+        k = next(k for k, p in enumerate(payloads) if type(p) is not Symbol)
+        j, v = np.argwhere(index == k)[0].tolist()
+        member = f" of member {j}" if len(index) > 1 else ""
+        raise ProtocolViolation(
+            f"vertex {v}{member} broadcast {payloads[k]!r} in round {round_no}; "
+            "a payload is exactly one Symbol"
+        )
+
+
+def _run_rounds(views, view_index, algorithm, t, fold):
+    """The round engine of every machine that does not override ``receive``.
+
+    Vertex v of member j starts from ``views[view_index[j, v]]``, an
+    (m, n) index. Without a fold the machine is record-only: it
+    initializes once per distinct view and broadcasts once per (view,
+    round). With the fold of ``members_receiver`` it folds an (m, n)
+    digest array and broadcasts once per distinct (digest, round).
+    Returns the distinct final states, the (m, n) index of each vertex's
+    among them, and the rounds as (payloads, index) pairs: vertex v of
+    member j sent ``payloads[index[j, v]]`` in that round.
+    """
+    states = [algorithm.initialize(view) for view in views]
+    rounds = []
+    if fold is None:
+        for r in range(1, t + 1):
+            payloads = [algorithm.broadcast(state, r) for state in states]
+            _check_payloads(payloads, r, view_index)
+            rounds.append((payloads, view_index))
+        return states, view_index, rounds
+    digests = np.array([state[0] for state in states])[view_index]
+    for r in range(1, t + 1):
+        values, index = np.unique(digests, return_inverse=True)
+        index = index.reshape(digests.shape)
+        payloads = [algorithm.broadcast((d,), r) for d in values.tolist()]
+        _check_payloads(payloads, r, index)
+        rounds.append((payloads, index))
+        digests = fold(digests, r, np.array(payloads, dtype=np.int8)[index])
+    values, index = np.unique(digests, return_inverse=True)
+    return [(d,) for d in values.tolist()], index.reshape(digests.shape), rounds
 
 
 @dataclass(frozen=True)
@@ -387,31 +433,6 @@ class MemberRuns:
     system_yes: np.ndarray = None
 
 
-def _distinct(values):
-    """The distinct values, and the index of each value among them.
-
-    Unhashable values are all kept, each its own.
-    """
-    index = {}
-    try:
-        at = [index.setdefault(value, len(index)) for value in values]
-    except TypeError:
-        return list(values), np.arange(len(values))
-    return list(index), np.array(at, dtype=np.intp)
-
-
-def _checked_codes(payloads, round_no, index):
-    """Codes of one Symbol per payload; else name a vertex that sent it."""
-    if set(map(type, payloads)) - {Symbol}:
-        k = next(k for k, p in enumerate(payloads) if type(p) is not Symbol)
-        j, v = np.argwhere(index == k)[0].tolist()
-        raise ProtocolViolation(
-            f"vertex {v} of member {j} broadcast {payloads[k]!r} in round {round_no}; "
-            "a payload is exactly one Symbol"
-        )
-    return np.array(payloads, dtype=np.int8)
-
-
 def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
     """Run `t` rounds on m cycle-family members at once, as arrays.
 
@@ -421,15 +442,15 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
     the port of v facing u is u + 1 if u < v, else u, and in KT1 it is u.
     The transcripts equal :func:`simulate`'s on each member's instance.
 
-    A record-only machine (``receive`` and ``round_receiver`` left as
-    they are) initializes once per distinct view and broadcasts once per
-    distinct (state, round). A machine with a ``members_receiver`` step
-    folds an (m, n) digest array and broadcasts once per distinct
-    (digest, round). Any other machine runs member by member.
+    A machine that does not override ``receive`` runs the round engine
+    once for the whole batch: a record-only one broadcasts once per
+    distinct (view, round), and one with a ``members_receiver`` fold
+    once per distinct (digest, round). A machine that overrides
+    ``receive`` runs member by member through :func:`simulate`.
 
     With ``verdicts`` each member's system verdict is computed too: the
-    default ``decide_run`` decides once per distinct final state, and an
-    overriding one gets each member's run as :func:`simulate` hands it.
+    default ``decide_run`` decides each distinct final state once, and
+    an overriding one gets each member's run as :func:`simulate` hands it.
     """
     neighbors = np.asarray(neighbors)
     if neighbors.ndim != 3 or neighbors.shape[2] != 2:
@@ -440,25 +461,27 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
         raise ValueError("round count must be nonnegative")
     m, n, _ = neighbors.shape
     cls = type(algorithm)
-    record_only = cls.receive is Algorithm.receive and cls.round_receiver is Algorithm.round_receiver
-    total = n * (n - 1) // 2
-    port_sums = np.full(n, total) if mode == KT0 else total - np.arange(n)
-    fold = None if record_only else algorithm.members_receiver(port_sums)
+    inbox = cls.receive is not Algorithm.receive
+    fold = None if inbox else algorithm.members_receiver(_port_sums(mode, range(n)))
     hook = verdicts and cls.decide_run is not Algorithm.decide_run
-    # Python-level calls: one per distinct view (an own id and two input
-    # ports) and round, at worst one digest per cell, or whole runs
-    if record_only:
-        calls = min(m * n, n * (n - 1) * (n - 2) // 2) * (t + 1)
+    # Python-level calls: whole runs, at worst one digest per cell, or one
+    # per distinct view (an own id and two input ports) and round
+    if inbox:
+        calls = m * n * (n + t)
+    elif fold is not None:
+        calls = m * n * t
     else:
-        calls = m * n * (t if fold is not None else n + t)
+        calls = min(m * n, n * (n - 1) * (n - 2) // 2) * (t + 1)
     if hook:
         calls += m * n * (t + 1)
+    # the int8 transcripts, and a fold's intp index of each round
+    memory = m * n * (2 * t + 64 + (fold is not None) * 8 * t)
     check_work(f"a batch of {m} members on {n} vertices over {t} rounds",
-               20 * m * n * (t + 1) + calls * PY_OP, m * n * (2 * t + 64))
+               20 * m * n * (t + 1) + calls * PY_OP, memory)
     vertex = np.arange(n)
     if m and (neighbors.min() < 0 or neighbors.max() >= n or (neighbors == vertex[:, None]).any()):
         raise ValueError(f"input neighbors must be other vertices among 0..{n - 1}")
-    if not record_only and fold is None:
+    if inbox:
         return _members_one_by_one(neighbors, mode, algorithm, t, verdicts)
 
     lo = neighbors.min(axis=2).astype(np.int64)
@@ -473,27 +496,10 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
         VertexView(mode, n, key // (n * n), frozenset((key // n % n, key % n)), all_ids)
         for key in keys.tolist()
     ]
-    initial = [algorithm.initialize(view) for view in views]
-    if record_only:
-        states, state_of_view = _distinct(initial)
-        state_index = state_of_view[view_index]
-        table = np.empty((len(states), t), dtype=np.int8)
-        for r in range(1, t + 1):
-            payloads = [algorithm.broadcast(state, r) for state in states]
-            table[:, r - 1] = _checked_codes(payloads, r, state_index)
-        sent = table[state_index]
-    else:
-        digests = np.array([state[0] for state in initial], dtype=np.int64)[view_index]
-        sent = np.empty((m, n, t), dtype=np.int8)
-        for r in range(1, t + 1):
-            values, at = np.unique(digests.ravel(), return_inverse=True)
-            at = at.reshape(m, n)
-            payloads = [algorithm.broadcast((d,), r) for d in values.tolist()]
-            heard = sent[:, :, r - 1] = _checked_codes(payloads, r, at)[at]
-            digests = fold(digests, r, heard)
-        values, state_index = np.unique(digests.ravel(), return_inverse=True)
-        states = [(d,) for d in values.tolist()]
-        state_index = state_index.reshape(m, n)
+    states, state_index, rounds = _run_rounds(views, view_index, algorithm, t, fold)
+    sent = np.empty((m, n, t), dtype=np.int8)
+    for r, (payloads, index) in enumerate(rounds):
+        sent[:, :, r] = np.array(payloads, dtype=np.int8)[index]
     if not verdicts:
         return MemberRuns(sent)
     if not hook:
@@ -515,7 +521,7 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
 
 
 def _members_one_by_one(neighbors, mode, algorithm, t, verdicts):
-    """:func:`simulate_members` for a machine without an array path."""
+    """:func:`simulate_members` for a machine that overrides ``receive``."""
     m, n, _ = neighbors.shape
     sent = np.empty((m, n, t), dtype=np.int8)
     yes = np.empty(m, dtype=bool)

@@ -369,6 +369,14 @@ class TestFoolingPairs:
                                        verify="full")
         assert report.verification["checked"] == len(report)
 
+    def test_unknown_verify_mode(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("simulated before the mode check")
+
+        monkeypatch.setattr(cx, "simulate", fail)
+        with pytest.raises(ValueError, match="'ful'.*'sampled', 'full' and 'none'"):
+            cx.find_fooling_pairs(cycle_instance(6), AlwaysSilent(), 1, verify="ful")
+
     def test_split_lengths(self):
         inst = cycle_instance(9)
         report = cx.find_fooling_pairs(inst, AlwaysSilent(), 0)

@@ -80,11 +80,10 @@ class RecordingIdExchange(IdExchange):
 class InboxRandomTable(RandomTable):
     """RandomTable folding each port-keyed inbox through ``receive``.
 
-    The per-inbox reference for ``RandomTable``'s round fold: it takes
-    the default per-vertex delivery step at any modulus.
+    The per-inbox reference for ``RandomTable``'s round fold: overriding
+    ``receive`` sends it down simulate's per-vertex inbox loop at any
+    modulus.
     """
-
-    round_receiver = Algorithm.round_receiver
 
     def receive(self, state, round_no, inbox):
         acc = state[0] * 31
@@ -202,8 +201,8 @@ class TestSimulate:
             assert run1.states[v] == run2.states[perm[v]]
             assert run1.sent[v] == run2.sent[perm[v]]
             assert algo.port_ids(run1, v) == algo.port_ids(run2, perm[v])
-        # adaptive machines take the delivery path of the round loop: the
-        # recorder keeps every port-keyed inbox, RandomTable folds them
+        # adaptive machines: the recorder takes the inbox loop and keeps
+        # every port-keyed inbox, RandomTable folds them in the engine
         for adaptive in (RecordingIdExchange(bits=3), RandomTable(seed=4, modulus=3)):
             run1 = simulate(inst, adaptive, 4)
             run2 = simulate(inst2, adaptive, 4)
@@ -563,25 +562,31 @@ def assert_same_run(fast, slow):
     assert fast.verdicts == slow.verdicts
 
 
+# the largest modulus whose fold stays in int64: 33 (modulus - 1) < 2^63
+EDGE = (2**63 - 1) // 33 + 1
+
+
 class TestRandomTable:
     def test_record_only_at_modulus_one(self):
-        inst = cycle_instance(5)
-        record_only = RandomTable(seed=5)
-        assert type(record_only).receive is Algorithm.receive
-        assert record_only.round_receiver(inst) is None
-        # the rule is read on the class: a receive bound on the instance
-        # (a tracer's wrapper, say) leaves the machine record-only
-        record_only.receive = lambda state, round_no, inbox: state
-        assert record_only.round_receiver(inst) is None
-        folding = RandomTable(seed=5, modulus=3)
-        assert isinstance(folding, RandomTable)
-        assert type(folding) is RandomTable
-        assert folding.round_receiver(inst) is not None
-        oracle = InboxRandomTable(seed=5, modulus=3)
-        assert type(oracle) is InboxRandomTable
-        assert type(oracle).round_receiver is Algorithm.round_receiver
-        assert oracle.round_receiver(inst) is not None
+        assert type(RandomTable(seed=5)).receive is Algorithm.receive
+        assert RandomTable(seed=5).members_receiver([10] * 5) is None
         assert make_algorithm("random-table", modulus=2).modulus == 2
+        # the rule is read on the class: a receive bound on the instance
+        # (a tracer's wrapper, say) is never called, and the run is the same
+        inst = cycle_instance(5)
+        for modulus in (1, 3):
+            want = simulate(inst, RandomTable(seed=5, modulus=modulus), 4)
+            machine = RandomTable(seed=5, modulus=modulus)
+            machine.receive = fail
+            assert_same_run(simulate(inst, machine, 4), want)
+
+    def test_the_fold_follows_the_modulus(self):
+        # int64 up to the edge, Python integers past it
+        zeros, silent = np.zeros((2, 5), dtype=np.int64), np.full((2, 5), 2, dtype=np.int8)
+        for modulus, dtype in ((3, np.int64), (EDGE, np.int64), (EDGE + 1, object),
+                               (10**30 + 57, object)):
+            fold = RandomTable(seed=5, modulus=modulus).members_receiver([10] * 5)
+            assert fold(zeros, 1, silent).dtype == dtype
 
     def test_delivery_does_not_change_modulus_one_runs(self):
         inst = cycle_instance(9)
@@ -620,8 +625,8 @@ class TestRoundFoldAgainstInboxOracle:
     """RandomTable's round fold equals the per-inbox receive exactly."""
 
     @staticmethod
-    def assert_fold_matches(inst, seed):
-        for modulus in range(1, 6):
+    def assert_fold_matches(inst, seed, moduli=range(1, 6)):
+        for modulus in moduli:
             for t in range(7):
                 fast = simulate(inst, RandomTable(seed, modulus), t)
                 slow = simulate(inst, InboxRandomTable(seed, modulus), t)
@@ -660,6 +665,26 @@ class TestRoundFoldAgainstInboxOracle:
             inst = cycle_instance(n, mode=KT1, ids=rng.sample(range(2**70, 2**70 + 1000), n))
             self.assert_fold_matches(inst, seed=rng.randrange(2**30))
 
+    def test_moduli_around_the_int64_edge(self):
+        # the int64 fold up to EDGE, the Python-integer fold past it
+        moduli = (EDGE - 1, EDGE, EDGE + 1, 2**61 + 1, 10**30 + 57)
+        rng = random.Random(13)
+        for n in (6, 8):
+            random_ports = cycle_instance(n, ports=random_kt0_ports(rng, n),
+                                          ids=rng.sample(range(50), n))
+            kt1 = cycle_instance(n, mode=KT1, ids=rng.sample(range(2**64, 2**64 + 1000), n))
+            for inst in (random_ports, crossed_instance(rng, n), kt1):
+                self.assert_fold_matches(inst, rng.randrange(2**30), moduli)
+
+    def test_port_sums_are_the_row_sums(self):
+        rng = random.Random(14)
+        for n in (2, 5, 9):
+            ids = rng.sample(range(2**64, 2**64 + 100), n)
+            ids[rng.randrange(n)] = 0
+            for inst in (cycle_instance(n, ports=random_kt0_ports(rng, n), ids=ids),
+                         cycle_instance(n, mode=KT1, ids=ids)):
+                assert sim._port_sums(inst.mode, inst.ids) == [sum(row) for row in inst.ports]
+
     @pytest.mark.parametrize("variant", [rd.TWO_REGULAR, rd.GENERAL])
     def test_two_party_runs(self, variant):
         rng = random.Random(11)
@@ -689,10 +714,46 @@ def family_sides(n, mode):
     )
 
 
+class Inbox(Algorithm):
+    """A record-only machine delivered through simulate's inbox loop.
+
+    Its ``receive`` keeps the state, as record-only delivery does, but
+    overriding it sends every run down the per-vertex inbox loop.
+    """
+
+    def __init__(self, machine):
+        self.machine = machine
+
+    def initialize(self, view):
+        return self.machine.initialize(view)
+
+    def broadcast(self, state, round_no):
+        return self.machine.broadcast(state, round_no)
+
+    def receive(self, state, round_no, inbox):
+        return state
+
+    def decide(self, state):
+        return self.machine.decide(state)
+
+    def decide_run(self, views, states, sent):
+        return self.machine.decide_run(views, states, sent)
+
+
+def inbox_twin(machine):
+    """The same machine run through simulate's per-vertex inbox loop."""
+    if type(machine).receive is not Algorithm.receive:
+        return machine
+    if type(machine) is RandomTable:
+        return InboxRandomTable(machine.seed, machine.modulus)
+    return Inbox(machine)
+
+
 def assert_members_match(neighbors, instances, mode, algorithm, t):
-    """simulate_members equals simulate + system_verdict on every member."""
+    """simulate_members equals the inbox loop + system_verdict on every member."""
     got = simulate_members(neighbors, mode, algorithm, t, verdicts=True)
-    runs = [simulate(inst, algorithm, t) for inst in instances]
+    oracle = inbox_twin(algorithm)
+    runs = [simulate(inst, oracle, t) for inst in instances]
     assert got.sent.dtype == np.int8
     assert got.sent.shape == (len(instances), neighbors.shape[1], t)
     assert got.sent.tolist() == [[list(map(int, row)) for row in run.sent] for run in runs]
@@ -759,22 +820,15 @@ class TestSimulateMembers:
                 assert np.array_equal(bare.sent, got.sent)
 
     def test_the_path_follows_the_machine(self, monkeypatch):
-        # the int64 fold stays exact while 33 (modulus - 1) < 2^63
-        sums = np.full(5, 10)
-        edge = (2**63 - 1) // 33 + 1
-        assert RandomTable(0, edge).members_receiver(sums) is not None
-        assert RandomTable(0, edge + 1).members_receiver(sums) is None
-        assert RandomTable(0, 2**61 + 1).members_receiver(sums) is None
-        assert InboxRandomTable(0, 3).members_receiver(sums) is None
-        assert AlwaysYes().members_receiver(sums) is None
-        # record-only machines and the array fold build no instance
+        assert AlwaysYes().members_receiver([10] * 5) is None
+        # only a machine that overrides receive builds an instance
         neighbors = family_sides(7, KT1)[0][0]
         runs = {name: simulate_members(neighbors, KT1, make(), 6, verdicts=True)
                 for name, (make, _, _) in MEMBER_MACHINES.items()}
         monkeypatch.setattr(sim, "simulate", fail)
         monkeypatch.setattr(sim, "make_instance", fail)
         for name, (make, _, _) in MEMBER_MACHINES.items():
-            if name in (f"random-table-{2**61 + 1}", "inbox-random-table"):
+            if name == "inbox-random-table":
                 with pytest.raises(AssertionError, match="one by one"):
                     simulate_members(neighbors, KT1, make(), 6)
                 continue
@@ -783,20 +837,23 @@ class TestSimulateMembers:
             assert np.array_equal(again.system_yes, runs[name].system_yes)
 
     def test_array_fold_equals_exact_fold_at_the_int64_edge(self):
-        edge = (2**63 - 1) // 33 + 1
         rng = random.Random(12)
-        for mode in (KT0, KT1):
-            inst = cycle_instance(7, mode=mode)
-            machine = RandomTable(0, edge)
-            exact = machine.round_receiver(inst)
-            fold = machine.members_receiver(np.array([sum(row) for row in inst.ports]))
-            for _ in range(50):
-                digests = [rng.choice((0, edge - 1, rng.randrange(edge))) for _ in range(7)]
-                heard = [Symbol(rng.randrange(3)) for _ in range(7)]
-                want = exact([(d,) for d in digests], 1, heard)
-                got = fold(np.array([digests], dtype=np.int64), 1,
-                           np.array([heard], dtype=np.int8))
-                assert got.tolist() == [[d for (d,) in want]]
+        for modulus in (EDGE, EDGE + 1, 10**30 + 57):
+            oracle = InboxRandomTable(0, modulus)
+            for mode in (KT0, KT1):
+                inst = cycle_instance(7, mode=mode)
+                fold = RandomTable(0, modulus).members_receiver([sum(row) for row in inst.ports])
+                for _ in range(50):
+                    digests = [rng.choice((0, modulus - 1, rng.randrange(modulus)))
+                               for _ in range(7)]
+                    heard = [Symbol(rng.randrange(3)) for _ in range(7)]
+                    want = [
+                        oracle.receive((d,), 1, {inst.ports[v][u]: heard[u]
+                                                 for u in range(7) if u != v})[0]
+                        for v, d in enumerate(digests)
+                    ]
+                    got = fold(np.array([digests]), 1, np.array([heard], dtype=np.int8))
+                    assert got.tolist() == [want]
 
     def test_machine_wrapped_on_the_instance(self):
         # as the benchmark's tracer wraps broadcast and decide

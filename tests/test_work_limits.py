@@ -19,7 +19,7 @@ from bcclab import joinmatrix as jm
 from bcclab import matching as mt
 from bcclab import partitions as pt
 from bcclab import sim
-from bcclab.algorithms import AlwaysSilent
+from bcclab.algorithms import AlwaysSilent, IdExchange
 from bcclab.cli import main
 from bcclab.crossing import splitting_pairs
 from bcclab.errors import ResourceLimitError
@@ -42,6 +42,13 @@ def family_stub(n, min_cycle_len=3):
 
 def fail(*args, **kwargs):
     raise AssertionError("work started before the size check")
+
+
+class InboxSilent(AlwaysSilent):
+    """AlwaysSilent delivered through simulate's per-vertex inbox loop."""
+
+    def receive(self, state, round_no, inbox):
+        return state
 
 
 @cache
@@ -79,6 +86,9 @@ ADMIT = [
     ("fool --n 5000 --t 3: instance", sim.make_instance, (5000, []), "an instance"),
     ("fool --n 5000 --t 3: run", sim.simulate,
      (SimpleNamespace(n=5000), AlwaysSilent(), 3), "3 rounds"),
+    # a record-only run gets no deliveries: 10^6 broadcast calls
+    ("record-only id-exchange at n=5000, t=200", sim.simulate,
+     (SimpleNamespace(n=5000), IdExchange(bits=13), 200), "200 rounds"),
     ("family --n 2000", fm.family_counts, (2000,), "exact"),
     # the largest inputs tier-1 and the demos run
     ("partitions at n=10", pt.enumerate_partitions, (10,), "partition"),
@@ -115,6 +125,9 @@ REFUSE = [
     ("indist-stats --n 11: graph", ig.build_indist_graph,
      (family_stub(11), AlwaysSilent(), 0), "the indist"),
     ("fool --n 20000 --t 3: instance", sim.make_instance, (20000, []), "an instance"),
+    # the inbox loop delivers each of 10^6 broadcasts to 4999 ports
+    ("inbox machine at n=5000, t=200", sim.simulate,
+     (SimpleNamespace(n=5000), InboxSilent(), 200), "200 rounds"),
     ("10^7 members on 10 vertices: past the memory limit", sim.simulate_members,
      (np.broadcast_to(np.array([[1, 2]], dtype=np.int8), (10**7, 10, 2)), sim.KT0,
       AlwaysSilent(), 0), "a batch"),
