@@ -521,7 +521,10 @@ def build_parser():
     p.add_argument("--bits", type=int)
     p.add_argument("--modulus", type=int)
     p.add_argument("--verify", choices=("sampled", "full", "none"),
-                   default="sampled")
+                   default="sampled",
+                   help="re-check --sample random pairs, every pair, or none; a check "
+                        "crosses the pair and re-runs only its four endpoints against "
+                        "the cycle's one simulation")
     p.add_argument("--sample", type=int, default=8)
     p.add_argument("--limit", type=int, default=20,
                    help="per-pair records to emit")

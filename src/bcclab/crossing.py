@@ -11,13 +11,15 @@ exactly, and hunt for such fooling pairs on cycle instances.
 
 import random
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import is_not, ne
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InternalConsistencyError
+from .errors import PY_OP, InternalConsistencyError, check_work
 from .families import canonical_cycles, two_cycle_codes, walk_cycle
-from .sim import KT0, BccInstance, simulate
+from .sim import KT0, BccInstance, hosted_work, simulate, simulate_hosted
 
 
 class DirectedInputEdge(NamedTuple):
@@ -81,10 +83,10 @@ def cross(instance, e1, e2):
         raise ValueError(f"edges {e1} and {e2} are not independent")
     v1, u1 = e1.head, e1.tail
     v2, u2 = e2.head, e2.tail
-    ports = instance.ports
-    rows = list(ports)
+    rows = list(instance.ports)
+    neighbors = list(instance.input_neighbors)
     for a, x, y in (
-        (v1, u1, u2),  # at v1 swap the ports facing u1 and u2
+        (v1, u1, u2),  # at v1 swap the ports facing u1 and u2; u2 replaces u1
         (u1, v1, v2),
         (v2, u2, u1),
         (u2, v2, v1),
@@ -92,12 +94,17 @@ def cross(instance, e1, e2):
         row = list(rows[a])
         row[x], row[y] = row[y], row[x]
         rows[a] = tuple(row)
+        neighbors[a] = tuple(sorted(y if u == x else u for u in neighbors[a]))
     edges = set(instance.input_edges)
     edges.discard(tuple(sorted((v1, u1))))
     edges.discard(tuple(sorted((v2, u2))))
     edges.add(tuple(sorted((v1, u2))))
     edges.add(tuple(sorted((v2, u1))))
-    return BccInstance(instance.n, instance.mode, instance.ids, frozenset(edges), tuple(rows))
+    crossed = BccInstance(instance.n, instance.mode, instance.ids, frozenset(edges), tuple(rows))
+    # the slot of the cached property: the four changed neighbor lists
+    # spare the crossed instance an O(n log n) rebuild before its views
+    crossed.__dict__["input_neighbors"] = tuple(neighbors)
+    return crossed
 
 
 @dataclass(frozen=True)
@@ -112,39 +119,79 @@ def compare_states(i1, i2, algorithm, t):
     """First difference between the two executions, or None if none.
 
     Vertices are matched by index; a vertex's state is its view plus its
-    transcript (symbols sent, symbols received per port per round).
-    Received symbols are derived from the senders' broadcasts and the
-    port tables, so they are only re-compared where the port tables
-    themselves differ.
+    transcript (symbols sent, symbols received per port per round). The
+    first difference is sought in that order: views by vertex, then sent
+    symbols by vertex and round, then received symbols by vertex, round
+    and sorted port.
+
+    Only i1 is simulated in full. Let D be the vertices whose id, port
+    row or input edges differ between the instances; every other vertex
+    starts from the same view and hears the same senders at the same
+    ports. D is hosted in i2 against i1's transcript
+    (:func:`bcclab.sim.simulate_hosted`). If D's views agree and D sends
+    what it sent in i1, then by induction on rounds every vertex sends
+    the same in both runs, and only the symbols D receives on its
+    rewired ports can still differ; they are compared last, and if they
+    agree, every vertex's view, transcript and state agrees. If D's
+    broadcasts diverge, i2 is simulated in full to find the first
+    difference.
     """
     if i1.n != i2.n or i1.mode != i2.mode:
         raise ValueError("instances must share n and mode")
-    r1 = simulate(i1, algorithm, t)
-    r2 = simulate(i2, algorithm, t)
-    n = i1.n
-    for v in range(n):
-        if r1.views[v] != r2.views[v]:
-            return StateDifference(v, 0, None, "view")
-    for v in range(n):
-        if r1.sent[v] != r2.sent[v]:
-            for r in range(t):
-                if r1.sent[v][r] != r2.sent[v][r]:
-                    return StateDifference(v, r + 1, None, "sent")
-    for v in range(n):
-        row1, row2 = i1.ports[v], i2.ports[v]
-        if row1 is row2 or row1 == row2:
-            continue  # identical wiring and identical broadcasts upstream
-        for r in range(1, t + 1):
-            m1, m2 = r1.received(v, r), r2.received(v, r)
-            if m1 != m2:
-                port = next(p for p in sorted(m1) if m1[p] != m2.get(p))
-                return StateDifference(v, r, port, "received")
-    return None
+    run = simulate(i1, algorithm, t)
+    return _first_difference(run, _codes(run), i2, algorithm)
 
 
 def states_identical(i1, i2, algorithm, t):
     """True iff every vertex's view and transcript agree across instances."""
     return compare_states(i1, i2, algorithm, t) is None
+
+
+def _codes(run):
+    """``run.sent`` as an (n, t) int8 array of Symbol codes."""
+    return np.array(run.sent, dtype=np.int8).reshape(run.instance.n, run.t)
+
+
+def _changed_vertices(i1, i2):
+    """D of :func:`compare_states`, ascending: every vertex when the ids
+    differ (a KT1 view holds the roster), else the vertices whose port
+    row or input edges differ."""
+    n = i1.n
+    if i1.ids != i2.ids:
+        return list(range(n))
+    rows = compress(range(n), map(is_not, i1.ports, i2.ports))
+    changed = {v for v in rows if i1.ports[v] != i2.ports[v]}
+    changed.update(chain.from_iterable(i1.input_edges ^ i2.input_edges))
+    return sorted(changed)
+
+
+def _first_difference(run, codes, other, algorithm):
+    """:func:`compare_states` of ``run.instance`` and `other`, given `run`
+    and its transcript `codes` from :func:`_codes`."""
+    instance, t = run.instance, run.t
+    changed = _changed_vertices(instance, other)
+    views, hosted = simulate_hosted(other, algorithm, t, changed, codes)
+    for v, view in zip(changed, views):
+        if run.views[v] != view:
+            return StateDifference(v, 0, None, "view")
+    sent = run.sent
+    if (hosted != codes[changed]).any():
+        sent = simulate(other, algorithm, t).sent
+        for v, (mine, theirs) in enumerate(zip(run.sent, sent)):
+            if mine != theirs:
+                r = next(r for r in range(t) if mine[r] != theirs[r])
+                return StateDifference(v, r + 1, None, "sent")
+    # every vertex sends alike, so only a port whose sender moved can differ
+    for v in changed:
+        row1, row2 = instance.ports[v], other.ports[v]
+        moved = [u for u in compress(range(instance.n), map(ne, row1, row2)) if u != v]
+        senders = sorted((row1[u], u) for u in moved)
+        facing = {row2[u]: u for u in moved}  # in other, port -> sender
+        for r in range(t):
+            for port, u in senders:
+                if run.sent[u][r] != sent[facing[port]][r]:
+                    return StateDifference(v, r + 1, port, "received")
+    return None
 
 
 def cycle_orientation(instance):
@@ -179,11 +226,26 @@ def splitting_pairs(positions, n, min_len=3):
     ``positions`` must be ascending; the result is an (p, 2) int64 array
     of the qualifying (i, k) in lexicographic order.
     """
-    pos = np.asarray(positions, dtype=np.int64)
-    dist = pos - pos[:, None]  # dist[a, b] = pos[b] - pos[a], > 0 iff a < b
-    m = max(3, min_len)
-    a, b = np.nonzero((dist >= m) & (dist <= n - m))
+    pos, lo, hi = _splitting_ranges(positions, n, min_len)
+    counts = hi - lo
+    a = np.repeat(np.arange(len(pos)), counts)
+    b = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     return np.column_stack((pos[a], pos[b]))
+
+
+def splitting_pair_count(positions, n, min_len=3):
+    """``len(splitting_pairs(positions, n, min_len))``, without the pairs."""
+    _, lo, hi = _splitting_ranges(positions, n, min_len)
+    return int((hi - lo).sum())
+
+
+def _splitting_ranges(positions, n, min_len):
+    """The positions as an array, and for each index a the range [lo, hi)
+    of the indices b with m <= pos[b] - pos[a] <= n - m."""
+    pos = np.asarray(positions, dtype=np.int64)
+    m = max(3, min_len)
+    lo = np.searchsorted(pos, pos + m)
+    return pos, lo, np.maximum(np.searchsorted(pos, pos + n - m, side="right"), lo)
 
 
 def split_codes(cycles, pairs):
@@ -254,11 +316,14 @@ def find_fooling_pairs(instance, algorithm, t, verify="sampled", sample=8, rng=N
     the position pairs :func:`splitting_pairs` selects, a fact the unit
     tests re-derive from the definitions.
 
-    verify="sampled" re-checks `sample` random emitted pairs end to end
-    with :func:`states_identical` (full second simulation); "full" checks
-    every pair that way; "none" skips re-checking. Any re-check failure
-    raises InternalConsistencyError, since emitted pairs are constructed
-    to satisfy the exact indistinguishability hypothesis.
+    verify="sampled" re-checks `sample` random emitted pairs, "full"
+    every pair, and "none" none. A re-check crosses the pair and compares
+    the crossed instance's execution with the one run, as
+    :func:`compare_states` does: it hosts the four endpoints against
+    the run's transcript, so no second full simulation is needed. The
+    whole sweep is estimated before the first re-check. Any re-check
+    failure raises InternalConsistencyError, since emitted pairs are
+    constructed to satisfy the exact indistinguishability hypothesis.
     """
     if verify not in ("sampled", "full", "none"):
         raise ValueError(f"unknown verify mode {verify!r}; know 'sampled', 'full' and 'none'")
@@ -277,29 +342,39 @@ def find_fooling_pairs(instance, algorithm, t, verify="sampled", sample=8, rng=N
     buckets = {}
     for pos, label in enumerate(labels):
         buckets.setdefault(label, []).append(pos)
-    chunks = [splitting_pairs(p, n) for p in buckets.values() if len(p) > 1]
+    shared = [p for p in buckets.values() if len(p) > 1]
+    count = sum(splitting_pair_count(p, n) for p in shared)
+    checks = {"full": count, "sampled": min(sample, count), "none": 0}[verify]
+    # a check makes about ten passes over n entries: the crossing copies
+    # the port rows, the neighbor lists and (twice) the input edges, and
+    # the changed-vertex scan reads the rows, the edge difference and the
+    # four changed rows; then it hosts the four endpoints. The pairs take
+    # 16 bytes each, three times over while they are built.
+    steps, memory = hosted_work(n, 4, t, algorithm)
+    check_work(f"verifying {checks} of {count} fooling pairs on {n} vertices",
+               checks * (steps + 10 * n * PY_OP), memory + 48 * count)
+    chunks = [splitting_pairs(p, n) for p in shared]
     pairs = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
     verification = {"mode": verify, "checked": 0, "failures": 0}
-    if verify != "none" and len(pairs):
+    if checks:
         if verify == "full":
             chosen = range(len(pairs))
         else:
             rng = rng or random.Random(0)
-            chosen = sorted(
-                rng.sample(range(len(pairs)), min(sample, len(pairs)))
-            )
+            chosen = sorted(rng.sample(range(len(pairs)), checks))
+        codes = _codes(run)
         for idx in chosen:
             a, b = pairs[idx]
             e1, e2 = edges[a], edges[b]
             if not are_independent(instance, e1, e2):
                 raise InternalConsistencyError(f"pair {idx} is not independent")
             crossed = cross(instance, e1, e2)
-            if not states_identical(instance, crossed, algorithm, t):
+            if _first_difference(run, codes, crossed, algorithm) is not None:
                 verification["failures"] += 1
                 raise InternalConsistencyError(
-                    f"pair {idx} failed the full indistinguishability re-check"
+                    f"pair {idx} failed the indistinguishability re-check"
                 )
             verification["checked"] += 1
     return FoolingPairReport(instance, t, cycle, edges, labels, pairs, verification)

@@ -16,15 +16,16 @@ step. Two knowledge modes are supported:
 The run owns the transcript: ``SimulationRun.sent`` holds every
 broadcast, and receptions follow from it through the port tables.
 
-One private round engine runs every machine that does not override
-``receive``, for :func:`simulate` (one member) and for
+One private round engine runs every machine, for :func:`simulate` (one
+member), for :func:`simulate_hosted` (some vertices of one member,
+hearing the others from a given transcript) and for
 :func:`simulate_members` (many cycle-family members at once, as arrays).
 A record-only machine (no fold) initializes once per distinct view and
 broadcasts once per (view, round); its states never change after
 ``initialize``, and it decides from the run's broadcasts through
 ``Algorithm.decide_run``. A folding machine (``Algorithm.members_receiver``)
 folds an (m, n) digest array and broadcasts once per distinct (digest,
-round). A machine that overrides ``receive`` takes :func:`simulate`'s
+round). A machine that overrides ``receive`` runs the engine's
 per-vertex inbox loop, the model's own definition of delivery, and
 :func:`simulate_members` runs it member by member.
 """
@@ -53,6 +54,7 @@ class Symbol(IntEnum):
 
 
 SYMBOL_FROM_CHAR = {"0": Symbol.ZERO, "1": Symbol.ONE, "-": Symbol.SILENT}
+_BY_CODE = tuple(Symbol).__getitem__  # the Symbol of an int8 code
 
 
 class Verdict(Enum):
@@ -320,47 +322,107 @@ def simulate(instance, algorithm, t):
     broadcasts of rounds 1..r, and reruns with identical arguments are
     bit-identical.
 
-    A machine that overrides ``receive`` runs the per-vertex inbox loop;
-    any other runs the round engine as a batch of one member.
+    Every machine runs the round engine as a batch of one member, and a
+    machine that overrides ``receive`` runs its per-vertex inbox loop.
     """
     if t < 0:
         raise ValueError("round count must be nonnegative")
     n = instance.n
-    # read on the class, so a wrapper bound on the instance (a tracer,
-    # say) does not make a record-only machine adaptive
-    inbox = type(algorithm).receive is not Algorithm.receive
+    inbox = _overrides_receive(algorithm)
     # n t broadcasts, each a Python-level call; the inbox loop delivers
     # each to n - 1 ports
     check_work(f"{t} rounds on {n} vertices", n * t * (n * inbox + PY_OP), 8 * n * t)
-    views = tuple(instance.view(v) for v in range(n))
-    vertices = np.arange(n)[None]
-    if inbox:
-        states = [algorithm.initialize(view) for view in views]
-        # delivery[v] = v's port row without v, aligned with the payloads
-        # minus v's, so a KT1 port labelled id 0 is never taken for v's slot
-        delivery = [row[:v] + row[v + 1:] for v, row in enumerate(instance.ports)]
-        receive = algorithm.receive
-        rounds = []
-        for r in range(1, t + 1):
-            payloads = [algorithm.broadcast(state, r) for state in states]
-            _check_payloads(payloads, r, vertices)
-            rounds.append(payloads)
-            states = [
-                receive(state, r, dict(zip(delivery[v], payloads[:v] + payloads[v + 1:])))
-                for v, state in enumerate(states)
-            ]
-    else:
-        fold = algorithm.members_receiver(_port_sums(instance.mode, instance.ids))
-        distinct, index, batched = _run_rounds(views, vertices, algorithm, t, fold)
-        # the views are the vertices in order, and a record-only run hands
-        # `vertices` itself back as its index
-        states = distinct if index is vertices else [distinct[k] for k in index[0].tolist()]
-        rounds = [payloads if at is vertices else [payloads[k] for k in at[0].tolist()]
-                  for payloads, at in batched]
+    views, states, rounds = _run_instance(instance, algorithm, t, range(n))
     sent = tuple(zip(*rounds)) if rounds else ((),) * n
     states = tuple(states)
     verdicts = tuple(algorithm.decide_run(views, states, sent))
     return SimulationRun(instance, t, views, sent, states, verdicts)
+
+
+def hosted_work(n, hosted, t, algorithm):
+    """Steps and bytes of a :func:`simulate_hosted` run of `hosted` of n
+    vertices: a Python-level broadcast per hosted vertex-round, n - 1
+    deliveries each on the inbox loop, and one n-symbol round heard per
+    round."""
+    inbox = _overrides_receive(algorithm)
+    return hosted * (t + 1) * (n * inbox + PY_OP) + n * t, 8 * n * t
+
+
+def simulate_hosted(instance, algorithm, t, hosted, sent):
+    """Run only the vertices `hosted` of `instance` for `t` rounds.
+
+    Every other vertex u is heard broadcasting ``sent[u, r - 1]`` in round
+    r: ``sent`` is an (n, t) ``int8`` array of Symbol codes, the transcript
+    of some run on n vertices. The hosted vertices start from their views
+    in `instance` and hear each round at their own ports, their own
+    broadcasts included. Returns their views, and their broadcasts as a
+    (len(hosted), t) ``int8`` array, row i for vertex ``hosted[i]``.
+
+    Given :func:`simulate`'s transcript of `instance` itself, the rows are
+    that run's. Given another instance's, they are what the hosted
+    vertices send while every other vertex behaves as in that run. The
+    same round engine runs every machine, as in :func:`simulate`.
+    """
+    if t < 0:
+        raise ValueError("round count must be nonnegative")
+    n = instance.n
+    hosted = list(hosted)
+    if hosted != sorted(set(hosted)) or (hosted and not 0 <= hosted[0] <= hosted[-1] < n):
+        raise ValueError(f"hosted vertices must ascend among 0..{n - 1}")
+    sent = np.asarray(sent)
+    if sent.shape != (n, t) or sent.dtype != np.int8:
+        raise ValueError(f"sent must be an ({n}, {t}) int8 array, got {sent.shape} {sent.dtype}")
+    check_work(f"{t} rounds of {len(hosted)} hosted vertices on {n}",
+               *hosted_work(n, len(hosted), t, algorithm))
+    views, _, rounds = _run_instance(instance, algorithm, t, hosted, sent)
+    return views, np.array(rounds, dtype=np.int8).reshape(t, len(hosted)).T
+
+
+def _run_instance(instance, algorithm, t, vertices, sent=None):
+    """Run `vertices` of `instance` through the round engine as one member.
+
+    Without `sent` they are all n vertices; with it every other vertex
+    broadcasts as that (n, t) transcript says. Returns the views, the
+    final states and each round's payloads, all listed per vertex.
+    """
+    views = tuple(instance.view(v) for v in vertices)
+    cells = np.arange(len(views))[None]
+    fold = deliver = None
+    if _overrides_receive(algorithm):
+        deliver = _inbox_step(instance, algorithm, vertices)
+    else:
+        fold = algorithm.members_receiver(_port_sums(instance.mode, instance.ids))
+    hosting = None if sent is None else (list(vertices), sent)
+    states, index, rounds = _run_rounds(views, cells, algorithm, t, fold, deliver, hosting)
+
+    def per_vertex(values, at):  # a record-only or inbox run hands `cells` back
+        return values if at is cells else [values[k] for k in at[0].tolist()]
+
+    return views, per_vertex(states, index), [per_vertex(p, at) for p, at in rounds]
+
+
+def _inbox_step(instance, algorithm, vertices):
+    """The inbox loop of a machine that overrides ``receive``, as a round
+    step over the states of `vertices`: each vertex gets the symbols of
+    the round, keyed by its own port labels."""
+    # v's port row without v, aligned with the round minus v's payload, so
+    # a KT1 port labelled id 0 is never taken for v's slot
+    delivery = [(v, instance.ports[v][:v] + instance.ports[v][v + 1:]) for v in vertices]
+    receive = algorithm.receive
+
+    def step(states, round_no, heard):
+        heard = list(map(_BY_CODE, heard[0].tolist()))
+        return [receive(state, round_no, dict(zip(row, heard[:v] + heard[v + 1:])))
+                for state, (v, row) in zip(states, delivery)]
+
+    return step
+
+
+def _overrides_receive(algorithm):
+    """Whether the machine takes the inbox loop. Read on the class, so a
+    wrapper bound on the instance (a tracer, say) does not make a
+    record-only machine adaptive."""
+    return type(algorithm).receive is not Algorithm.receive
 
 
 def _port_sums(mode, ids):
@@ -373,51 +435,74 @@ def _port_sums(mode, ids):
     return [total - i for i in ids]
 
 
-def _check_payloads(payloads, round_no, index):
+def _check_payloads(payloads, round_no, index, vertices):
     """Raise unless each payload is one Symbol; name a vertex that sent another.
 
-    Vertex v of member j sent ``payloads[index[j, v]]``.
+    Vertex ``vertices[v]`` of member j sent ``payloads[index[j, v]]``.
     """
     if set(map(type, payloads)) - {Symbol}:
         k = next(k for k, p in enumerate(payloads) if type(p) is not Symbol)
         j, v = np.argwhere(index == k)[0].tolist()
         member = f" of member {j}" if len(index) > 1 else ""
         raise ProtocolViolation(
-            f"vertex {v}{member} broadcast {payloads[k]!r} in round {round_no}; "
+            f"vertex {vertices[v]}{member} broadcast {payloads[k]!r} in round {round_no}; "
             "a payload is exactly one Symbol"
         )
 
 
-def _run_rounds(views, view_index, algorithm, t, fold):
-    """The round engine of every machine that does not override ``receive``.
+def _run_rounds(views, view_index, algorithm, t, fold=None, deliver=None, hosting=None):
+    """The one round engine: every run of a machine goes through it.
 
     Vertex v of member j starts from ``views[view_index[j, v]]``, an
-    (m, n) index. Without a fold the machine is record-only: it
-    initializes once per distinct view and broadcasts once per (view,
-    round). With the fold of ``members_receiver`` it folds an (m, n)
-    digest array and broadcasts once per distinct (digest, round).
+    (m, n) index. A record-only machine (no ``fold``, no ``deliver``)
+    initializes once per view and broadcasts once per (view, round).
+    With the fold of ``members_receiver`` it folds an (m, n) digest array
+    and broadcasts once per distinct (digest, round). With ``deliver``,
+    the inbox loop as a step ``(states, round_no, heard) -> states`` over
+    one state per view, it broadcasts once per view and round.
+
+    ``hosting = (columns, sent)`` makes the m = 1 member the vertices
+    ``columns`` of a run on n vertices, whose others broadcast as the
+    (n, t) ``int8`` transcript ``sent`` says. The fold and the step hear
+    whole rounds: ``heard[j, u]`` is the code of what u broadcast.
+
     Returns the distinct final states, the (m, n) index of each vertex's
     among them, and the rounds as (payloads, index) pairs: vertex v of
     member j sent ``payloads[index[j, v]]`` in that round.
     """
     states = [algorithm.initialize(view) for view in views]
+    columns, sent = hosting or (slice(None), None)
+    vertices = range(view_index.shape[1]) if sent is None else columns
+    if fold is not None:
+        digests = np.array([state[0] for state in states])[view_index]
+        if sent is not None:  # the fold reads whole rounds; unhosted digests are never broadcast
+            own = digests
+            digests = np.zeros((1, len(sent)), dtype=own.dtype)
+            digests[:, columns] = own
+    index = view_index
     rounds = []
-    if fold is None:
-        for r in range(1, t + 1):
-            payloads = [algorithm.broadcast(state, r) for state in states]
-            _check_payloads(payloads, r, view_index)
-            rounds.append((payloads, view_index))
-        return states, view_index, rounds
-    digests = np.array([state[0] for state in states])[view_index]
     for r in range(1, t + 1):
-        values, index = np.unique(digests, return_inverse=True)
-        index = index.reshape(digests.shape)
-        payloads = [algorithm.broadcast((d,), r) for d in values.tolist()]
-        _check_payloads(payloads, r, index)
+        if fold is not None:
+            values, index = np.unique(digests[:, columns], return_inverse=True)
+            index = index.reshape(view_index.shape)
+            states = [(d,) for d in values.tolist()]
+        payloads = [algorithm.broadcast(state, r) for state in states]
+        _check_payloads(payloads, r, index, vertices)
         rounds.append((payloads, index))
-        digests = fold(digests, r, np.array(payloads, dtype=np.int8)[index])
-    values, index = np.unique(digests, return_inverse=True)
-    return [(d,) for d in values.tolist()], index.reshape(digests.shape), rounds
+        if fold is None and deliver is None:
+            continue
+        heard = np.array(payloads, dtype=np.int8)[index]
+        if sent is not None:
+            heard, own = sent[None, :, r - 1].copy(), heard
+            heard[:, columns] = own
+        if fold is not None:
+            digests = fold(digests, r, heard)
+        else:
+            states = deliver(states, r, heard)
+    if fold is None:
+        return states, view_index, rounds
+    values, index = np.unique(digests[:, columns], return_inverse=True)
+    return [(d,) for d in values.tolist()], index.reshape(view_index.shape), rounds
 
 
 @dataclass(frozen=True)
@@ -461,7 +546,7 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
         raise ValueError("round count must be nonnegative")
     m, n, _ = neighbors.shape
     cls = type(algorithm)
-    inbox = cls.receive is not Algorithm.receive
+    inbox = _overrides_receive(algorithm)
     fold = None if inbox else algorithm.members_receiver(_port_sums(mode, range(n)))
     hook = verdicts and cls.decide_run is not Algorithm.decide_run
     # Python-level calls: whole runs, at worst one digest per cell, or one
@@ -509,12 +594,11 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
         yes = np.array([v is Verdict.YES for v in said], dtype=bool)
         return MemberRuns(sent, yes[state_index].all(axis=1))
     # the hook reads each member's run as simulate hands it over
-    symbol = tuple(Symbol).__getitem__  # by code
     yes = np.empty(m, dtype=bool)
     for j, (vs, ss) in enumerate(zip(view_index.tolist(), state_index.tolist())):
         said = algorithm.decide_run(
             tuple(views[k] for k in vs), tuple(states[k] for k in ss),
-            tuple(tuple(map(symbol, row)) for row in sent[j].tolist()),
+            tuple(tuple(map(_BY_CODE, row)) for row in sent[j].tolist()),
         )
         yes[j] = system_verdict(said) is Verdict.YES
     return MemberRuns(sent, yes)

@@ -6,6 +6,7 @@ independence plus an explicit crossing whose result is inspected.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -13,8 +14,81 @@ import pytest
 
 from bcclab import crossing as cx
 from bcclab import families as fm
-from bcclab.algorithms import AlwaysSilent, IdExchange, RandomTable
-from bcclab.sim import KT1, Symbol, make_instance, random_kt0_ports, simulate
+from bcclab.algorithms import (
+    AlwaysSilent,
+    IdExchange,
+    RandomTable,
+    make_algorithm,
+    reference_algorithms,
+)
+from bcclab.sim import (
+    KT1,
+    Algorithm,
+    Symbol,
+    Verdict,
+    make_instance,
+    random_kt0_ports,
+    simulate,
+)
+
+
+def full_compare_states(i1, i2, algorithm, t):
+    """Oracle of :func:`bcclab.crossing.compare_states`: both instances
+    simulated in full, every view and every broadcast compared, and the
+    received symbols rebuilt port by port (``SimulationRun.received``)
+    at every vertex whose port row differs."""
+    if i1.n != i2.n or i1.mode != i2.mode:
+        raise ValueError("instances must share n and mode")
+    r1 = simulate(i1, algorithm, t)
+    r2 = simulate(i2, algorithm, t)
+    n = i1.n
+    for v in range(n):
+        if r1.views[v] != r2.views[v]:
+            return cx.StateDifference(v, 0, None, "view")
+    for v in range(n):
+        if r1.sent[v] != r2.sent[v]:
+            for r in range(t):
+                if r1.sent[v][r] != r2.sent[v][r]:
+                    return cx.StateDifference(v, r + 1, None, "sent")
+    for v in range(n):
+        if i1.ports[v] == i2.ports[v]:
+            continue
+        for r in range(1, t + 1):
+            m1, m2 = r1.received(v, r), r2.received(v, r)
+            if m1 != m2:
+                port = next(p for p in sorted(m1) if m1[p] != m2.get(p))
+                return cx.StateDifference(v, r, port, "received")
+    return None
+
+
+class PortWeights(Algorithm):
+    """An inbox machine that reads its port labels: its digest folds each
+    port label times the symbol heard there, and each round broadcasts a
+    trit of the digest. Overriding ``receive`` sends it down the inbox
+    loop, of a full run and of a hosted one alike."""
+
+    name = "port-weights"
+
+    def initialize(self, view):
+        return sum(view.input_ports) % 5
+
+    def broadcast(self, state, round_no):
+        return Symbol((state + round_no) % 3)
+
+    def receive(self, state, round_no, inbox):
+        return (3 * state + sum(port * (int(s) + 1) for port, s in inbox.items())) % 5
+
+    def decide(self, state):
+        return Verdict.YES
+
+
+def machine(name, instance):
+    """A shipped machine by CLI name, the fold of RandomTable, or PortWeights."""
+    if name == "port-weights":
+        return PortWeights()
+    if name.startswith("random-table-"):
+        return RandomTable(seed=7, modulus=int(name.rsplit("-", 1)[1]))
+    return make_algorithm(name, instance)
 
 
 def crossed_counterparts(e1, e2):
@@ -203,6 +277,22 @@ class TestCross:
 
 
 class TestSplitKernel:
+    def test_pairs_and_count_match_the_distance_matrix(self):
+        # the b x b distance matrix the ranges replace, on random subsets
+        rng = random.Random(21)
+        for _ in range(300):
+            n = rng.randrange(1, 40)
+            pos = np.array(sorted(rng.sample(range(n), rng.randrange(n + 1))), dtype=np.int64)
+            for min_len in (1, 3, 4, 6):
+                dist = pos - pos[:, None]
+                m = max(3, min_len)
+                a, b = np.nonzero((dist >= m) & (dist <= n - m))
+                want = np.column_stack((pos[a], pos[b]))
+                got = cx.splitting_pairs(pos, n, min_len)
+                assert got.dtype == np.int64 and got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert cx.splitting_pair_count(pos, n, min_len) == len(want)
+
     def test_kernel_matches_instance_crossings(self):
         # every same-direction position pair of a randomly wired cycle:
         # the kernel selects exactly the pairs whose instance-level
@@ -306,6 +396,25 @@ class TestStatesIdentical:
         assert cx.states_identical(inst, crossed, algo, 2)
         assert not cx.states_identical(inst, crossed, algo, 3)  # bit 2 differs
 
+    def test_one_full_run_unless_the_broadcasts_diverge(self, monkeypatch):
+        runs = []
+
+        def counted(*args):
+            runs.append(args[0])
+            return simulate(*args)
+
+        monkeypatch.setattr(cx, "simulate", counted)
+        inst = cycle_instance(9)
+        crossed = cx.cross(inst, cx.oriented_edge(inst, 0, 1), cx.oriented_edge(inst, 3, 4))
+        assert cx.states_identical(inst, crossed, AlwaysSilent(), 4)
+        assert runs == [inst]
+        # IdExchange sends alike in both: its difference is received
+        assert cx.compare_states(inst, crossed, IdExchange(bits=4), 2).kind == "received"
+        assert runs == [inst] * 2
+        # PortWeights hears the rewiring: the endpoints' broadcasts diverge
+        assert cx.compare_states(inst, crossed, PortWeights(), 2).kind == "sent"
+        assert runs == [inst] * 3 + [crossed]
+
     def test_violating_case_reports_difference(self):
         inst = cycle_instance(8)
         e1 = cx.oriented_edge(inst, 0, 1)  # head bit 0 = 0, tail bit 0 = 1
@@ -363,6 +472,20 @@ class TestFoolingPairs:
         r5 = cx.find_fooling_pairs(inst, AlwaysSilent(), 5)
         assert r0.pairs.tolist() == r5.pairs.tolist()
 
+    def test_one_simulation_per_search(self, monkeypatch):
+        runs = []
+
+        def counted(*args):
+            runs.append(args[0])
+            return simulate(*args)
+
+        monkeypatch.setattr(cx, "simulate", counted)
+        inst = cycle_instance(20)
+        for algo in (IdExchange(bits=5), RandomTable(seed=2, modulus=3), PortWeights()):
+            report = cx.find_fooling_pairs(inst, algo, 2, verify="full")
+            assert report.verification["checked"] == len(report) > 0
+        assert runs == [inst] * 3
+
     def test_full_verification_mode(self):
         inst = cycle_instance(10)
         report = cx.find_fooling_pairs(inst, RandomTable(seed=2, modulus=2), 2,
@@ -417,3 +540,104 @@ class TestCycleOrientation:
         inst = make_instance(6, edges)
         with pytest.raises(ValueError):
             cx.cycle_orientation(inst)
+
+
+class TestAgainstTheFullRunOracle:
+    """compare_states, and find_fooling_pairs' re-check, against two full runs."""
+
+    @pytest.mark.parametrize("name", sorted(reference_algorithms()) + ["random-table-3", "port-weights"])
+    def test_every_emitted_pair(self, name):
+        for n in range(6, 13):
+            inst = cycle_instance(n)
+            algo = machine(name, inst)
+            if name == "full-exchange-sparse":  # a KT1 machine
+                with pytest.raises(ValueError, match="requires KT1"):
+                    cx.find_fooling_pairs(inst, algo, 1)
+                continue
+            for t in range(4):
+                report = cx.find_fooling_pairs(inst, algo, t, verify="full")
+                assert report.verification == {"mode": "full", "checked": len(report), "failures": 0}
+                for e1, e2 in report:
+                    crossed = cx.cross(inst, e1, e2)
+                    assert cx.compare_states(inst, crossed, algo, t) is None
+                    assert full_compare_states(inst, crossed, algo, t) is None
+
+    @pytest.mark.parametrize("name", ["always-silent", "id-exchange", "random-table-1",
+                                      "random-table-2", "random-table-3", "port-weights"])
+    def test_any_crossing(self, name):
+        # independent pairs whatever their labels, on random ports: the
+        # differences the local check finds and the ones the fallback does
+        rng = random.Random(name)
+        kinds = Counter()
+        while sum(kinds.values()) < 150:
+            n = rng.randrange(6, 16)
+            t = rng.randrange(0, 5)
+            inst = random_cycle_instance(rng, n)
+            algo = machine(name, inst)
+            e1, e2 = rng.sample(cx.directed_input_edges(inst), 2)
+            if not cx.are_independent(inst, e1, e2):
+                continue
+            crossed = cx.cross(inst, e1, e2)
+            got = cx.compare_states(inst, crossed, algo, t)
+            assert got == full_compare_states(inst, crossed, algo, t)
+            kinds[None if got is None else got.kind] += 1
+        assert kinds[None] and "view" not in kinds
+        # in KT0 every port row sums alike, so RandomTable's fold never
+        # sees the wiring: all its vertices send alike
+        assert bool(kinds["received"]) == (name in ("id-exchange", "port-weights"))
+        assert bool(kinds["sent"]) == (name == "port-weights")
+
+    @pytest.mark.parametrize("name", ["id-exchange", "random-table-3", "port-weights"])
+    def test_instances_that_are_not_crossings(self, name):
+        # other wiring, other ids, other input graphs: D is any vertex set
+        rng = random.Random(name)
+        kinds = Counter()
+        for _ in range(150):
+            n = rng.randrange(4, 12)
+            t = rng.randrange(0, 4)
+            inst = random_cycle_instance(rng, n)
+            ports = [list(row) for row in inst.ports]
+            v = rng.randrange(n)
+            x, y = rng.sample([u for u in range(n) if u != v], 2)
+            ports[v][x], ports[v][y] = ports[v][y], ports[v][x]
+            others = [
+                make_instance(n, inst.input_edges, ports=ports),
+                make_instance(n, inst.input_edges, ports=inst.ports, ids=rng.sample(range(n), n)),
+                random_cycle_instance(rng, n),
+                make_instance(n, inst.input_edges, ports=random_kt0_ports(rng, n)),
+            ]
+            for other in others:
+                algo = machine(name, inst)
+                got = cx.compare_states(inst, other, algo, t)
+                assert got == full_compare_states(inst, other, algo, t)
+                kinds[None if got is None else got.kind] += 1
+            kt1 = [cycle_instance(n, mode=KT1, ids=rng.sample(range(3 * n), n)) for _ in range(2)]
+            if name != "port-weights":
+                algo = machine(name, kt1[0])
+                assert cx.compare_states(*kt1, algo, t) == full_compare_states(*kt1, algo, t)
+        assert kinds[None] and kinds["view"]
+        assert bool(kinds["received"]) == (name != "random-table-3")
+        assert bool(kinds["sent"]) == (name == "port-weights")
+
+    def test_sampled_pairs_at_n_300(self):
+        inst = cycle_instance(300)
+        rng = random.Random(300)
+        for algo, t in ((IdExchange(bits=9), 3), (RandomTable(seed=4, modulus=3), 2)):
+            report = cx.find_fooling_pairs(inst, algo, t, verify="none")
+            for idx in rng.sample(range(len(report)), 25):
+                crossed = cx.cross(inst, *report.pair(idx))
+                assert cx.compare_states(inst, crossed, algo, t) is None
+                assert full_compare_states(inst, crossed, algo, t) is None
+        # and independent pairs whatever their labels; the inbox loop of
+        # PortWeights delivers n^2 symbols a round, so it gets two
+        edges = cx.directed_input_edges(inst)
+        seen = Counter()
+        while sum(seen.values()) < 30:
+            e1, e2 = rng.sample(edges, 2)
+            if cx.are_independent(inst, e1, e2):
+                crossed = cx.cross(inst, e1, e2)
+                algo = PortWeights() if sum(seen.values()) < 2 else IdExchange(bits=9)
+                got = cx.compare_states(inst, crossed, algo, 3)
+                assert got == full_compare_states(inst, crossed, algo, 3)
+                seen[None if got is None else got.kind] += 1
+        assert seen["received"] and seen["sent"]

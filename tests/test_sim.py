@@ -39,6 +39,7 @@ from bcclab.sim import (
     make_instance,
     random_kt0_ports,
     simulate,
+    simulate_hosted,
     simulate_members,
     system_verdict,
 )
@@ -909,6 +910,97 @@ class TestSimulateMembers:
         for bad in (neighbors + 1, neighbors - 1, np.zeros_like(neighbors)):
             with pytest.raises(ValueError, match="other vertices"):
                 simulate_members(bad, KT0, AlwaysYes(), 1)
+
+
+class Replay(Algorithm):
+    """The oracle of a hosted run: the vertices ``hosted`` run ``machine``
+    through simulate's inbox loop, and every other vertex v broadcasts
+    ``sent[v]`` round by round. Vertex v is the one with id ``ids[v]``."""
+
+    def __init__(self, machine, ids, hosted, sent):
+        self.machine = inbox_twin(machine)
+        self.vertex = {i: v for v, i in enumerate(ids)}
+        self.hosted = set(hosted)
+        self.sent = sent
+
+    def initialize(self, view):
+        v = self.vertex[view.own_id]
+        return v, self.machine.initialize(view) if v in self.hosted else None
+
+    def broadcast(self, state, round_no):
+        v, inner = state
+        if v in self.hosted:
+            return self.machine.broadcast(inner, round_no)
+        return Symbol(int(self.sent[v, round_no - 1]))
+
+    def receive(self, state, round_no, inbox):
+        v, inner = state
+        return (v, self.machine.receive(inner, round_no, inbox)) if v in self.hosted else state
+
+    def decide(self, state):
+        return Verdict.YES
+
+
+class TestSimulateHosted:
+    """simulate_hosted against full inbox-loop runs that replay the transcript."""
+
+    @staticmethod
+    def instances(rng, n, mode):
+        if mode == KT1:
+            ids = rng.sample(range(1, 3 * n), n)
+            ids[rng.randrange(n)] = 0  # id 0 on a port, not only on the diagonal
+            return [cycle_instance(n, mode=KT1, ids=ids)]
+        return [cycle_instance(n), crossed_instance(rng, n),
+                cycle_instance(n, ports=random_kt0_ports(rng, n), ids=rng.sample(range(50), n))]
+
+    @pytest.mark.parametrize("name", sorted(MEMBER_MACHINES))
+    def test_equals_the_replay_oracle(self, name):
+        make, modes, _ = MEMBER_MACHINES[name]
+        rng = random.Random(sorted(MEMBER_MACHINES).index(name))
+        for mode in modes:
+            for n in (6, 9):
+                for inst in self.instances(rng, n, mode):
+                    for t in (0, 1, 3, 7):
+                        own = np.array([[int(s) for s in row] for row in
+                                        simulate(inst, make(), t).sent], dtype=np.int8).reshape(n, t)
+                        noise = np.array([[rng.randrange(3) for _ in range(t)] for _ in range(n)],
+                                         dtype=np.int8).reshape(n, t)
+                        for sent in (own, noise):
+                            for size in (0, 1, 4, n):
+                                hosted = sorted(rng.sample(range(n), size))
+                                views, got = simulate_hosted(inst, make(), t, hosted, sent)
+                                run = simulate(inst, Replay(make(), inst.ids, hosted, sent), t)
+                                assert got.dtype == np.int8 and got.shape == (size, t)
+                                assert got.tolist() == [list(map(int, run.sent[v])) for v in hosted]
+                                assert views == tuple(inst.view(v) for v in hosted)
+                        # against the run's own transcript, the rows are the run's
+                        assert simulate_hosted(inst, make(), t, range(n), own)[1].tolist() \
+                            == own.tolist()
+
+    def test_runs_no_full_simulation(self, monkeypatch):
+        inst = crossed_instance(random.Random(3), 9)
+        sent = np.zeros((9, 4), dtype=np.int8)
+        want = {name: simulate_hosted(inst, make(), 4, [1, 5], sent)[1]
+                for name, (make, modes, _) in MEMBER_MACHINES.items() if KT0 in modes}
+        monkeypatch.setattr(sim, "simulate", fail)
+        for name, got in want.items():
+            again = simulate_hosted(inst, MEMBER_MACHINES[name][0](), 4, [1, 5], sent)[1]
+            assert np.array_equal(again, got)
+
+    def test_bad_input(self):
+        inst = cycle_instance(6)
+        sent = np.zeros((6, 2), dtype=np.int8)
+        for hosted in ([2, 1], [1, 1], [-1], [6]):
+            with pytest.raises(ValueError, match="ascend among 0..5"):
+                simulate_hosted(inst, AlwaysSilent(), 2, hosted, sent)
+        for bad in (sent[:5], sent[:, :1], sent.astype(np.int64)):
+            with pytest.raises(ValueError, match=r"\(6, 2\) int8"):
+                simulate_hosted(inst, AlwaysSilent(), 2, [0], bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            simulate_hosted(inst, AlwaysSilent(), -1, [0], sent)
+        # the vertex is named, not its place among the hosted
+        with pytest.raises(ProtocolViolation, match="vertex 2 broadcast None in round 2"):
+            simulate_hosted(inst, TestBandwidth.OddOneOut(None), 2, [0, 2], sent)
 
 
 class TestInstanceFormat:

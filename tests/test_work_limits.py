@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from bcclab import cli, errors
+from bcclab import crossing as cx
 from bcclab import families as fm
 from bcclab import indist as ig
 from bcclab import joinmatrix as jm
@@ -42,6 +43,24 @@ def family_stub(n, min_cycle_len=3):
 
 def fail(*args, **kwargs):
     raise AssertionError("work started before the size check")
+
+
+class CanonicalRow:
+    """Row v of the canonical KT0 port table on ids 0..n-1, one entry at
+    a time: the port of v facing u is u + 1 if u < v, else u (0 at v)."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __getitem__(self, u):
+        return u + 1 if u < self.v else u if u > self.v else 0
+
+
+def lazy_cycle(n):
+    """The KT0 n-cycle of ``fool --n``, with ports computed as read, so
+    the fooling-pair search reaches its sweep check without an n x n table."""
+    edges = frozenset((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n))
+    return sim.BccInstance(n, sim.KT0, tuple(range(n)), edges, tuple(map(CanonicalRow, range(n))))
 
 
 class InboxSilent(AlwaysSilent):
@@ -86,6 +105,9 @@ ADMIT = [
     ("fool --n 5000 --t 3: instance", sim.make_instance, (5000, []), "an instance"),
     ("fool --n 5000 --t 3: run", sim.simulate,
      (SimpleNamespace(n=5000), AlwaysSilent(), 3), "3 rounds"),
+    # 5439 pairs, each crossed and checked on its four endpoints
+    ("fool --n 300 --t 3 --verify full: sweep", main,
+     (["fool", "--n", "300", "--t", "3", "--verify", "full"],), "verifying"),
     # a record-only run gets no deliveries: 10^6 broadcast calls
     ("record-only id-exchange at n=5000, t=200", sim.simulate,
      (SimpleNamespace(n=5000), IdExchange(bits=13), 200), "200 rounds"),
@@ -125,6 +147,9 @@ REFUSE = [
     ("indist-stats --n 11: graph", ig.build_indist_graph,
      (family_stub(11), AlwaysSilent(), 0), "the indist"),
     ("fool --n 20000 --t 3: instance", sim.make_instance, (20000, []), "an instance"),
+    # 12,487,500 pairs, each an O(n) crossing
+    ("fool --n 5000 --t 0 --algo always-silent --verify full: sweep", cx.find_fooling_pairs,
+     (lazy_cycle(5000), AlwaysSilent(), 0, "full"), "verifying"),
     # the inbox loop delivers each of 10^6 broadcasts to 4999 ports
     ("inbox machine at n=5000, t=200", sim.simulate,
      (SimpleNamespace(n=5000), InboxSilent(), 200), "200 rounds"),
@@ -179,6 +204,21 @@ class TestCheckWork:
         assert errors.capped_count(fail, 65) == 2**63
         for count in (pt.bell, pt.pair_partition_count, fm.one_cycle_count):
             assert count(64) > 2**63
+
+
+def test_sweep_estimate_counts_the_checks_it_makes():
+    for n in (6, 12, 13):
+        inst = sim.make_instance(n, cycle_edges(n))
+        assert [[row[u] for u in range(n)] for row in lazy_cycle(n).ports] == \
+            [list(row) for row in inst.ports]
+        for algo, t in ((AlwaysSilent(), 0), (IdExchange(bits=4), 2)):
+            pairs = len(cx.find_fooling_pairs(inst, algo, t, verify="none"))
+            for verify, sample, checks in (("full", 8, pairs), ("sampled", 3, min(3, pairs)),
+                                           ("sampled", 8, min(8, pairs)), ("none", 8, 0)):
+                for cycle in (inst, lazy_cycle(n)):
+                    what = estimate(cx.find_fooling_pairs, cycle, algo, t, verify, sample,
+                                    site="verifying")[0]
+                    assert what == f"verifying {checks} of {pairs} fooling pairs on {n} vertices"
 
 
 def test_graph_estimate_counts_every_splitting_pair():
@@ -276,6 +316,14 @@ class TestRefusalComesFirst:
         limits(steps=100)
         with pytest.raises(ResourceLimitError, match="^3 rounds on 5 vertices"):
             sim.simulate(inst, machine, 3)
+
+    def test_fooling_pair_sweep(self, limits, monkeypatch):
+        inst = sim.make_instance(12, cycle_edges(12))
+        monkeypatch.setattr(cx, "cross", fail)
+        monkeypatch.setattr(cx, "simulate_hosted", fail)
+        limits(steps=10**5)  # the instance and the one run pass
+        with pytest.raises(ResourceLimitError, match="^verifying 42 of 42 fooling pairs on 12"):
+            cx.find_fooling_pairs(inst, AlwaysSilent(), 0, verify="full")
 
     def test_indist_graph_simulates_no_member(self, limits, monkeypatch):
         family = fm.enumerate_family(7)

@@ -6,9 +6,9 @@ for a recorder that stops the call at the check it is after, so an input
 can be judged against the limits however large it is.
 """
 
-from bcclab import cli, errors, families, indist, joinmatrix, matching, partitions, sim
+from bcclab import cli, crossing, errors, families, indist, joinmatrix, matching, partitions, sim
 
-CHECKING_MODULES = (partitions, joinmatrix, families, matching, sim, indist, cli)
+CHECKING_MODULES = (partitions, joinmatrix, families, matching, sim, indist, crossing, cli)
 
 
 class _Estimated(Exception):
