@@ -8,8 +8,9 @@ are record-only: they do not override ``receive``, so their states stay
 as ``initialize`` made them and never hold received rows. What they
 learn is read from the run's transcript instead: ``IdExchange.port_ids``
 decodes a vertex's ports from the run, and ``FullExchangeSparse``
-decides in ``decide_run``. States therefore compare only the initial
-knowledge; the transcript is compared through ``SimulationRun.sent``.
+decides a whole batch of runs in ``decide_run``, on their (m, n, t)
+``int8`` transcript. States therefore compare only the initial
+knowledge; the transcript is compared through ``SimulationRun.codes``.
 ``RandomTable`` with modulus 1 is record-only too; with modulus > 1 it
 is the folding machine: ``members_receiver`` folds a whole round into
 every vertex's digest at once, with no inboxes, for one run or for many
@@ -31,7 +32,6 @@ import inspect
 import numpy as np
 
 from .sim import KT1, Algorithm, Symbol, Verdict
-from .unionfind import DisjointSet
 
 
 def id_width(ids):
@@ -102,12 +102,10 @@ class IdExchange(Algorithm):
         Only meaningful after `bits` rounds.
         """
         ports = run.instance.ports[v]
-        decoded = {ports[u]: 0 for u in range(run.instance.n) if u != v}
-        for r in range(1, min(self.bits, run.t) + 1):
-            for port, sym in run.received(v, r).items():
-                if sym is Symbol.ONE:
-                    decoded[port] |= 1 << (r - 1)
-        return decoded
+        # the symbol v receives at the port facing u is u's broadcast
+        ones = (run.codes[:, :self.bits] == Symbol.ONE).tolist()
+        return {ports[u]: sum(1 << r for r, one in enumerate(row) if one)
+                for u, row in enumerate(ones) if u != v}
 
 
 class FullExchangeSparse(Algorithm):
@@ -119,12 +117,13 @@ class FullExchangeSparse(Algorithm):
     whole input graph from all broadcasts and outputs YES iff it is
     connected. Before the budget is exhausted every vertex says YES.
 
-    A vertex's graph is its own neighbor list plus the slots of every
-    other vertex. ``decide_run`` decodes the slot table of the whole run
-    once; where a vertex's own slots say exactly its neighbor list, its
-    graph is the union of all slots, shared by every such vertex. Any
-    other vertex gets its own graph, so the verdicts stay exact for any
-    broadcast rule.
+    The graph of vertex v in a run is the run's slot table with row v
+    replaced by v's own neighbor list. ``decide_run`` decodes the slot
+    tables of a whole batch with array operations and labels the
+    components of every member's table at once; a vertex whose own slots
+    say exactly its neighbor list decides on that shared graph. Any other
+    vertex gets its own graph, labelled in a second batch, so the verdicts
+    stay exact for any broadcast rule.
     """
 
     name = "full-exchange-sparse"
@@ -156,53 +155,65 @@ class FullExchangeSparse(Algorithm):
             return Symbol.SILENT
         return Symbol((neighbors[slot] >> bit) & 1)
 
-    def decide_run(self, views, states, sent):
-        n = len(views)
-        all_ids = views[0].all_ids
-        w = id_width(all_ids)
-        if len(sent[0]) < self.max_degree * w:
-            return (Verdict.YES,) * n
-        ids = [view.own_id for view in views]
-        slots = [self._decode(row, w) for row in sent]
-        shared = self._connected(
-            all_ids, [(ids[u], x) for u, row in enumerate(slots) for x in row]
-        )
-        verdicts = []
-        for v, state in enumerate(states):
-            if slots[v] == list(state[0]):
-                verdicts.append(shared)
-                continue
-            edges = [(ids[v], x) for x in state[0]]
-            edges += [(ids[u], x) for u, row in enumerate(slots) if u != v for x in row]
-            verdicts.append(self._connected(all_ids, edges))
-        return tuple(verdicts)
-
-    def _decode(self, row, w):
-        """The ids in one vertex's slots, read as every receiver reads them.
-
-        An all-silent slot is empty, and only ONE sets a bit.
-        """
-        decoded = []
-        for slot in range(self.max_degree):
-            bits = row[slot * w : (slot + 1) * w]
-            if all(s is Symbol.SILENT for s in bits):
-                continue
-            decoded.append(sum(1 << k for k, s in enumerate(bits) if s is Symbol.ONE))
-        return decoded
-
-    @staticmethod
-    def _connected(ids, edges):
-        index = {x: i for i, x in enumerate(ids)}
-        ds = DisjointSet(len(ids))
-        for x, y in edges:
-            if x != y and x in index and y in index:
-                ds.union(index[x], index[y])
-        root = ds.find(0)
-        one = all(ds.find(i) == root for i in range(len(ids)))
-        return Verdict.YES if one else Verdict.NO
+    def decide_run(self, views, view_index, states, state_index, codes):
+        m, n, t = codes.shape
+        d = self.max_degree
+        if not views or t < d * id_width(views[0].all_ids):
+            return np.ones((m, n), dtype=bool)
+        roster = views[0].all_ids
+        w = id_width(roster)
+        # every receiver reads a slot alike: an all-silent slot is empty,
+        # and only ONE sets a bit; ids past int64 decode exactly as objects
+        bits = codes[:, :, :d * w].reshape(m, n, d, w)
+        dtype = np.int64 if w < 63 else object
+        value = sum((bits[..., k] == Symbol.ONE).astype(dtype) << k for k in range(w))
+        empty = (bits == Symbol.SILENT).all(axis=3)
+        # a slot as the roster index of its id, -1 if empty or off the roster
+        ids = np.array(roster, dtype=dtype)
+        at = np.minimum(np.searchsorted(ids, value), n - 1)
+        slots = np.where((ids[at] == value) & ~empty, at, -1).astype(np.int32)
+        del bits, value, empty, at
+        rank = {x: i for i, x in enumerate(roster)}
+        src = np.array([rank[view.own_id] for view in views], dtype=np.int32)[view_index]
+        # each vertex's neighbor list as its slots should say it
+        own = np.array([[rank[x] for x in state[0]] + [-1] * (d - len(state[0]))
+                        for state in states], dtype=np.int32).reshape(-1, d)
+        yes = np.repeat(_connected(src, slots)[:, None], n, axis=1)
+        j, v = np.nonzero((slots != own[state_index]).any(axis=2))
+        if len(j):
+            mine = slots[j]
+            mine[np.arange(len(j)), v] = own[state_index[j, v]]
+            yes[j, v] = _connected(src[j], mine)
+        return yes
 
     def round_budget(self, instance):
         return self.max_degree * id_width(instance.ids)
+
+
+def _connected(src, slots):
+    """Whether graph i of the (b, n, d) ``int32`` batch, on the vertices
+    0..n-1, joining ``src[i, v]`` to each ``slots[i, v, s] >= 0``, is
+    connected. All b graphs are labelled at once by hooking each root onto
+    the smallest root an edge reaches, then pointer jumping (Shiloach and
+    Vishkin, 1982); a root is its tree's smallest vertex, so a graph is
+    connected iff vertex 0 is every vertex's root."""
+    b, n, _ = slots.shape
+    base = np.arange(0, b * n, n, dtype=np.int32)[:, None]
+    edge = slots >= 0
+    tail = np.broadcast_to((src + base)[:, :, None], slots.shape)[edge]
+    head = (slots + base[:, :, None])[edge]
+    label = np.arange(b * n, dtype=np.int32)
+    while True:
+        x, y = label[tail], label[head]
+        apart = x != y
+        if not apart.any():
+            return (label.reshape(b, n) == base).all(axis=1)
+        # an edge inside one tree stays inside it
+        tail, head, x, y = tail[apart], head[apart], x[apart], y[apart]
+        np.minimum.at(label, np.maximum(x, y), np.minimum(x, y))
+        up = label[label]
+        while not np.array_equal(up, label):
+            label, up = up, up[up]
 
 
 class RandomTable(Algorithm):

@@ -138,18 +138,12 @@ def compare_states(i1, i2, algorithm, t):
     """
     if i1.n != i2.n or i1.mode != i2.mode:
         raise ValueError("instances must share n and mode")
-    run = simulate(i1, algorithm, t)
-    return _first_difference(run, _codes(run), i2, algorithm)
+    return _first_difference(simulate(i1, algorithm, t), i2, algorithm)
 
 
 def states_identical(i1, i2, algorithm, t):
     """True iff every vertex's view and transcript agree across instances."""
     return compare_states(i1, i2, algorithm, t) is None
-
-
-def _codes(run):
-    """``run.sent`` as an (n, t) int8 array of Symbol codes."""
-    return np.array(run.sent, dtype=np.int8).reshape(run.instance.n, run.t)
 
 
 def _changed_vertices(i1, i2):
@@ -165,22 +159,21 @@ def _changed_vertices(i1, i2):
     return sorted(changed)
 
 
-def _first_difference(run, codes, other, algorithm):
-    """:func:`compare_states` of ``run.instance`` and `other`, given `run`
-    and its transcript `codes` from :func:`_codes`."""
-    instance, t = run.instance, run.t
+def _first_difference(run, other, algorithm):
+    """:func:`compare_states` of ``run.instance`` and `other`, given `run`."""
+    instance, t, codes = run.instance, run.t, run.codes
     changed = _changed_vertices(instance, other)
     views, hosted = simulate_hosted(other, algorithm, t, changed, codes)
     for v, view in zip(changed, views):
         if run.views[v] != view:
             return StateDifference(v, 0, None, "view")
-    sent = run.sent
+    theirs = codes
     if (hosted != codes[changed]).any():
-        sent = simulate(other, algorithm, t).sent
-        for v, (mine, theirs) in enumerate(zip(run.sent, sent)):
-            if mine != theirs:
-                r = next(r for r in range(t) if mine[r] != theirs[r])
-                return StateDifference(v, r + 1, None, "sent")
+        theirs = simulate(other, algorithm, t).codes
+        differ = np.argwhere(codes != theirs)
+        if len(differ):
+            v, r = differ[0].tolist()
+            return StateDifference(v, r + 1, None, "sent")
     # every vertex sends alike, so only a port whose sender moved can differ
     for v in changed:
         row1, row2 = instance.ports[v], other.ports[v]
@@ -189,7 +182,7 @@ def _first_difference(run, codes, other, algorithm):
         facing = {row2[u]: u for u in moved}  # in other, port -> sender
         for r in range(t):
             for port, u in senders:
-                if run.sent[u][r] != sent[facing[port]][r]:
+                if codes[u, r] != theirs[facing[port], r]:
                     return StateDifference(v, r + 1, port, "received")
     return None
 
@@ -364,14 +357,13 @@ def find_fooling_pairs(instance, algorithm, t, verify="sampled", sample=8, rng=N
         else:
             rng = rng or random.Random(0)
             chosen = sorted(rng.sample(range(len(pairs)), checks))
-        codes = _codes(run)
         for idx in chosen:
             a, b = pairs[idx]
             e1, e2 = edges[a], edges[b]
             if not are_independent(instance, e1, e2):
                 raise InternalConsistencyError(f"pair {idx} is not independent")
             crossed = cross(instance, e1, e2)
-            if _first_difference(run, codes, crossed, algorithm) is not None:
+            if _first_difference(run, crossed, algorithm) is not None:
                 verification["failures"] += 1
                 raise InternalConsistencyError(
                     f"pair {idx} failed the indistinguishability re-check"

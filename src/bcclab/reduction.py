@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import partitions as pt
-from .sim import KT1, Symbol, Verdict, make_instance, simulate
+from .sim import KT1, Symbol, Verdict, make_instance, simulate, symbol_rows
 from .unionfind import DisjointSet
 
 GENERAL = "general"
@@ -203,7 +203,7 @@ def two_party_simulate_graph(graph, algorithm, t):
     """
     alice, bob = graph.alice_vertices, graph.bob_vertices
     run = simulate(graph.instance, algorithm, t)
-    sent_rounds = tuple(zip(*run.sent))
+    sent_rounds = symbol_rows(run.codes.T)
     messages = tuple(
         (tuple(sent[v] for v in alice), tuple(sent[v] for v in bob)) for sent in sent_rounds
     )

@@ -13,21 +13,23 @@ step. Two knowledge modes are supported:
 * KT1 -- every port is labeled with the id of the vertex behind it and
   every vertex knows the full id roster.
 
-The run owns the transcript: ``SimulationRun.sent`` holds every
-broadcast, and receptions follow from it through the port tables.
+The run owns the transcript: ``SimulationRun.codes`` holds every
+broadcast as an (n, t) ``int8`` array of Symbol codes, and receptions
+follow from it through the port tables.
 
 One private round engine runs every machine, for :func:`simulate` (one
 member), for :func:`simulate_hosted` (some vertices of one member,
 hearing the others from a given transcript) and for
-:func:`simulate_members` (many cycle-family members at once, as arrays).
-A record-only machine (no fold) initializes once per distinct view and
-broadcasts once per (view, round); its states never change after
-``initialize``, and it decides from the run's broadcasts through
-``Algorithm.decide_run``. A folding machine (``Algorithm.members_receiver``)
-folds an (m, n) digest array and broadcasts once per distinct (digest,
-round). A machine that overrides ``receive`` runs the engine's
-per-vertex inbox loop, the model's own definition of delivery, and
-:func:`simulate_members` runs it member by member.
+:func:`simulate_members` (many cycle-family members at once), writing
+the broadcasts into one (m, n, t) ``int8`` array. A record-only machine
+(no fold) initializes once per distinct view and broadcasts once per
+(view, round); its states never change after ``initialize``, and it
+decides from the broadcasts through ``Algorithm.decide_run``, one call
+per batch. A folding machine (``Algorithm.members_receiver``) folds an
+(m, n) digest array and broadcasts once per distinct (digest, round). A
+machine that overrides ``receive`` runs the engine's per-vertex inbox
+loop, the model's own definition of delivery, with one state per
+member-vertex.
 """
 
 import json
@@ -54,7 +56,12 @@ class Symbol(IntEnum):
 
 
 SYMBOL_FROM_CHAR = {"0": Symbol.ZERO, "1": Symbol.ONE, "-": Symbol.SILENT}
-_BY_CODE = tuple(Symbol).__getitem__  # the Symbol of an int8 code
+_SYMBOLS = np.array(tuple(Symbol), dtype=object)  # the Symbol of each int8 code
+
+
+def symbol_rows(codes):
+    """The rows of a 2-D array of Symbol codes, each as a tuple of Symbols."""
+    return tuple(map(tuple, _SYMBOLS[codes].tolist()))
 
 
 class Verdict(Enum):
@@ -235,7 +242,7 @@ class Algorithm:
     by round. One that does not gets no deliveries: it is record-only,
     and its verdicts come from ``decide_run``, which sees the run's
     broadcasts, unless ``members_receiver`` gives it a fold of whole
-    rounds.
+    rounds; a batch of runs decides in one ``decide_run`` call.
     """
 
     name = "abstract"
@@ -252,13 +259,20 @@ class Algorithm:
     def decide(self, state):
         raise NotImplementedError
 
-    def decide_run(self, views, states, sent):
-        """One verdict per vertex of a finished run.
+    def decide_run(self, views, view_index, states, state_index, codes):
+        """Whether each vertex of m finished runs says YES, an (m, n) bool array.
 
-        ``sent[v]`` holds vertex v's broadcasts per round, as every other
-        vertex received them. The default decides each state on its own.
+        Vertex v of member j started from ``views[view_index[j, v]]``,
+        ended in ``states[state_index[j, v]]`` (an entry serves every
+        vertex that shares it) and broadcast ``codes[j, v, r]`` in round
+        r + 1, as every other vertex received it. The default decides each
+        listed state once.
         """
-        return tuple(self.decide(s) for s in states)
+        said = [self.decide(state) for state in states]
+        yes = Verdict.YES  # bound once: an Enum member lookup is slow
+        if said.count(yes) + said.count(Verdict.NO) != len(said):
+            raise ValueError("need one YES/NO verdict per vertex")
+        return np.array([v is yes for v in said], dtype=bool)[state_index]
 
     def members_receiver(self, port_sums):
         """The machine's round fold as arrays, or None (the default).
@@ -278,22 +292,29 @@ class Algorithm:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationRun:
     """Transcript bundle: everything simulate() produced, immutably.
 
-    ``sent[v]`` holds vertex v's broadcasts, one Symbol per round.
-    Received symbols are exposed through :meth:`received`, reconstructed
-    from the senders' rows and the port tables; by construction the symbol
-    seen at u in round r on the port facing v equals sent[v][r-1].
+    ``codes[v, r]``, a read-only (n, t) ``int8`` array, is the code of
+    the Symbol vertex v broadcast in round r + 1; ``sent`` derives the
+    Symbol tuples. Received symbols are exposed through :meth:`received`,
+    reconstructed from the senders' rows and the port tables; by
+    construction the symbol seen at u in round r on the port facing v
+    equals sent[v][r-1].
     """
 
     instance: BccInstance
     t: int
     views: tuple
-    sent: tuple  # sent[v] = tuple over rounds
+    codes: np.ndarray
     states: tuple
     verdicts: tuple
+
+    @cached_property
+    def sent(self):
+        """``sent[v]``: vertex v's broadcasts, one Symbol per round."""
+        return symbol_rows(self.codes)
 
     def received(self, v, round_no):
         """Symbols delivered to v at the end of `round_no`, keyed by port."""
@@ -332,11 +353,14 @@ def simulate(instance, algorithm, t):
     # n t broadcasts, each a Python-level call; the inbox loop delivers
     # each to n - 1 ports
     check_work(f"{t} rounds on {n} vertices", n * t * (n * inbox + PY_OP), 8 * n * t)
-    views, states, rounds = _run_instance(instance, algorithm, t, range(n))
-    sent = tuple(zip(*rounds)) if rounds else ((),) * n
-    states = tuple(states)
-    verdicts = tuple(algorithm.decide_run(views, states, sent))
-    return SimulationRun(instance, t, views, sent, states, verdicts)
+    views, states, index, codes = _run_instance(instance, algorithm, t, range(n))
+    yes = algorithm.decide_run(views, np.arange(n)[None], states, index, codes)
+    codes = codes[0]
+    codes.flags.writeable = False
+    return SimulationRun(
+        instance, t, views, codes, tuple(map(states.__getitem__, index[0].tolist())),
+        tuple(map((Verdict.NO, Verdict.YES).__getitem__, yes[0].tolist())),
+    )
 
 
 def hosted_work(n, hosted, t, algorithm):
@@ -374,46 +398,42 @@ def simulate_hosted(instance, algorithm, t, hosted, sent):
         raise ValueError(f"sent must be an ({n}, {t}) int8 array, got {sent.shape} {sent.dtype}")
     check_work(f"{t} rounds of {len(hosted)} hosted vertices on {n}",
                *hosted_work(n, len(hosted), t, algorithm))
-    views, _, rounds = _run_instance(instance, algorithm, t, hosted, sent)
-    return views, np.array(rounds, dtype=np.int8).reshape(t, len(hosted)).T
+    views, _, _, codes = _run_instance(instance, algorithm, t, hosted, sent)
+    return views, codes[0]
 
 
 def _run_instance(instance, algorithm, t, vertices, sent=None):
     """Run `vertices` of `instance` through the round engine as one member.
 
     Without `sent` they are all n vertices; with it every other vertex
-    broadcasts as that (n, t) transcript says. Returns the views, the
-    final states and each round's payloads, all listed per vertex.
+    broadcasts as that (n, t) transcript says. Returns the views, one per
+    vertex, and what :func:`_run_rounds` returns.
     """
     views = tuple(instance.view(v) for v in vertices)
-    cells = np.arange(len(views))[None]
     fold = deliver = None
     if _overrides_receive(algorithm):
-        deliver = _inbox_step(instance, algorithm, vertices)
+        deliver = _inbox_step(instance.ports, algorithm, vertices)
     else:
         fold = algorithm.members_receiver(_port_sums(instance.mode, instance.ids))
     hosting = None if sent is None else (list(vertices), sent)
-    states, index, rounds = _run_rounds(views, cells, algorithm, t, fold, deliver, hosting)
-
-    def per_vertex(values, at):  # a record-only or inbox run hands `cells` back
-        return values if at is cells else [values[k] for k in at[0].tolist()]
-
-    return views, per_vertex(states, index), [per_vertex(p, at) for p, at in rounds]
+    return views, *_run_rounds(views, np.arange(len(views))[None], algorithm, t,
+                               fold, deliver, hosting)
 
 
-def _inbox_step(instance, algorithm, vertices):
+def _inbox_step(ports, algorithm, vertices):
     """The inbox loop of a machine that overrides ``receive``, as a round
-    step over the states of `vertices`: each vertex gets the symbols of
-    the round, keyed by its own port labels."""
+    step over one state per (member, vertex) cell of `vertices`, member
+    by member: each vertex gets the symbols of its member's round, keyed
+    by its port labels ``ports[v]``."""
     # v's port row without v, aligned with the round minus v's payload, so
     # a KT1 port labelled id 0 is never taken for v's slot
-    delivery = [(v, instance.ports[v][:v] + instance.ports[v][v + 1:]) for v in vertices]
+    delivery = [(v, ports[v][:v] + ports[v][v + 1:]) for v in vertices]
     receive = algorithm.receive
 
     def step(states, round_no, heard):
-        heard = list(map(_BY_CODE, heard[0].tolist()))
-        return [receive(state, round_no, dict(zip(row, heard[:v] + heard[v + 1:])))
-                for state, (v, row) in zip(states, delivery)]
+        cells = iter(states)
+        return [receive(state, round_no, dict(zip(row, said[:v] + said[v + 1:])))
+                for said in _SYMBOLS[heard].tolist() for (v, row), state in zip(delivery, cells)]
 
     return step
 
@@ -467,8 +487,9 @@ def _run_rounds(views, view_index, algorithm, t, fold=None, deliver=None, hostin
     whole rounds: ``heard[j, u]`` is the code of what u broadcast.
 
     Returns the distinct final states, the (m, n) index of each vertex's
-    among them, and the rounds as (payloads, index) pairs: vertex v of
-    member j sent ``payloads[index[j, v]]`` in that round.
+    among them, and the (m, n, t) ``int8`` transcript (n is a hosted
+    run's number of columns): vertex v of member j broadcast the Symbol
+    of code ``codes[j, v, r]`` in round r + 1.
     """
     states = [algorithm.initialize(view) for view in views]
     columns, sent = hosting or (slice(None), None)
@@ -480,7 +501,7 @@ def _run_rounds(views, view_index, algorithm, t, fold=None, deliver=None, hostin
             digests = np.zeros((1, len(sent)), dtype=own.dtype)
             digests[:, columns] = own
     index = view_index
-    rounds = []
+    codes = np.empty(view_index.shape + (t,), dtype=np.int8)
     for r in range(1, t + 1):
         if fold is not None:
             values, index = np.unique(digests[:, columns], return_inverse=True)
@@ -488,10 +509,10 @@ def _run_rounds(views, view_index, algorithm, t, fold=None, deliver=None, hostin
             states = [(d,) for d in values.tolist()]
         payloads = [algorithm.broadcast(state, r) for state in states]
         _check_payloads(payloads, r, index, vertices)
-        rounds.append((payloads, index))
+        # a Symbol is a small int, so bytes() packs the payloads at C speed
+        heard = codes[:, :, r - 1] = np.frombuffer(bytes(payloads), dtype=np.int8)[index]
         if fold is None and deliver is None:
             continue
-        heard = np.array(payloads, dtype=np.int8)[index]
         if sent is not None:
             heard, own = sent[None, :, r - 1].copy(), heard
             heard[:, columns] = own
@@ -500,9 +521,9 @@ def _run_rounds(views, view_index, algorithm, t, fold=None, deliver=None, hostin
         else:
             states = deliver(states, r, heard)
     if fold is None:
-        return states, view_index, rounds
+        return states, view_index, codes
     values, index = np.unique(digests[:, columns], return_inverse=True)
-    return [(d,) for d in values.tolist()], index.reshape(view_index.shape), rounds
+    return [(d,) for d in values.tolist()], index.reshape(view_index.shape), codes
 
 
 @dataclass(frozen=True)
@@ -527,15 +548,14 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
     the port of v facing u is u + 1 if u < v, else u, and in KT1 it is u.
     The transcripts equal :func:`simulate`'s on each member's instance.
 
-    A machine that does not override ``receive`` runs the round engine
-    once for the whole batch: a record-only one broadcasts once per
-    distinct (view, round), and one with a ``members_receiver`` fold
-    once per distinct (digest, round). A machine that overrides
-    ``receive`` runs member by member through :func:`simulate`.
+    Every machine runs the round engine once for the whole batch: a
+    record-only one broadcasts once per distinct (view, round), one with
+    a ``members_receiver`` fold once per distinct (digest, round), and
+    one that overrides ``receive`` once per member-vertex and round,
+    through the inbox loop at the canonical ports.
 
-    With ``verdicts`` each member's system verdict is computed too: the
-    default ``decide_run`` decides each distinct final state once, and
-    an overriding one gets each member's run as :func:`simulate` hands it.
+    With ``verdicts`` each member's system verdict is computed too, from
+    one ``decide_run`` call for the whole batch.
     """
     neighbors = np.asarray(neighbors)
     if neighbors.ndim != 3 or neighbors.shape[2] != 2:
@@ -545,76 +565,49 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
     if t < 0:
         raise ValueError("round count must be nonnegative")
     m, n, _ = neighbors.shape
-    cls = type(algorithm)
     inbox = _overrides_receive(algorithm)
     fold = None if inbox else algorithm.members_receiver(_port_sums(mode, range(n)))
-    hook = verdicts and cls.decide_run is not Algorithm.decide_run
-    # Python-level calls: whole runs, at worst one digest per cell, or one
-    # per distinct view (an own id and two input ports) and round
+    # Python-level calls: n + t per cell on the inbox loop, at worst one
+    # digest per cell, or one per distinct view (an own id and two input
+    # ports) and round
     if inbox:
         calls = m * n * (n + t)
     elif fold is not None:
         calls = m * n * t
     else:
         calls = min(m * n, n * (n - 1) * (n - 2) // 2) * (t + 1)
-    if hook:
-        calls += m * n * (t + 1)
-    # the int8 transcripts, and a fold's intp index of each round
-    memory = m * n * (2 * t + 64 + (fold is not None) * 8 * t)
+    # array passes over the cells: each round's and, with verdicts, the
+    # decide's over the transcript and its O(log n) labelling rounds
+    cells = m * n * (t + 1 + verdicts * (t + n.bit_length()))
+    # the int8 transcripts, a fold's intp index of each round, the decide's arrays
+    memory = m * n * (2 * t + 64 + ((fold is not None) + verdicts) * 8 * t)
     check_work(f"a batch of {m} members on {n} vertices over {t} rounds",
-               20 * m * n * (t + 1) + calls * PY_OP, memory)
+               20 * cells + calls * PY_OP, memory)
     vertex = np.arange(n)
     if m and (neighbors.min() < 0 or neighbors.max() >= n or (neighbors == vertex[:, None]).any()):
         raise ValueError(f"input neighbors must be other vertices among 0..{n - 1}")
-    if inbox:
-        return _members_one_by_one(neighbors, mode, algorithm, t, verdicts)
-
     lo = neighbors.min(axis=2).astype(np.int64)
     hi = neighbors.max(axis=2).astype(np.int64)
     if mode == KT0:  # the port of v facing u is u + 1 if u < v, else u
         lo, hi = lo + (lo < vertex), hi + (hi < vertex)
-    codes = (vertex * n + lo) * n + hi
-    keys, view_index = np.unique(codes.ravel(), return_inverse=True)
+    keys, view_index = np.unique(((vertex * n + lo) * n + hi).ravel(), return_inverse=True)
     view_index = view_index.reshape(m, n)
     all_ids = tuple(range(n)) if mode == KT1 else ()
     views = [
         VertexView(mode, n, key // (n * n), frozenset((key // n % n, key % n)), all_ids)
         for key in keys.tolist()
     ]
-    states, state_index, rounds = _run_rounds(views, view_index, algorithm, t, fold)
-    sent = np.empty((m, n, t), dtype=np.int8)
-    for r, (payloads, index) in enumerate(rounds):
-        sent[:, :, r] = np.array(payloads, dtype=np.int8)[index]
+    deliver = None
+    if inbox:  # a state per member-vertex
+        views = [views[k] for k in view_index.ravel().tolist()]
+        view_index = np.arange(m * n).reshape(m, n)
+        ports = canonical_kt0_ports(range(n)) if mode == KT0 else kt1_ports(range(n))
+        deliver = _inbox_step(ports, algorithm, range(n))
+    states, state_index, codes = _run_rounds(views, view_index, algorithm, t, fold, deliver)
     if not verdicts:
-        return MemberRuns(sent)
-    if not hook:
-        said = [algorithm.decide(state) for state in states]
-        if any(v not in (Verdict.YES, Verdict.NO) for v in said):
-            raise ValueError("need one YES/NO verdict per vertex")
-        yes = np.array([v is Verdict.YES for v in said], dtype=bool)
-        return MemberRuns(sent, yes[state_index].all(axis=1))
-    # the hook reads each member's run as simulate hands it over
-    yes = np.empty(m, dtype=bool)
-    for j, (vs, ss) in enumerate(zip(view_index.tolist(), state_index.tolist())):
-        said = algorithm.decide_run(
-            tuple(views[k] for k in vs), tuple(states[k] for k in ss),
-            tuple(tuple(map(_BY_CODE, row)) for row in sent[j].tolist()),
-        )
-        yes[j] = system_verdict(said) is Verdict.YES
-    return MemberRuns(sent, yes)
-
-
-def _members_one_by_one(neighbors, mode, algorithm, t, verdicts):
-    """:func:`simulate_members` for a machine that overrides ``receive``."""
-    m, n, _ = neighbors.shape
-    sent = np.empty((m, n, t), dtype=np.int8)
-    yes = np.empty(m, dtype=bool)
-    for j, row in enumerate(neighbors.tolist()):
-        edges = [(v, u) for v, pair in enumerate(row) for u in pair]
-        run = simulate(make_instance(n, edges, mode=mode), algorithm, t)
-        sent[j] = run.sent
-        yes[j] = run.system_verdict is Verdict.YES
-    return MemberRuns(sent, yes if verdicts else None)
+        return MemberRuns(codes)
+    yes = algorithm.decide_run(views, view_index, states, state_index, codes)
+    return MemberRuns(codes, yes.all(axis=1))
 
 
 def system_verdict(verdicts):

@@ -99,9 +99,9 @@ ADMIT = [
      (family_stub(10), AlwaysSilent(), 0), "the indist"),
     ("indist-stats --n 10: member runs", ig.build_indist_graph,
      (family_stub(10), AlwaysSilent(), 0), "a batch"),
-    ("error-eval --n 9 --algo full-exchange-sparse --mode KT1: member runs", main,
-     (["error-eval", "--n", "9", "--algo", "full-exchange-sparse", "--mode", "KT1"],),
-     "a batch"),
+    *[(f"error-eval --n {n} --algo full-exchange-sparse --mode KT1: member runs", main,
+       (["error-eval", "--n", str(n), "--algo", "full-exchange-sparse", "--mode", "KT1"],),
+       "a batch") for n in (9, 10)],
     ("fool --n 5000 --t 3: instance", sim.make_instance, (5000, []), "an instance"),
     ("fool --n 5000 --t 3: run", sim.simulate,
      (SimpleNamespace(n=5000), AlwaysSilent(), 3), "3 rounds"),
