@@ -70,6 +70,44 @@ def hopcroft_karp_oracle(adjacency):
     return len(match_left), match_left, match_right
 
 
+def k_matching_oracle(adjacency, k):
+    """Reference k-matching: a dict blow-up of (left, copy) keys, solved by
+    hopcroft_karp_oracle, and the Hall witness by a BFS on those keys.
+
+    The index-row k_matching must return exactly what this returns,
+    the assignment's key order included.
+    """
+    blown = {(u, c): adjacency[u] for u in adjacency for c in range(k)}
+    size, match_left, match_right = hopcroft_karp_oracle(blown)
+    if size == len(blown):
+        assignment = {}
+        for (u, _c), r in match_left.items():
+            assignment.setdefault(u, set()).add(r)
+        return mt.KMatching(k, {u: frozenset(rs) for u, rs in assignment.items()})
+    reachable = {u for u in blown if u not in match_left}
+    queue = deque(reachable)
+    seen_right = set()
+    while queue:
+        u = queue.popleft()
+        for r in blown[u]:
+            if r in seen_right:
+                continue
+            seen_right.add(r)
+            partner = match_right.get(r)
+            if partner is not None and partner not in reachable:
+                reachable.add(partner)
+                queue.append(partner)
+    subset = frozenset(u for (u, _c) in reachable)
+    return mt.HallViolation(k, subset, frozenset(mt.neighborhood(adjacency, subset)))
+
+
+def assert_same_k_matching(got, want):
+    assert type(got) is type(want)
+    assert got == want
+    if isinstance(want, mt.KMatching):
+        assert list(got.assignment) == list(want.assignment)
+
+
 class TestHopcroftKarp:
     def test_perfect_matching(self):
         adj = {0: [0, 1], 1: [1, 2], 2: [0, 2]}
@@ -122,11 +160,17 @@ class TestHopcroftKarp:
             adj = {u: rs + rs[:2] for u, rs in adj.items()}
             rng.shuffle(adj[0])
             graph = {name(u): [name(100 + r) for r in rs] for u, rs in adj.items()}
+            # some lefts share one list object, so one row serves several
+            lefts = list(graph)
+            for _ in range(rng.randrange(3)):
+                graph[rng.choice(lefts)] = graph[rng.choice(lefts)]
             got = mt.hopcroft_karp(graph)
             want = hopcroft_karp_oracle(graph)
             assert got == want
             assert list(got[1].items()) == list(want[1].items())
             assert list(got[2].items()) == list(want[2].items())
+            for k in range(1, 5):
+                assert_same_k_matching(mt.k_matching(graph, k), k_matching_oracle(graph, k))
 
     def test_long_augmenting_path(self):
         # the last left must shift all 3000 earlier matches along one path,
@@ -208,16 +252,30 @@ class TestKMatching:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_indist_graph_identical_to_the_dict_oracle(self, g7, side, k, monkeypatch):
+    def test_indist_graph_identical_to_the_dict_oracle(self, g7, side, k):
         if side == "left":
             adjacency = g7.bipartite_adjacency()
         else:
             adjacency = {rk: sorted(lks) for rk, lks in g7.right_adjacency.items()}
-        got = mt.k_matching(adjacency, k)
-        monkeypatch.setattr(mt, "hopcroft_karp", hopcroft_karp_oracle)
-        want = mt.k_matching(adjacency, k)
-        assert type(got) is type(want)
-        assert got == want
+        assert_same_k_matching(mt.k_matching(adjacency, k), k_matching_oracle(adjacency, k))
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_closed_form_k_at_t0(self, n):
+        # the two-cycle side saturates exactly up to k = floor(|V1| / |V2|)
+        # (6, 3, 2); the one-cycle side gets floor(|V2| / |V1|) = 0
+        graph = ig.build_indist_graph(fm.enumerate_family(n), AlwaysSilent(), 0)
+        counts = fm.family_counts(n)
+        k = counts.v1 // counts.v2
+        assert (k, counts.v2 // counts.v1) == ({6: 6, 7: 3, 8: 2}[n], 0)
+        right = {rk: sorted(lks) for rk, lks in graph.right_adjacency.items()}
+        left = graph.bipartite_adjacency()
+        assert len(right) == counts.v2 and len(left) == counts.v1
+        saturated = mt.k_matching(right, k)
+        assert isinstance(saturated, mt.KMatching) and saturated.size == counts.v2
+        for adjacency, bad in ((right, k + 1), (left, 1)):
+            violation = mt.k_matching(adjacency, bad)
+            assert isinstance(violation, mt.HallViolation)
+            assert mt.hall_check(adjacency, violation.subset, bad) == (False, violation)
 
 
 class TestHallCheck:

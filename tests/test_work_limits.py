@@ -296,8 +296,8 @@ class TestRefusalComesFirst:
             mt.exhaustive_hall_check({0: [0], 1: [1]}, 1)
 
     def test_k_matching(self, limits, monkeypatch):
-        monkeypatch.setattr(mt, "hopcroft_karp", fail)
-        limits(memory=1000)
+        monkeypatch.setattr(mt, "_index_graph", fail)
+        limits(memory=500)
         with pytest.raises(ResourceLimitError, match="^a 5-matching on 2 left vertices and 3 edges"):
             mt.k_matching({0: [0, 1], 1: [1]}, 5)
 
