@@ -101,7 +101,7 @@ class IdExchange(Algorithm):
 
         Only meaningful after `bits` rounds.
         """
-        ports = run.instance.ports[v]
+        ports = run.instance.port_row(v)
         # the symbol v receives at the port facing u is u's broadcast
         ones = (run.codes[:, :self.bits] == Symbol.ONE).tolist()
         return {ports[u]: sum(1 << r for r, one in enumerate(row) if one)

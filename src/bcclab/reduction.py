@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import partitions as pt
+from .errors import InternalConsistencyError
 from .sim import KT1, Symbol, Verdict, make_instance, simulate, symbol_rows
 from .unionfind import DisjointSet
 
@@ -55,8 +56,8 @@ class ReductionGraph:
 def build_reduction(variant, p_a, p_b):
     """The graph G(P_A, P_B) with the fixed id scheme.
 
-    Its edges and ids are stored; the KT1 instance, with its full port
-    table, is built only when ``instance`` is first read.
+    Its edges and ids are stored; the KT1 instance is built only when
+    ``instance`` is first read.
 
     Part indices follow canonical block order (blocks sorted by minimum
     element take indices 1, 2, ...); the leftover attachment vertex is
@@ -110,7 +111,8 @@ def components_partition(graph):
         blocks.setdefault(root, []).append(i)
         roots[i] = root
     for i in range(1, n + 1):  # rungs force the R projection to agree
-        assert ds.find(graph.r_vertex(i)) == roots[i]
+        if ds.find(graph.r_vertex(i)) != roots[i]:
+            raise InternalConsistencyError(f"l{i} and r{i} lie in different components")
     return pt.SetPartition(n, blocks.values())
 
 

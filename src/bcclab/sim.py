@@ -69,49 +69,6 @@ class Verdict(Enum):
     NO = "NO"
 
 
-def canonical_kt0_ports(ids):
-    """Default KT0 port tables: port of v facing u = rank of u by id.
-
-    Ranks run 1..n-1 over the vertices other than v sorted by id; the rule
-    is only a reproducible default and carries no more information than
-    any other fixed bijection.
-    """
-    n = len(ids)
-    order = sorted(range(n), key=lambda v: ids[v])
-    rank = [0] * n
-    for i, v in enumerate(order):
-        rank[v] = i
-    rows = []
-    for v in range(n):
-        rv = rank[v]
-        row = [r + 1 if r < rv else r for r in rank]
-        row[v] = 0
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def kt1_ports(ids):
-    """KT1 port law: the edge {u,v} sits at port ids[u] on v's side."""
-    base = list(ids)
-    rows = []
-    for v in range(len(ids)):
-        row = base.copy()
-        row[v] = 0
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def random_kt0_ports(rng, n):
-    """Independent uniformly random port bijections, one per vertex."""
-    rows = []
-    for v in range(n):
-        labels = list(range(1, n))
-        rng.shuffle(labels)
-        labels.insert(v, 0)
-        rows.append(tuple(labels))
-    return tuple(rows)
-
-
 def _require_ints(what, values):
     for x in values:
         if type(x) is not int:
@@ -158,32 +115,22 @@ class VertexView:
 
 @dataclass(frozen=True)
 class BccInstance:
-    """A clique network with ids, port tables and an input-edge subset.
+    """A clique network with ids, an input-edge subset and its ports.
 
-    Instances built through :func:`make_instance` are validated; internal
-    transforms that preserve the invariants (crossings in particular)
-    construct directly for speed. ``validate`` can always be re-run.
+    Ports follow the mode's law, 0 at v itself. KT1: the edge {u, v} sits
+    at port ids[u] on v's side. KT0: the port of v facing u is u's rank by
+    id among the other vertices, from 1, a reproducible default no more
+    informative than any other bijection. ``rewired`` holds the KT0 rows
+    that differ from the law, so equal tables give equal instances. An
+    entry costs O(1); a law row is built once, for the instance and every
+    crossing of it. :func:`make_instance` validates; crossings build their own.
     """
 
     n: int
     mode: str
     ids: tuple
     input_edges: frozenset  # of (u, v) tuples with u < v, vertex indices
-    ports: tuple  # ports[v][u] = port label of the network edge at v facing u
-
-    def validate(self):
-        _check_fields(self.n, self.mode, self.ids, self.input_edges)
-        if len(self.ports) != self.n:
-            raise ValueError("one port row per vertex required")
-        labels = list(range(self.n))  # a KT0 row, sorted
-        for v, row in enumerate(self.ports):
-            _require_ints(f"port labels at vertex {v}", row)
-            # either law fixes the whole row, length and zero diagonal included
-            if self.mode == KT0 and not (sorted(row) == labels and row[v] == 0):
-                raise ValueError(f"KT0 ports at vertex {v} must be 1..n-1, and 0 at v")
-            if self.mode == KT1 and tuple(row) != self.ids[:v] + (0,) + self.ids[v + 1:]:
-                raise ValueError(f"KT1 port law violated at vertex {v}")
-        return self
+    rewired: tuple  # (v, row) pairs by ascending v, row[u] = port label at v facing u
 
     @cached_property
     def input_neighbors(self):
@@ -197,34 +144,97 @@ class BccInstance:
     def _sorted_ids(self):
         return tuple(sorted(self.ids))
 
+    @cached_property
+    def _rank(self):
+        """u's place among the vertices sorted by id: the inverse of the sorting permutation."""
+        order = sorted(range(self.n), key=self.ids.__getitem__)
+        return sorted(range(self.n), key=order.__getitem__)
+
+    @cached_property
+    def _law_rows(self):
+        return {}  # built as read, and shared with every crossing
+
+    @cached_property
+    def _rewired_rows(self):
+        return dict(self.rewired)
+
     def port_at(self, v, u):
-        return self.ports[v][u]
+        row = self._rewired_rows.get(v)
+        if row is not None:
+            return row[u]
+        if u == v:
+            return 0
+        if self.mode == KT1:
+            return self.ids[u]
+        return self._rank[u] + (self._rank[u] < self._rank[v])
+
+    def port_row(self, v):
+        """v's port labels by vertex: ``port_row(v)[u] == port_at(v, u)``."""
+        return self._rewired_rows.get(v) or self._law_row(v)
+
+    def _law_row(self, v):
+        rows = self._law_rows
+        if v not in rows:
+            if self.mode == KT1:
+                rows[v] = self.ids[:v] + (0,) + self.ids[v + 1:]
+            else:
+                rv = self._rank[v]
+                row = [r + 1 if r < rv else r for r in self._rank]
+                row[v] = 0
+                rows[v] = tuple(row)
+        return rows[v]
+
+    def _port_sums(self):
+        """Each vertex's port label sum, in closed form: a KT0 row holds
+        1..n-1 in some order, and a KT1 row every other vertex's id."""
+        if self.mode == KT0:
+            return [self.n * (self.n - 1) // 2] * self.n
+        total = sum(self.ids)
+        return [total - i for i in self.ids]
+
+    @cached_property
+    def ports(self):
+        """The whole n x n table, for the instance format and the tests."""
+        return tuple(map(self.port_row, range(self.n)))
 
     def view(self, v):
-        row = self.ports[v]
         return VertexView(
             self.mode, self.n, self.ids[v],
-            frozenset(row[u] for u in self.input_neighbors[v]),
+            frozenset(self.port_at(v, u) for u in self.input_neighbors[v]),
             self._sorted_ids if self.mode == KT1 else (),
         )
 
 
 def make_instance(n, input_edges, mode=KT0, ids=None, ports=None):
-    """Build an instance; ids default to 0..n-1 and ports to the mode's canon.
+    """Build an instance; ids default to 0..n-1 and ports to the mode's law.
 
-    Explicitly supplied port tables are fully validated; canonical tables
-    are derived once the other fields pass, and skip the per-row check.
+    An explicit port table is checked row by row: a KT1 row must be the
+    law's, and a KT0 row put 1..n-1 on the other vertices and 0 at v. The
+    instance keeps the rows that differ from the law.
     """
     if ids is None:
         ids = range(n) if type(n) is int else ()  # the field check names a bad n
     ids = tuple(ids)
     edges = frozenset(_normalize_edge(e) for e in input_edges)
     _check_fields(n, mode, ids, edges)
-    check_work(f"an instance on {n} vertices", n * n * PY_OP, 22 * n * n)  # the port table
+    # an explicit table is n rows of n Python ints, refused before a row is read
+    cells = n * n if ports is not None else n + len(edges)
+    check_work(f"an instance on {n} vertices", cells * PY_OP, 22 * cells)
+    instance = BccInstance(n, mode, ids, edges, ())
     if ports is None:
-        ports = canonical_kt0_ports(ids) if mode == KT0 else kt1_ports(ids)
-        return BccInstance(n, mode, ids, edges, ports)
-    return BccInstance(n, mode, ids, edges, tuple(map(tuple, ports))).validate()
+        return instance
+    rows = tuple(map(tuple, ports))
+    if len(rows) != n:
+        raise ValueError("one port row per vertex required")
+    for v, row in enumerate(rows):
+        _require_ints(f"port labels at vertex {v}", row)
+        # either law fixes the whole row, length and zero diagonal included
+        if mode == KT0 and not (sorted(row) == list(range(n)) and row[v] == 0):
+            raise ValueError(f"KT0 ports at vertex {v} must be 1..n-1, and 0 at v")
+        if mode == KT1 and row != instance.port_row(v):
+            raise ValueError(f"KT1 port law violated at vertex {v}")
+    rewired = tuple((v, row) for v, row in enumerate(rows) if row != instance.port_row(v))
+    return BccInstance(n, mode, ids, edges, rewired)
 
 
 class Algorithm:
@@ -320,13 +330,8 @@ class SimulationRun:
         """Symbols delivered to v at the end of `round_no`, keyed by port."""
         if not 1 <= round_no <= self.t:
             raise ValueError(f"round {round_no} outside 1..{self.t}")
-        inst = self.instance
-        r = round_no - 1
-        return {
-            inst.ports[v][u]: self.sent[u][r]
-            for u in range(inst.n)
-            if u != v
-        }
+        row = self.instance.port_row(v)
+        return {row[u]: sent[round_no - 1] for u, sent in enumerate(self.sent) if u != v}
 
     @property
     def system_verdict(self):
@@ -351,8 +356,9 @@ def simulate(instance, algorithm, t):
     n = instance.n
     inbox = _overrides_receive(algorithm)
     # n t broadcasts, each a Python-level call; the inbox loop delivers
-    # each to n - 1 ports
-    check_work(f"{t} rounds on {n} vertices", n * t * (n * inbox + PY_OP), 8 * n * t)
+    # each to n - 1 ports, read from all n port rows
+    check_work(f"{t} rounds on {n} vertices",
+               n * t * (n * inbox + PY_OP) + inbox * n * n * PY_OP, 8 * n * t + inbox * 30 * n * n)
     views, states, index, codes = _run_instance(instance, algorithm, t, range(n))
     yes = algorithm.decide_run(views, np.arange(n)[None], states, index, codes)
     codes = codes[0]
@@ -412,22 +418,22 @@ def _run_instance(instance, algorithm, t, vertices, sent=None):
     views = tuple(instance.view(v) for v in vertices)
     fold = deliver = None
     if _overrides_receive(algorithm):
-        deliver = _inbox_step(instance.ports, algorithm, vertices)
+        deliver = _inbox_step(instance.port_row, algorithm, vertices)
     else:
-        fold = algorithm.members_receiver(_port_sums(instance.mode, instance.ids))
+        fold = algorithm.members_receiver(instance._port_sums())
     hosting = None if sent is None else (list(vertices), sent)
     return views, *_run_rounds(views, np.arange(len(views))[None], algorithm, t,
                                fold, deliver, hosting)
 
 
-def _inbox_step(ports, algorithm, vertices):
+def _inbox_step(port_row, algorithm, vertices):
     """The inbox loop of a machine that overrides ``receive``, as a round
     step over one state per (member, vertex) cell of `vertices`, member
     by member: each vertex gets the symbols of its member's round, keyed
-    by its port labels ``ports[v]``."""
+    by its port labels ``port_row(v)``."""
     # v's port row without v, aligned with the round minus v's payload, so
     # a KT1 port labelled id 0 is never taken for v's slot
-    delivery = [(v, ports[v][:v] + ports[v][v + 1:]) for v in vertices]
+    delivery = [(v, row[:v] + row[v + 1:]) for v, row in zip(vertices, map(port_row, vertices))]
     receive = algorithm.receive
 
     def step(states, round_no, heard):
@@ -443,16 +449,6 @@ def _overrides_receive(algorithm):
     wrapper bound on the instance (a tracer, say) does not make a
     record-only machine adaptive."""
     return type(algorithm).receive is not Algorithm.receive
-
-
-def _port_sums(mode, ids):
-    """The sum of each vertex's port labels, in closed form: a KT0 row
-    holds 1..n-1 in some order, and a KT1 row every other vertex's id."""
-    if mode == KT0:
-        n = len(ids)
-        return [n * (n - 1) // 2] * n
-    total = sum(ids)
-    return [total - i for i in ids]
 
 
 def _check_payloads(payloads, round_no, index, vertices):
@@ -566,7 +562,8 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
         raise ValueError("round count must be nonnegative")
     m, n, _ = neighbors.shape
     inbox = _overrides_receive(algorithm)
-    fold = None if inbox else algorithm.members_receiver(_port_sums(mode, range(n)))
+    law = BccInstance(n, mode, tuple(range(n)), frozenset(), ())  # the ports, not a member
+    fold = None if inbox else algorithm.members_receiver(law._port_sums())
     # Python-level calls: n + t per cell on the inbox loop, at worst one
     # digest per cell, or one per distinct view (an own id and two input
     # ports) and round
@@ -592,7 +589,7 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
         lo, hi = lo + (lo < vertex), hi + (hi < vertex)
     keys, view_index = np.unique(((vertex * n + lo) * n + hi).ravel(), return_inverse=True)
     view_index = view_index.reshape(m, n)
-    all_ids = tuple(range(n)) if mode == KT1 else ()
+    all_ids = law.ids if mode == KT1 else ()
     views = [
         VertexView(mode, n, key // (n * n), frozenset((key // n % n, key % n)), all_ids)
         for key in keys.tolist()
@@ -601,8 +598,7 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
     if inbox:  # a state per member-vertex
         views = [views[k] for k in view_index.ravel().tolist()]
         view_index = np.arange(m * n).reshape(m, n)
-        ports = canonical_kt0_ports(range(n)) if mode == KT0 else kt1_ports(range(n))
-        deliver = _inbox_step(ports, algorithm, range(n))
+        deliver = _inbox_step(law.port_row, algorithm, range(n))
     states, state_index, codes = _run_rounds(views, view_index, algorithm, t, fold, deliver)
     if not verdicts:
         return MemberRuns(codes)

@@ -41,9 +41,9 @@ from bcclab.sim import (
     Verdict,
     evaluate_error,
     make_instance,
-    random_kt0_ports,
     simulate,
 )
+from test_sim import random_kt0_ports
 
 
 def report(number, name, ok):

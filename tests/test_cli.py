@@ -263,13 +263,16 @@ class TestReportDiscipline:
              "--size must be at least 1, got 0"),
             (["verify-join", "--variant", "two-regular", "--random", "3", "--size", "1"],
              "--size must be at least 2, got 1"),
-            (["fool", "--n", "20000", "--t", "3"], "an instance on 20000 vertices is estimated"),
+            # an explicit 20000-vertex table, refused before its rows are read
+            (["simulate", "--instance", "{dir}/huge.json", "--t", "1"],
+             "an instance on 20000 vertices is estimated"),
             (["verify-join", "--exhaustive", "--n", "7"],
              "the exhaustive sweep at n=7 is estimated"),
         ],
     )
-    def test_bad_input_exits_2_with_one_line(self, capsys, argv, message):
-        assert_usage_error(capsys, argv, message)
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, message):
+        (tmp_path / "huge.json").write_text('{"n": 20000, "input_edges": [], "ports": []}')
+        assert_usage_error(capsys, [a.format(dir=tmp_path) for a in argv], message)
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -27,9 +27,9 @@ from bcclab.sim import (
     Symbol,
     Verdict,
     make_instance,
-    random_kt0_ports,
     simulate,
 )
+from test_sim import random_kt0_ports
 
 
 def full_compare_states(i1, i2, algorithm, t):

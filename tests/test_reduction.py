@@ -1,5 +1,6 @@
 """Reduction graphs, join correspondence, two-party bisimulation."""
 
+import dataclasses
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from bcclab import partitions as pt
 from bcclab import reduction as rd
 from bcclab.algorithms import AlwaysSilent, FullExchangeSparse, RandomTable
+from bcclab.errors import InternalConsistencyError
 from bcclab.sim import Symbol, Verdict, simulate
 
 
@@ -98,6 +100,16 @@ class TestBuildGeneral:
         l3 = g.l_vertex(3)
         assert tuple(sorted((1, l3))) in edges  # a_2
         assert tuple(sorted((2, l3))) in edges  # a_3
+
+    def test_missing_rung_is_an_internal_error(self):
+        # raised, not asserted, so it holds under python -O too
+        p = pt.SetPartition.singletons(3)
+        g = rd.build_reduction(rd.GENERAL, p, p)
+        rung = (g.l_vertex(2), g.r_vertex(2))
+        assert rung in g.edges
+        broken = dataclasses.replace(g, edges=tuple(e for e in g.edges if e != rung))
+        with pytest.raises(InternalConsistencyError, match="l2 and r2 lie in different"):
+            rd.components_partition(broken)
 
     def test_ground_size_mismatch(self):
         with pytest.raises(ValueError, match="ground"):

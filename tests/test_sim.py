@@ -37,7 +37,6 @@ from bcclab.sim import (
     instance_from_json,
     instance_to_json,
     make_instance,
-    random_kt0_ports,
     simulate,
     simulate_hosted,
     simulate_members,
@@ -63,6 +62,68 @@ def all_port_tables(n, limit=5):
         per_vertex.append(tables)
     for combo in product(*per_vertex):
         yield tuple(combo)
+
+
+def canonical_kt0_ports(ids):
+    """The KT0 port law as a full table, the oracle for ``sim``'s: port of
+    v facing u = rank of u by id among the vertices other than v, from 1."""
+    n = len(ids)
+    order = sorted(range(n), key=lambda v: ids[v])
+    rank = [0] * n
+    for i, v in enumerate(order):
+        rank[v] = i
+    rows = []
+    for v in range(n):
+        rv = rank[v]
+        row = [r + 1 if r < rv else r for r in rank]
+        row[v] = 0
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def kt1_ports(ids):
+    """The KT1 port law as a full table: the edge {u,v} sits at port ids[u]
+    on v's side."""
+    base = list(ids)
+    rows = []
+    for v in range(len(ids)):
+        row = base.copy()
+        row[v] = 0
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def random_kt0_ports(rng, n):
+    """Independent uniformly random KT0 port bijections, one per vertex."""
+    rows = []
+    for v in range(n):
+        labels = list(range(1, n))
+        rng.shuffle(labels)
+        labels.insert(v, 0)
+        rows.append(tuple(labels))
+    return tuple(rows)
+
+
+def law_table(mode, ids):
+    return canonical_kt0_ports(ids) if mode == KT0 else kt1_ports(ids)
+
+
+def full_table_cross(instance, e1, e2):
+    """:func:`bcclab.crossing.cross` on the whole port table, through
+    make_instance: the four endpoints swap the ports facing the two
+    tails (heads), and the input edges follow."""
+    rows = [list(row) for row in instance.ports]
+    v1, u1, v2, u2 = e1.head, e1.tail, e2.head, e2.tail
+    for a, x, y in ((v1, u1, u2), (u1, v1, v2), (v2, u2, u1), (u2, v2, v1)):
+        rows[a][x], rows[a][y] = rows[a][y], rows[a][x]
+    edges = set(instance.input_edges) - {tuple(sorted((v1, u1))), tuple(sorted((v2, u2)))}
+    edges |= {tuple(sorted((v1, u2))), tuple(sorted((v2, u1)))}
+    return make_instance(instance.n, edges, ids=instance.ids, ports=rows)
+
+
+def random_ids(rng, n):
+    """n distinct ids, neither contiguous nor in vertex order."""
+    return rng.sample(range(3 * n + 5), n)
 
 
 class RecordingIdExchange(IdExchange):
@@ -142,6 +203,104 @@ class TestInstanceValidation:
         assert len(set(tables)) == len(tables)
         with pytest.raises(ResourceLimitError):
             next(all_port_tables(6))
+
+
+class TestPortLaw:
+    """The one port law against the full tables it replaced, the oracle."""
+
+    def test_ports_and_entries_follow_the_law(self):
+        rng = random.Random(20)
+        for n in range(2, 41):
+            for mode in (KT0, KT1):
+                ids = random_ids(rng, n)
+                inst = make_instance(n, [], mode=mode, ids=ids)
+                table = law_table(mode, ids)
+                assert inst.rewired == ()
+                assert inst.ports == table
+                assert [[inst.port_at(v, u) for u in range(n)] for v in range(n)] == \
+                    [list(row) for row in table]
+                # an explicit law table keeps no row; a random KT0 table
+                # keeps the rows that differ from the law
+                assert make_instance(n, [], mode=mode, ids=ids, ports=table) == inst
+                if mode == KT0:
+                    ports = random_kt0_ports(rng, n)
+                    other = make_instance(n, [], ids=ids, ports=ports)
+                    assert other.ports == ports
+                    assert other.rewired == tuple(
+                        (v, row) for v, row in enumerate(ports) if row != table[v])
+                    assert all(other.port_at(v, u) == ports[v][u]
+                               for v in range(n) for u in range(n))
+
+    def test_member_formula_is_the_law(self):
+        # simulate_members computes KT0 views from u + 1 if u < v, else u;
+        # InputPorts says in round r whether port r carries an input edge
+        rng = np.random.default_rng(21)
+        for n in range(3, 12):
+            table = canonical_kt0_ports(range(n))
+            assert make_instance(n, []).ports == table
+            shift = rng.integers(1, n, size=(50, n, 2))
+            shift[:, :, 1] = (shift[:, :, 0] + rng.integers(1, n - 1, size=(50, n))) % n
+            shift[:, :, 1] += shift[:, :, 1] == 0
+            neighbors = (np.arange(n)[:, None] + shift) % n
+            sent = simulate_members(neighbors, KT0, InputPorts(), n - 1).sent
+            want = [[[int(r in {table[v][u] for u in nbr}) for r in range(1, n)]
+                     for v, nbr in enumerate(member)] for member in neighbors.tolist()]
+            assert sent.tolist() == want
+
+    def test_crossings_equal_the_full_table_cross(self):
+        rng = random.Random(22)
+        for n in range(4, 16):
+            for ports in (None, random_kt0_ports(rng, n)):
+                inst = make_instance(n, [(i, (i + 1) % n) for i in range(n)],
+                                     ids=random_ids(rng, n), ports=ports)
+                for _ in range(6):  # a chain: rows are rewired, crossed back, ...
+                    pairs = [(e1, e2) for e1 in cx.directed_input_edges(inst)
+                             for e2 in cx.directed_input_edges(inst)
+                             if cx.are_independent(inst, e1, e2)]
+                    if not pairs:
+                        break
+                    e1, e2 = rng.choice(pairs)
+                    crossed = cx.cross(inst, e1, e2)
+                    oracle = full_table_cross(inst, e1, e2)
+                    assert crossed == oracle
+                    assert crossed.ports == oracle.ports
+                    assert crossed.input_neighbors == oracle.input_neighbors
+                    assert crossed.view(e1.head) == oracle.view(e1.head)
+                    back = cx.cross(crossed, cx.oriented_edge(crossed, e1.head, e2.tail),
+                                    cx.oriented_edge(crossed, e2.head, e1.tail))
+                    assert back == inst and back.ports == inst.ports
+                    inst = crossed
+
+    def test_crossing_back_keeps_no_row(self):
+        for n in (6, 9):
+            inst = make_instance(n, [(i, (i + 1) % n) for i in range(n)], ids=range(n, 0, -1))
+            for e1 in cx.directed_input_edges(inst):
+                for e2 in cx.directed_input_edges(inst):
+                    if not cx.are_independent(inst, e1, e2):
+                        continue
+                    crossed = cx.cross(inst, e1, e2)
+                    assert [v for v, _ in crossed.rewired] == sorted(
+                        {e1.head, e1.tail, e2.head, e2.tail})
+                    back = cx.cross(crossed, cx.oriented_edge(crossed, e1.head, e2.tail),
+                                    cx.oriented_edge(crossed, e2.head, e1.tail))
+                    assert back == inst and back.rewired == ()
+
+    def test_json_round_trips(self):
+        rng = random.Random(23)
+        for n in range(2, 13):
+            for mode in (KT0, KT1):
+                ids = random_ids(rng, n)
+                edges = rng.sample([(u, v) for u in range(n) for v in range(u + 1, n)],
+                                   rng.randrange(n))
+                ports = random_kt0_ports(rng, n) if mode == KT0 else None
+                inst = make_instance(n, edges, mode=mode, ids=ids, ports=ports)
+                text = instance_to_json(inst)
+                # the table is written out in full, as the law's tables were
+                doc = {"n": n, "mode": mode, "b": 1, "ids": ids,
+                       "input_edges": sorted(list(e) for e in inst.input_edges),
+                       "ports": [list(row) for row in ports or law_table(mode, ids)]}
+                assert text == json.dumps(doc, sort_keys=True)
+                assert instance_from_json(text) == inst
 
 
 class TestSimulate:
@@ -701,7 +860,7 @@ class TestRoundFoldAgainstInboxOracle:
             ids[rng.randrange(n)] = 0
             for inst in (cycle_instance(n, ports=random_kt0_ports(rng, n), ids=ids),
                          cycle_instance(n, mode=KT1, ids=ids)):
-                assert sim._port_sums(inst.mode, inst.ids) == [sum(row) for row in inst.ports]
+                assert inst._port_sums() == [sum(row) for row in inst.ports]
 
     @pytest.mark.parametrize("variant", [rd.TWO_REGULAR, rd.GENERAL])
     def test_two_party_runs(self, variant):

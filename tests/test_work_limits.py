@@ -45,24 +45,6 @@ def fail(*args, **kwargs):
     raise AssertionError("work started before the size check")
 
 
-class CanonicalRow:
-    """Row v of the canonical KT0 port table on ids 0..n-1, one entry at
-    a time: the port of v facing u is u + 1 if u < v, else u (0 at v)."""
-
-    def __init__(self, v):
-        self.v = v
-
-    def __getitem__(self, u):
-        return u + 1 if u < self.v else u if u > self.v else 0
-
-
-def lazy_cycle(n):
-    """The KT0 n-cycle of ``fool --n``, with ports computed as read, so
-    the fooling-pair search reaches its sweep check without an n x n table."""
-    edges = frozenset((min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n))
-    return sim.BccInstance(n, sim.KT0, tuple(range(n)), edges, tuple(map(CanonicalRow, range(n))))
-
-
 class InboxSilent(AlwaysSilent):
     """AlwaysSilent delivered through simulate's per-vertex inbox loop."""
 
@@ -102,9 +84,11 @@ ADMIT = [
     *[(f"error-eval --n {n} --algo full-exchange-sparse --mode KT1: member runs", main,
        (["error-eval", "--n", str(n), "--algo", "full-exchange-sparse", "--mode", "KT1"],),
        "a batch") for n in (9, 10)],
-    ("fool --n 5000 --t 3: instance", sim.make_instance, (5000, []), "an instance"),
-    ("fool --n 5000 --t 3: run", sim.simulate,
-     (SimpleNamespace(n=5000), AlwaysSilent(), 3), "3 rounds"),
+    *[entry for n in (5000, 20000) for entry in (
+        (f"fool --n {n} --t 3: instance", sim.make_instance, (n, cycle_edges(n)), "an instance"),
+        (f"fool --n {n} --t 3: run", main, (["fool", "--n", str(n), "--t", "3"],), "3 rounds"),
+        (f"fool --n {n} --t 3: sweep", main, (["fool", "--n", str(n), "--t", "3"],), "verifying"),
+    )],
     # 5439 pairs, each crossed and checked on its four endpoints
     ("fool --n 300 --t 3 --verify full: sweep", main,
      (["fool", "--n", "300", "--t", "3", "--verify", "full"],), "verifying"),
@@ -146,10 +130,13 @@ REFUSE = [
     ("bell(10**9)", pt.bell, (10**9,), "bell"),
     ("indist-stats --n 11: graph", ig.build_indist_graph,
      (family_stub(11), AlwaysSilent(), 0), "the indist"),
-    ("fool --n 20000 --t 3: instance", sim.make_instance, (20000, []), "an instance"),
+    # an explicit table is refused on its n^2 entries before a row is read
+    ("an explicit port table on 20000 vertices", sim.make_instance,
+     (20000, [], sim.KT0, None, fail), "an instance"),
     # 12,487,500 pairs, each an O(n) crossing
-    ("fool --n 5000 --t 0 --algo always-silent --verify full: sweep", cx.find_fooling_pairs,
-     (lazy_cycle(5000), AlwaysSilent(), 0, "full"), "verifying"),
+    ("fool --n 5000 --t 0 --algo always-silent --verify full: sweep", main,
+     (["fool", "--n", "5000", "--t", "0", "--algo", "always-silent", "--verify", "full"],),
+     "verifying"),
     # the inbox loop delivers each of 10^6 broadcasts to 4999 ports
     ("inbox machine at n=5000, t=200", sim.simulate,
      (SimpleNamespace(n=5000), InboxSilent(), 200), "200 rounds"),
@@ -209,16 +196,13 @@ class TestCheckWork:
 def test_sweep_estimate_counts_the_checks_it_makes():
     for n in (6, 12, 13):
         inst = sim.make_instance(n, cycle_edges(n))
-        assert [[row[u] for u in range(n)] for row in lazy_cycle(n).ports] == \
-            [list(row) for row in inst.ports]
         for algo, t in ((AlwaysSilent(), 0), (IdExchange(bits=4), 2)):
             pairs = len(cx.find_fooling_pairs(inst, algo, t, verify="none"))
             for verify, sample, checks in (("full", 8, pairs), ("sampled", 3, min(3, pairs)),
                                            ("sampled", 8, min(8, pairs)), ("none", 8, 0)):
-                for cycle in (inst, lazy_cycle(n)):
-                    what = estimate(cx.find_fooling_pairs, cycle, algo, t, verify, sample,
-                                    site="verifying")[0]
-                    assert what == f"verifying {checks} of {pairs} fooling pairs on {n} vertices"
+                what = estimate(cx.find_fooling_pairs, inst, algo, t, verify, sample,
+                                site="verifying")[0]
+                assert what == f"verifying {checks} of {pairs} fooling pairs on {n} vertices"
 
 
 def test_graph_estimate_counts_every_splitting_pair():
@@ -302,10 +286,10 @@ class TestRefusalComesFirst:
             mt.k_matching({0: [0, 1], 1: [1]}, 5)
 
     def test_make_instance_builds_no_port_table(self, limits, monkeypatch):
-        monkeypatch.setattr(sim, "canonical_kt0_ports", fail)
-        limits(memory=100)
-        with pytest.raises(ResourceLimitError, match="^an instance on 5 vertices"):
-            sim.make_instance(5, cycle_edges(5))
+        monkeypatch.setattr(sim.BccInstance, "_law_row", fail)
+        limits(memory=22 * 10)  # the 5 ids and 5 edges pass, a 5 x 5 table does not
+        inst = sim.make_instance(5, cycle_edges(5))
+        assert inst.rewired == () and inst.port_at(0, 4) == 4
         with pytest.raises(ResourceLimitError, match="^an instance on 5 vertices"):
             sim.make_instance(5, cycle_edges(5), ports=fail)  # never read
 
@@ -334,10 +318,12 @@ class TestRefusalComesFirst:
 
 
 class TestCommandsRefuseFirst:
-    def test_fool_at_20000_builds_no_port_table(self, capsys, monkeypatch):
-        monkeypatch.setattr(sim, "canonical_kt0_ports", fail)
+    def test_simulate_refuses_a_20000_vertex_table_before_its_rows(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        # a row read would end in "one port row per vertex required"
+        path.write_text('{"n": 20000, "input_edges": [], "ports": []}')
         with pytest.raises(SystemExit) as e:
-            main(["fool", "--n", "20000", "--t", "3"])
+            main(["simulate", "--instance", str(path), "--t", "1"])
         assert e.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
