@@ -6,11 +6,12 @@ values that compare with ==. Broadcast payloads are single symbols.
 ``AlwaysYes``/``AlwaysSilent``, ``IdExchange`` and ``FullExchangeSparse``
 are record-only: they do not override ``receive``, so their states stay
 as ``initialize`` made them and never hold received rows. What they
-learn is read from the run's transcript instead: ``IdExchange.port_ids``
-decodes a vertex's ports from the run, and ``FullExchangeSparse``
-decides a whole batch of runs in ``decide_run``, on their (m, n, t)
-``int8`` transcript. States therefore compare only the initial
-knowledge; the transcript is compared through ``SimulationRun.codes``.
+learn is read from the run's transcript instead: after ``IdExchange``'s
+``bits`` rounds it names the id behind every port, and
+``FullExchangeSparse`` decides a whole batch of runs in ``decide_run``,
+on their (m, n, t) ``int8`` transcript. States therefore compare only
+the initial knowledge; the transcript is compared through
+``SimulationRun.codes``.
 ``RandomTable`` with modulus 1 is record-only too; with modulus > 1 it
 is the folding machine: ``members_receiver`` folds a whole round into
 every vertex's digest at once, with no inboxes, for one run or for many
@@ -95,17 +96,6 @@ class IdExchange(Algorithm):
 
     def round_budget(self, instance):
         return self.bits
-
-    def port_ids(self, run, v):
-        """Port -> id map that vertex v of `run` decodes from its receptions.
-
-        Only meaningful after `bits` rounds.
-        """
-        ports = run.instance.port_row(v)
-        # the symbol v receives at the port facing u is u's broadcast
-        ones = (run.codes[:, :self.bits] == Symbol.ONE).tolist()
-        return {ports[u]: sum(1 << r for r, one in enumerate(row) if one)
-                for u, row in enumerate(ones) if u != v}
 
 
 class FullExchangeSparse(Algorithm):

@@ -37,6 +37,7 @@ from .sim import (
     instance_from_json,
     instance_to_json,
     make_instance,
+    members_work,
     simulate,
     simulate_members,
 )
@@ -175,17 +176,16 @@ def cmd_family(args, rep):
     return code
 
 
-def _family_and_machine(args, mode=KT0):
-    """The family of args.n, its first one-cycle instance, and the machine
-    with its defaults from that instance."""
+def _family_and_machine(args):
+    """The family of args.n, and the machine with its defaults from the
+    family's first one-cycle instance."""
     fam = fm.enumerate_family(args.n, args.min_cycle_len)
-    first = fam.one_cycle_instance(fam.one_cycles[0], mode=mode)
-    return fam, first, _algorithm(args, first)
+    return fam, _algorithm(args, fam.one_cycle_instance(fam.one_cycles[0]))
 
 
 def _built_graph(args):
     ig.check_graph_size(args.n, args.min_cycle_len)
-    fam, _, algorithm = _family_and_machine(args)
+    fam, algorithm = _family_and_machine(args)
     # x and y default to all-silent strings of length t
     x = _parse_symbols(args.x if args.x else "-" * args.t)
     y = _parse_symbols(args.y if args.y else "-" * args.t)
@@ -405,17 +405,30 @@ def cmd_simulate(args, rep):
 
 
 def cmd_error_eval(args, rep):
-    # sim.evaluate_error's exact error, each family side run as one batch
-    fam, first, algorithm = _family_and_machine(args, args.mode)
+    # sim.evaluate_error's exact error, each family side run as one batch;
+    # both batches are checked from the sides' closed-form sizes, with the
+    # machine built from the first key 0..n-1, before the family is enumerated
+    n, mode = args.n, args.mode
+    fm.check_family_size(n, args.min_cycle_len)
+    classes = fm.two_cycle_classes(n, args.min_cycle_len)
+    if not classes:
+        raise ValueError(f"no two-cycle member at n={n} with cycles of length >= "
+                         f"{args.min_cycle_len}; both families must be nonempty")
+    first = fm.instance_from_cycles([range(n)], mode)
+    algorithm = _algorithm(args, first)
     t = args.t
     if t is None:
         t = algorithm.round_budget(first) or 0
-    sizes, error = [], Fraction(0)
-    for neighbors, truth in ((fam.one_cycle_neighbors(), True),
-                             (fam.two_cycle_neighbors(), False)):
-        yes = simulate_members(neighbors, args.mode, algorithm, t, verdicts=True).system_yes
-        sizes.append(len(yes))
-        error += Fraction(int((yes != truth).sum()), 2 * len(yes))
+    sizes = (fm.one_cycle_count(n), sum(fm.t_class_count(n, i) for i in classes))
+    for m in sizes:
+        check_work(f"a batch of {m} members on {n} vertices over {t} rounds",
+                   *members_work(m, n, mode, algorithm, t, verdicts=True))
+    fam = fm.enumerate_family(n, args.min_cycle_len)
+    error = Fraction(0)
+    for neighbors, truth, m in ((fam.one_cycle_neighbors(), True, sizes[0]),
+                                (fam.two_cycle_neighbors(), False, sizes[1])):
+        yes = simulate_members(neighbors, mode, algorithm, t, verdicts=True).system_yes
+        error += Fraction(int((yes != truth).sum()), 2 * m)
     rep.emit({
         "n": args.n, "t": t, "algo": args.algo, "mode": args.mode,
         "yes_size": sizes[0], "no_size": sizes[1],

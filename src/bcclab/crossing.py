@@ -42,15 +42,6 @@ def oriented_edge(instance, head, tail):
     )
 
 
-def directed_input_edges(instance):
-    """Both orientations of every input edge, in deterministic order."""
-    out = []
-    for u, v in sorted(instance.input_edges):
-        out.append(oriented_edge(instance, u, v))
-        out.append(oriented_edge(instance, v, u))
-    return tuple(out)
-
-
 def are_independent(instance, e1, e2):
     """Four distinct endpoints and neither crossed counterpart is an input edge."""
     for e in (e1, e2):

@@ -235,14 +235,20 @@ class CycleFamily:
         return instance_from_cycles(key, mode=mode)
 
 
-def enumerate_family(n, min_cycle_len=3):
-    """Complete duplicate-free families for n >= 5 (n <= 11 is admitted)."""
+def check_family_size(n, min_cycle_len=3):
+    """Refuse the n-vertex family before it is enumerated: n >= 5, and
+    n <= 11 is admitted."""
     if n < 5:
         raise ValueError("family enumeration needs n >= 5")
     # a key takes about n Python-level operations and 8 n + 150 bytes
     keys = capped_count(
         lambda n: one_cycle_count(n) * (1 + family_ratio_float(n, min_cycle_len)), n)
     check_work(f"family enumeration at n={n}", keys * n * PY_OP, keys * (8 * n + 150))
+
+
+def enumerate_family(n, min_cycle_len=3):
+    """Complete duplicate-free families for n >= 5 (n <= 11 is admitted)."""
+    check_family_size(n, min_cycle_len)
     twos = {}
     for i, key in two_cycle_keys(n, min_cycle_len):
         twos.setdefault(i, []).append(key)
@@ -277,17 +283,6 @@ class FamilyCounts:
     v2: int
     ratio: object  # Fraction
     ratio_float: float
-
-
-def family_ratio_terms(n, min_cycle_len=3):
-    """|T_i|/|V1| simplifies to n/(2 i (n-i)), halved at i = n/2."""
-    terms = {}
-    for i in two_cycle_classes(n, min_cycle_len):
-        term = Fraction(n, 2 * i * (n - i))
-        if 2 * i == n:
-            term /= 2
-        terms[i] = term
-    return terms
 
 
 def family_ratio_float(n, min_cycle_len=3):

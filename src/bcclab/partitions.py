@@ -61,10 +61,6 @@ class SetPartition:
             blocks.setdefault(label, []).append(i + 1)
         return cls(len(rgs), blocks.values())
 
-    def as_rgs(self):
-        """Restricted growth string: position i carries the block index of i+1."""
-        return tuple(self._block_of[e] for e in range(1, self.ground_size + 1))
-
     @property
     def is_trivial(self):
         return len(self.blocks) == 1

@@ -11,10 +11,10 @@ every component is an even cycle of length at least 4.
 party hosting Alice's vertices and one hosting Bob's; per round each
 party sends the symbols its hosted vertices broadcast, in increasing id
 order, and both rebuild every broadcast from the fixed id scheme. The
-messages are read off one monolithic run, and the rebuilt transcript is
-checked to equal that run's, which makes the two-party run a
-bisimulation of the monolithic one (same states, same verdicts), with
-exact communication accounting.
+messages, tuples of int Symbol codes, are read off one monolithic run's
+``int8`` transcript, and the rebuilt transcript is checked to equal that
+run's, which makes the two-party run a bisimulation of the monolithic
+one (same states, same verdicts), with exact communication accounting.
 """
 
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ from functools import cached_property
 
 from . import partitions as pt
 from .errors import InternalConsistencyError
-from .sim import KT1, Symbol, Verdict, make_instance, simulate, symbol_rows
+from .sim import KT1, Verdict, make_instance, simulate
 from .unionfind import DisjointSet
 
 GENERAL = "general"
@@ -129,7 +129,7 @@ def multicycle_ground_truth(p_a, p_b):
 
 @dataclass(frozen=True)
 class TwoPartyTrace:
-    """Messages exchanged per round, each a symbol tuple in id order."""
+    """Messages exchanged per round, each a tuple of int Symbol codes in id order."""
 
     rounds: tuple  # tuple of (alice_message, bob_message)
     symbols_per_message: int
@@ -150,17 +150,6 @@ def pack_trits(symbols):
     for s in reversed(symbols):
         value = value * 3 + int(s)
     return format(value, "x")
-
-
-def unpack_trits(text, length):
-    value = int(text, 16)
-    if not 0 <= value < 3**length:
-        raise ValueError(f"{text!r} does not pack {length} trits")
-    out = []
-    for _ in range(length):
-        value, digit = divmod(value, 3)
-        out.append(Symbol(digit))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -205,7 +194,7 @@ def two_party_simulate_graph(graph, algorithm, t):
     """
     alice, bob = graph.alice_vertices, graph.bob_vertices
     run = simulate(graph.instance, algorithm, t)
-    sent_rounds = symbol_rows(run.codes.T)
+    sent_rounds = run.codes.T.tolist()  # round by round, the int code of each vertex's symbol
     messages = tuple(
         (tuple(sent[v] for v in alice), tuple(sent[v] for v in bob)) for sent in sent_rounds
     )
@@ -215,9 +204,7 @@ def two_party_simulate_graph(graph, algorithm, t):
     # every round the parties rebuild equals the run's, vertices fed the
     # rebuilt broadcasts reach the run's states and verdicts (induction
     # on r).
-    equivalent = sent_rounds == tuple(
-        tuple(_rebuilt_round(graph, msg_a, msg_b)) for msg_a, msg_b in messages
-    )
+    equivalent = sent_rounds == [_rebuilt_round(graph, a, b) for a, b in messages]
     trace = TwoPartyTrace(messages, len(alice))
     return TwoPartyResult(
         graph, t, trace, dict(enumerate(run.states)), dict(enumerate(run.verdicts)),

@@ -59,11 +59,6 @@ SYMBOL_FROM_CHAR = {"0": Symbol.ZERO, "1": Symbol.ONE, "-": Symbol.SILENT}
 _SYMBOLS = np.array(tuple(Symbol), dtype=object)  # the Symbol of each int8 code
 
 
-def symbol_rows(codes):
-    """The rows of a 2-D array of Symbol codes, each as a tuple of Symbols."""
-    return tuple(map(tuple, _SYMBOLS[codes].tolist()))
-
-
 class Verdict(Enum):
     YES = "YES"
     NO = "NO"
@@ -308,10 +303,8 @@ class SimulationRun:
 
     ``codes[v, r]``, a read-only (n, t) ``int8`` array, is the code of
     the Symbol vertex v broadcast in round r + 1; ``sent`` derives the
-    Symbol tuples. Received symbols are exposed through :meth:`received`,
-    reconstructed from the senders' rows and the port tables; by
-    construction the symbol seen at u in round r on the port facing v
-    equals sent[v][r-1].
+    Symbol tuples. What a vertex received follows from it: in round r
+    every other vertex heard v's ``sent[v][r - 1]`` at its port facing v.
     """
 
     instance: BccInstance
@@ -324,14 +317,7 @@ class SimulationRun:
     @cached_property
     def sent(self):
         """``sent[v]``: vertex v's broadcasts, one Symbol per round."""
-        return symbol_rows(self.codes)
-
-    def received(self, v, round_no):
-        """Symbols delivered to v at the end of `round_no`, keyed by port."""
-        if not 1 <= round_no <= self.t:
-            raise ValueError(f"round {round_no} outside 1..{self.t}")
-        row = self.instance.port_row(v)
-        return {row[u]: sent[round_no - 1] for u, sent in enumerate(self.sent) if u != v}
+        return tuple(map(tuple, _SYMBOLS[self.codes].tolist()))
 
     @property
     def system_verdict(self):
@@ -376,6 +362,35 @@ def hosted_work(n, hosted, t, algorithm):
     round."""
     inbox = _overrides_receive(algorithm)
     return hosted * (t + 1) * (n * inbox + PY_OP) + n * t, 8 * n * t
+
+
+def members_work(m, n, mode, algorithm, t, verdicts=False):
+    """Steps and bytes of a :func:`simulate_members` batch of m members on
+    n vertices, from the sizes alone, so a caller can refuse a batch
+    before it builds the members."""
+    inbox = _overrides_receive(algorithm)
+    port_sums = _law_instance(n, mode)._port_sums()
+    folds = not inbox and algorithm.members_receiver(port_sums) is not None
+    # Python-level calls: n + t per cell on the inbox loop, at worst one
+    # digest per cell, or one per distinct view (an own id and two input
+    # ports) and round
+    if inbox:
+        calls = m * n * (n + t)
+    elif folds:
+        calls = m * n * t
+    else:
+        calls = min(m * n, n * (n - 1) * (n - 2) // 2) * (t + 1)
+    # array passes over the cells: each round's and, with verdicts, the
+    # decide's over the transcript and its O(log n) labelling rounds
+    cells = m * n * (t + 1 + verdicts * (t + n.bit_length()))
+    # the int8 transcripts, a fold's intp index of each round, the decide's arrays
+    memory = m * n * (2 * t + 64 + (folds + verdicts) * 8 * t)
+    return 20 * cells + calls * PY_OP, memory
+
+
+def _law_instance(n, mode):
+    """The ports of a cycle-family member, ids 0..n-1: an edgeless law instance."""
+    return BccInstance(n, mode, tuple(range(n)), frozenset(), ())
 
 
 def simulate_hosted(instance, algorithm, t, hosted, sent):
@@ -561,25 +576,11 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
     if t < 0:
         raise ValueError("round count must be nonnegative")
     m, n, _ = neighbors.shape
-    inbox = _overrides_receive(algorithm)
-    law = BccInstance(n, mode, tuple(range(n)), frozenset(), ())  # the ports, not a member
-    fold = None if inbox else algorithm.members_receiver(law._port_sums())
-    # Python-level calls: n + t per cell on the inbox loop, at worst one
-    # digest per cell, or one per distinct view (an own id and two input
-    # ports) and round
-    if inbox:
-        calls = m * n * (n + t)
-    elif fold is not None:
-        calls = m * n * t
-    else:
-        calls = min(m * n, n * (n - 1) * (n - 2) // 2) * (t + 1)
-    # array passes over the cells: each round's and, with verdicts, the
-    # decide's over the transcript and its O(log n) labelling rounds
-    cells = m * n * (t + 1 + verdicts * (t + n.bit_length()))
-    # the int8 transcripts, a fold's intp index of each round, the decide's arrays
-    memory = m * n * (2 * t + 64 + ((fold is not None) + verdicts) * 8 * t)
     check_work(f"a batch of {m} members on {n} vertices over {t} rounds",
-               20 * cells + calls * PY_OP, memory)
+               *members_work(m, n, mode, algorithm, t, verdicts))
+    inbox = _overrides_receive(algorithm)
+    law = _law_instance(n, mode)
+    fold = None if inbox else algorithm.members_receiver(law._port_sums())
     vertex = np.arange(n)
     if m and (neighbors.min() < 0 or neighbors.max() >= n or (neighbors == vertex[:, None]).any()):
         raise ValueError(f"input neighbors must be other vertices among 0..{n - 1}")

@@ -3,13 +3,16 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
+from bcclab import families as fm
 from bcclab import reduction as rd
 from bcclab import sim
-from bcclab.cli import main
-from bcclab.sim import instance_to_json, make_instance
+from bcclab.algorithms import make_algorithm
+from bcclab.cli import DEFAULT_SEED, main
+from bcclab.sim import KT0, KT1, evaluate_error, instance_to_json, make_instance
 
 
 def run_cli(capsys, *argv):
@@ -186,6 +189,32 @@ BAD_INSTANCES = {
 }
 
 
+class TestErrorEvalOracle:
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("mode, algo, budget, rounds", [
+        (KT0, "always-yes", 0, ()),  # no budget: --t defaults to 0
+        (KT0, "id-exchange", 3, (0, 1)),
+        (KT0, "random-table", 0, (2,)),
+        (KT1, "full-exchange-sparse", 6, (0, 5)),
+    ])
+    def test_batched_error_equals_the_instance_oracle(self, capsys, n, mode, algo, budget, rounds):
+        # the record sums simulate_members verdicts over the family sides;
+        # sim.evaluate_error simulates every member's instance on its own
+        fam = fm.enumerate_family(n)
+        yes = [fam.one_cycle_instance(key, mode) for key in fam.one_cycles]
+        no = [fam.two_cycle_instance(key, mode) for key in fam.all_two_cycle_keys()]
+        # the machine as the CLI builds it: defaults from the first member
+        params = {"seed": DEFAULT_SEED} if algo == "random-table" else {}
+        machine = make_algorithm(algo, instance=yes[0], **params)
+        argv = ["error-eval", "--n", str(n), "--mode", mode, "--algo", algo]
+        for t in (None, *rounds):
+            code, records = run_cli(capsys, *argv, *(() if t is None else ("--t", str(t))))
+            record = records[0]["record"]
+            assert code == 0 and record["t"] == (budget if t is None else t)
+            assert (record["yes_size"], record["no_size"]) == (len(yes), len(no))
+            assert Fraction(record["error"]) == evaluate_error(machine, record["t"], yes, no)
+
+
 class TestReportDiscipline:
     def test_byte_identical_reports(self, capsys):
         argv = ["verify-join", "--variant", "general", "--random", "20",
@@ -268,6 +297,11 @@ class TestReportDiscipline:
              "an instance on 20000 vertices is estimated"),
             (["verify-join", "--exhaustive", "--n", "7"],
              "the exhaustive sweep at n=7 is estimated"),
+            # an empty two-cycle side: the error's half over it is 0/0
+            (["error-eval", "--n", "5"],
+             "no two-cycle member at n=5 with cycles of length >= 3"),
+            (["error-eval", "--n", "6", "--min-cycle-len", "4"],
+             "no two-cycle member at n=6 with cycles of length >= 4"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, message):

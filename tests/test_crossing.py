@@ -29,13 +29,14 @@ from bcclab.sim import (
     make_instance,
     simulate,
 )
+from oracles import directed_input_edges, received
 from test_sim import random_kt0_ports
 
 
 def full_compare_states(i1, i2, algorithm, t):
     """Oracle of :func:`bcclab.crossing.compare_states`: both instances
     simulated in full, every view and every broadcast compared, and the
-    received symbols rebuilt port by port (``SimulationRun.received``)
+    received symbols rebuilt port by port (:func:`oracles.received`)
     at every vertex whose port row differs."""
     if i1.n != i2.n or i1.mode != i2.mode:
         raise ValueError("instances must share n and mode")
@@ -54,7 +55,7 @@ def full_compare_states(i1, i2, algorithm, t):
         if i1.ports[v] == i2.ports[v]:
             continue
         for r in range(1, t + 1):
-            m1, m2 = r1.received(v, r), r2.received(v, r)
+            m1, m2 = received(r1, v, r), received(r2, v, r)
             if m1 != m2:
                 port = next(p for p in sorted(m1) if m1[p] != m2.get(p))
                 return cx.StateDifference(v, r, port, "received")
@@ -128,7 +129,7 @@ def active_edges(instance, algorithm, t, x, y):
     run = simulate(instance, algorithm, t)
     return tuple(
         e
-        for e in cx.directed_input_edges(instance)
+        for e in directed_input_edges(instance)
         if run.sent[e.head][:t] == x and run.sent[e.tail][:t] == y
     )
 
@@ -232,7 +233,7 @@ class TestCross:
         for _ in range(1000):
             n = rng.randrange(6, 31)
             inst = random_cycle_instance(rng, n)
-            edges = cx.directed_input_edges(inst)
+            edges = directed_input_edges(inst)
             e1, e2 = rng.sample(edges, 2)
             if not cx.are_independent(inst, e1, e2):
                 continue
@@ -245,7 +246,7 @@ class TestCross:
         for _ in range(200):
             n = rng.randrange(6, 20)
             inst = random_cycle_instance(rng, n)
-            edges = cx.directed_input_edges(inst)
+            edges = directed_input_edges(inst)
             e1, e2 = rng.sample(edges, 2)
             if not cx.are_independent(inst, e1, e2):
                 continue
@@ -361,7 +362,7 @@ class TestLabelsAndActivity:
         inst = cycle_instance(6)
         algo = IdExchange(bits=3)
         run = simulate(inst, algo, 1)
-        for e in cx.directed_input_edges(inst):
+        for e in directed_input_edges(inst):
             label = label_from_run(run, e, 1)
             assert label == (Symbol(inst.ids[e.head] & 1),
                              Symbol(inst.ids[e.tail] & 1))
@@ -574,7 +575,7 @@ class TestAgainstTheFullRunOracle:
             t = rng.randrange(0, 5)
             inst = random_cycle_instance(rng, n)
             algo = machine(name, inst)
-            e1, e2 = rng.sample(cx.directed_input_edges(inst), 2)
+            e1, e2 = rng.sample(directed_input_edges(inst), 2)
             if not cx.are_independent(inst, e1, e2):
                 continue
             crossed = cx.cross(inst, e1, e2)
@@ -630,7 +631,7 @@ class TestAgainstTheFullRunOracle:
                 assert full_compare_states(inst, crossed, algo, t) is None
         # and independent pairs whatever their labels; the inbox loop of
         # PortWeights delivers n^2 symbols a round, so it gets two
-        edges = cx.directed_input_edges(inst)
+        edges = directed_input_edges(inst)
         seen = Counter()
         while sum(seen.values()) < 30:
             e1, e2 = rng.sample(edges, 2)

@@ -17,9 +17,10 @@ from bcclab import families as fm
 from bcclab import indist as ig
 from bcclab import matching as mt
 from bcclab.algorithms import AlwaysSilent, IdExchange, RandomTable
-from bcclab.crossing import are_independent, cross, directed_input_edges, states_identical
+from bcclab.crossing import are_independent, cross, states_identical
 from bcclab.errors import InternalConsistencyError
 from bcclab.sim import Symbol, simulate
+from oracles import directed_input_edges
 
 
 def _op_key(f1, f2):

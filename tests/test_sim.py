@@ -42,6 +42,20 @@ from bcclab.sim import (
     simulate_members,
     system_verdict,
 )
+from oracles import directed_input_edges, received
+
+
+def port_ids(algorithm, run, v):
+    """Port -> id map that vertex v of `run` decodes from its receptions
+    under the machine ``IdExchange(bits)``.
+
+    Only meaningful after `bits` rounds.
+    """
+    ports = run.instance.port_row(v)
+    # the symbol v receives at the port facing u is u's broadcast
+    ones = (run.codes[:, :algorithm.bits] == Symbol.ONE).tolist()
+    return {ports[u]: sum(1 << r for r, one in enumerate(row) if one)
+            for u, row in enumerate(ones) if u != v}
 
 
 def all_port_tables(n, limit=5):
@@ -254,8 +268,8 @@ class TestPortLaw:
                 inst = make_instance(n, [(i, (i + 1) % n) for i in range(n)],
                                      ids=random_ids(rng, n), ports=ports)
                 for _ in range(6):  # a chain: rows are rewired, crossed back, ...
-                    pairs = [(e1, e2) for e1 in cx.directed_input_edges(inst)
-                             for e2 in cx.directed_input_edges(inst)
+                    pairs = [(e1, e2) for e1 in directed_input_edges(inst)
+                             for e2 in directed_input_edges(inst)
                              if cx.are_independent(inst, e1, e2)]
                     if not pairs:
                         break
@@ -274,8 +288,8 @@ class TestPortLaw:
     def test_crossing_back_keeps_no_row(self):
         for n in (6, 9):
             inst = make_instance(n, [(i, (i + 1) % n) for i in range(n)], ids=range(n, 0, -1))
-            for e1 in cx.directed_input_edges(inst):
-                for e2 in cx.directed_input_edges(inst):
+            for e1 in directed_input_edges(inst):
+                for e2 in directed_input_edges(inst):
                     if not cx.are_independent(inst, e1, e2):
                         continue
                     crossed = cx.cross(inst, e1, e2)
@@ -310,7 +324,7 @@ class TestSimulate:
         for v in range(5):
             assert run.sent[v] == (Symbol.SILENT,) * 3
             for r in range(1, 4):
-                assert set(run.received(v, r).values()) == {Symbol.SILENT}
+                assert set(received(run, v, r).values()) == {Symbol.SILENT}
 
     def test_broadcast_consistency(self):
         inst = cycle_instance(6)
@@ -318,7 +332,7 @@ class TestSimulate:
         run = simulate(inst, algo, 4)
         for v in range(6):
             for r in range(1, 5):
-                inbox = run.received(v, r)
+                inbox = received(run, v, r)
                 for u in range(6):
                     if u != v:
                         assert inbox[inst.port_at(v, u)] == run.sent[u][r - 1]
@@ -360,7 +374,7 @@ class TestSimulate:
         for v in range(n):
             assert run1.states[v] == run2.states[perm[v]]
             assert run1.sent[v] == run2.sent[perm[v]]
-            assert algo.port_ids(run1, v) == algo.port_ids(run2, perm[v])
+            assert port_ids(algo, run1, v) == port_ids(algo, run2, perm[v])
         # adaptive machines: the recorder takes the inbox loop and keeps
         # every port-keyed inbox, RandomTable folds them in the engine
         for adaptive in (RecordingIdExchange(bits=3), RandomTable(seed=4, modulus=3)):
@@ -370,13 +384,13 @@ class TestSimulate:
                 assert run1.states[v] == run2.states[perm[v]]
                 assert run1.sent[v] == run2.sent[perm[v]]
                 for r in range(1, 5):
-                    assert run1.received(v, r) == run2.received(perm[v], r)
+                    assert received(run1, v, r) == received(run2, perm[v], r)
         # the recorder's inboxes are the transcript read through the ports
         run = simulate(inst, RecordingIdExchange(bits=3), 4)
         assert len(set(run.states)) == n
         for v in range(n):
             assert run.states[v][1] == tuple(
-                tuple(sorted(run.received(v, r).items())) for r in range(1, 5)
+                tuple(sorted(received(run, v, r).items())) for r in range(1, 5)
             )
 
     def test_no_public_tape(self):
@@ -491,7 +505,7 @@ class TestIdExchange:
         algo = IdExchange(bits=bits)
         run = simulate(inst, algo, bits)
         for v in range(6):
-            decoded = algo.port_ids(run, v)
+            decoded = port_ids(algo, run, v)
             truth = {inst.port_at(v, u): inst.ids[u] for u in range(6) if u != v}
             assert decoded == truth
 
@@ -510,7 +524,7 @@ def per_vertex_verdicts(run, algo):
         if run.t < algo.max_degree * w:
             verdicts.append(Verdict.YES)
             continue
-        rows = [run.received(v, r) for r in range(1, run.t + 1)]
+        rows = [received(run, v, r) for r in range(1, run.t + 1)]
         edges = {(view.own_id, x) for x in view.input_ports}  # KT1 labels are ids
         for sender in view.all_ids:
             if sender == view.own_id:

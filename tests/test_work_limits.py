@@ -345,6 +345,22 @@ class TestCommandsRefuseFirst:
         assert len(err) == 1
         assert err[0].startswith(f"bcclab: error: {what}")
 
+    def test_error_eval_refuses_a_batch_before_the_family_is_enumerated(
+        self, capsys, monkeypatch
+    ):
+        # the 1,814,400 one-cycle members are counted in closed form, and
+        # their batch is refused before a family key is listed
+        monkeypatch.setattr(fm, "enumerate_family", fail)
+        with pytest.raises(SystemExit) as e:
+            main(["error-eval", "--n", "11", "--algo", "id-exchange"])
+        assert e.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "bcclab: error: a batch of 1814400 members on 11 vertices over 4 rounds is estimated"
+            " at 5.189e+09 steps and 2.076e+09 bytes, over the limits of 4e+09 steps and"
+            " 2.147e+09 bytes"
+        ]
+
     def test_indist_stats_refuses_the_graph_before_any_member_runs(
         self, capsys, monkeypatch
     ):
