@@ -40,5 +40,5 @@ for n in range(1, 6):
 # the pairings-only submatrix E^n is full rank too; for n=4 it is the
 # 3x3 all-ones-minus-identity
 e4 = build_join_matrix("E", 4)
-print("E^4 rows          =", e4.rows)
+print("E^4 rows          =", e4.rows.tolist())
 print("rank(E^4)         =", exact_rank(e4))

@@ -7,11 +7,15 @@ the i-th and j-th index partition is the one-block partition.
 A matrix is built when check_work admits the 2 d^3 / 3 steps of its rank,
 d its closed-form dimension: M^7 (877) and E^10 (945), not M^8 (4140).
 
-Rows are built on element bitmasks. For each index partition r,
-closure[r, S] is the union of the blocks of r that meet the set S. The
-block of element 1 in the join of partitions i and j is the fixed point
-of S -> closure[j, closure[i, S]] from S = {1}, computed for a whole row
-at once; the entry is 1 when that block is all of {1..n}.
+The matrix is built from closed-set words. The block of element 1 in
+the join of partitions p and q is the smallest set holding 1 that is a
+union of blocks of both, so the join is the one-block partition exactly
+when no proper set holding 1 is a union of blocks of both. For each
+index partition r, bit k of its word is set when the k-th proper set
+holding 1 (the odd bitmask 2k + 1 over {1..n}) is a union of blocks of
+r; entry (p, q) is 1 when the words of p and q share no bit. The
+2^(n-1) - 1 sets take one uint64 word up to n = 7, 2 at n = 8 and 8 at
+n = 10, and the matrix is kept as one read-only (d, d) int8 array.
 
 Ranks are exact and use no floating point. One row echelon elimination
 modulo the prime PRIME = 16777213 (the largest below 2^24) gives the
@@ -58,19 +62,33 @@ KINDS = {
 }
 
 
+class _Rows(np.ndarray):
+    """A JoinMatrix's rows: an int8 array that is true when it has a row,
+    as a list of rows is, since callers that take either (the benchmark's
+    tracer of exact_rank among them) test it so. Its arithmetic and
+    comparisons give plain arrays, whose truth stays ambiguous."""
+
+    def __bool__(self):
+        return len(self) > 0
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        array = array.view(np.ndarray)
+        return array[()] if return_scalar else array
+
+
 @dataclass(frozen=True)
 class JoinMatrix:
     kind: str  # "M" or "E"
     n: int
     index: tuple  # SetPartition per row/column, in enumeration order
-    rows: tuple  # tuple of tuples of 0/1 ints
+    rows: np.ndarray  # read-only, C-contiguous (d, d) int8 array of 0/1
 
     @property
     def dimension(self):
         return len(self.index)
 
     def entry(self, i, j):
-        return self.rows[i][j]
+        return int(self.rows[i, j])
 
     def index_hash(self):
         """Stable digest of the row/column index (the enumeration contract)."""
@@ -95,24 +113,26 @@ def build_join_matrix(kind, n):
     """Construct the 0/1 join matrix of the given kind over {1..n}."""
     count, enumerate_index = _kind(kind)
     dim = capped_count(count, n)
-    # the elimination, n closure rounds a row; rows, int64 copy, closures (2^n <= 8 d)
+    width = max(1, 2**n // 128)  # uint64 words for a row's 2^(n-1) - 1 proper sets holding 1
+    # the elimination and one AND per word per entry; the int8 rows and
+    # the rank's two int64 copies (the closures, 2^n <= 8 d, fit in those)
     check_work(f"kind {kind} at n={n} with dimension {dim if n <= 64 else 'over 2^63'}",
-               dim * dim * (2 * dim // 3 + 3 * n), 32 * dim * dim)
+               dim * dim * (2 * dim // 3 + width), 17 * dim * dim)
     index = tuple(enumerate_index(n))
-    closure = _block_closures(index, n)
-    flat = closure.ravel()
-    column_base = np.arange(dim) * closure.shape[1]  # row starts in `flat`
-    full = (1 << n) - 1
-    rows = []
-    for row_closure in closure:
-        comp = np.ones(dim, dtype=closure.dtype)  # {1} in every column
-        while True:
-            grown = flat[column_base + row_closure[comp]]
-            if np.array_equal(grown, comp):
-                break
-            comp = grown
-        rows.append(tuple((comp == full).view(np.int8).tolist()))
-    return JoinMatrix(kind, n, index, tuple(rows))
+    sets = np.arange(1, (1 << n) - 1, 2, dtype=np.int16)  # the proper sets holding 1
+    closed = np.zeros((dim, 64 * width), dtype=bool)
+    closed[:, :len(sets)] = _block_closures(index, n)[:, sets] == sets
+    words = np.packbits(closed, axis=1).view(np.uint64)
+    rows = np.empty((dim, dim), dtype=np.int8)
+    step = max(1, dim // (8 * width))  # a block's uint64 temporary fits in `rows`
+    for start in range(0, dim, step):
+        block = words[start:start + step]
+        shared = block[:, 0, None] & words[:, 0]
+        for w in range(1, width):
+            shared |= block[:, w, None] & words[:, w]
+        rows[start:start + step] = shared == 0
+    rows.flags.writeable = False
+    return JoinMatrix(kind, n, index, rows.view(_Rows))
 
 
 def _block_closures(index, n):
@@ -157,7 +177,7 @@ def _integer_array(rows):
     A non-integer entry raises TypeError: truncating it would rank a
     different matrix.
     """
-    a = np.array(rows)
+    a = np.asarray(rows)
     if a.dtype.kind in "bi":
         return a.astype(np.int64, copy=False)
     return np.array([[operator.index(v) for v in r] for r in rows], dtype=object)
@@ -347,9 +367,7 @@ def verify_principal_submatrix_rank(matrix, subset):
         raise ValueError("subset index out of range")
     if not idx:
         return True
-    rows = matrix.rows
-    sub = [[rows[i][j] for j in idx] for i in idx]
-    return exact_rank(sub) == len(idx)
+    return exact_rank(matrix.rows[np.ix_(idx, idx)]) == len(idx)
 
 
 def rank_report(matrix):
@@ -372,9 +390,9 @@ def export_text(matrix):
         f"join-matrix kind={matrix.kind} n={matrix.n} "
         f"dimension={matrix.dimension} index-hash={matrix.index_hash()}"
     )
-    lines = [header]
-    lines.extend("".join(str(v) for v in row) for row in matrix.rows)
-    return "\n".join(lines) + "\n"
+    lines = np.full((matrix.dimension, matrix.dimension + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :-1] = matrix.rows + ord("0")
+    return header + "\n" + lines.tobytes().decode()
 
 
 def export_binary(matrix):
@@ -388,5 +406,5 @@ def export_binary(matrix):
         },
         sort_keys=True,
     ).encode()
-    bits = np.packbits(np.array(matrix.rows, dtype=np.uint8))  # MSB first
+    bits = np.packbits(matrix.rows)  # MSB first
     return header + b"\n" + bits.tobytes()

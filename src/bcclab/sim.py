@@ -368,6 +368,8 @@ def members_work(m, n, mode, algorithm, t, verdicts=False):
     """Steps and bytes of a :func:`simulate_members` batch of m members on
     n vertices, from the sizes alone, so a caller can refuse a batch
     before it builds the members."""
+    if t < 0:
+        raise ValueError("round count must be nonnegative")
     inbox = _overrides_receive(algorithm)
     port_sums = _law_instance(n, mode)._port_sums()
     folds = not inbox and algorithm.members_receiver(port_sums) is not None
@@ -573,8 +575,6 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
         raise ValueError(f"neighbors must have shape (m, n, 2), got {neighbors.shape}")
     if mode not in (KT0, KT1):
         raise ValueError(f"unknown mode {mode!r}")
-    if t < 0:
-        raise ValueError("round count must be nonnegative")
     m, n, _ = neighbors.shape
     check_work(f"a batch of {m} members on {n} vertices over {t} rounds",
                *members_work(m, n, mode, algorithm, t, verdicts))

@@ -302,6 +302,7 @@ class TestReportDiscipline:
              "no two-cycle member at n=5 with cycles of length >= 3"),
             (["error-eval", "--n", "6", "--min-cycle-len", "4"],
              "no two-cycle member at n=6 with cycles of length >= 4"),
+            (["error-eval", "--n", "11", "--t", "-1"], "round count must be nonnegative"),
         ],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, argv, message):

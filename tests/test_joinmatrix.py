@@ -7,10 +7,12 @@ elimination and plain rational Gaussian elimination on everything small
 enough to afford it.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,13 +79,13 @@ def pairwise_join_rows(index):
 class TestBuild:
     def test_m1_is_trivially_one(self):
         m = jm.build_join_matrix("M", 1)
-        assert m.rows == ((1,),)
+        assert m.rows.tolist() == [[1]]
 
     def test_m2_entries(self):
         # index order is RGS-lexicographic: (1,2) before (1)(2)
         m = jm.build_join_matrix("M", 2)
         assert [str(p) for p in m.index] == ["(1,2)", "(1)(2)"]
-        assert m.rows == ((1, 1), (1, 0))
+        assert m.rows.tolist() == [[1, 1], [1, 0]]
 
     def test_e4_is_all_ones_minus_identity(self):
         e = jm.build_join_matrix("E", 4)
@@ -104,6 +106,15 @@ class TestBuild:
         for i in range(m.dimension):
             for j in range(m.dimension):
                 assert m.entry(i, j) == m.entry(j, i)
+
+    def test_rows_are_true_when_they_have_a_row(self):
+        # as a list of rows is, since exact_rank's callers pass either;
+        # a comparison of the rows stays a plain array
+        m = jm.build_join_matrix("M", 3)
+        assert m.rows and m.rows[np.ix_([0, 2], [1, 2])]
+        assert type(m.rows == 1) is np.ndarray
+        with pytest.raises(ValueError, match="ambiguous"):
+            bool(m.rows == 1)
 
     def test_limits(self):
         with pytest.raises(ResourceLimitError):
@@ -143,8 +154,10 @@ class TestBuildAgainstPairwiseJoins:
     )
     def test_whole_matrix(self, kind, n):
         m = jm.build_join_matrix(kind, n)
-        assert m.rows == pairwise_join_rows(m.index)
-        assert all(type(v) is int for row in m.rows for v in row)
+        assert tuple(map(tuple, m.rows.tolist())) == pairwise_join_rows(m.index)
+        assert m.rows.dtype == np.int8 and m.rows.shape == (m.dimension, m.dimension)
+        assert m.rows.flags.c_contiguous and not m.rows.flags.writeable
+        assert type(m.entry(0, m.dimension - 1)) is int
 
     @pytest.mark.parametrize("kind, n", [("M", 7), ("E", 10)])
     def test_sampled_rows(self, kind, n):
@@ -152,7 +165,7 @@ class TestBuildAgainstPairwiseJoins:
         columns = range(m.dimension)
         rng = random.Random(f"{kind}{n}")
         for i in rng.sample(columns, 40):
-            assert m.rows[i] == join_row(m.index, i, columns)
+            assert tuple(m.rows[i].tolist()) == join_row(m.index, i, columns)
 
     def test_no_partition_join_calls(self, monkeypatch):
         def refuse(p, q):
@@ -216,7 +229,7 @@ class TestExactRank:
         for kind, n in (("M", 3), ("M", 4), ("E", 6)):
             m = jm.build_join_matrix(kind, n)
             if m.dimension <= 15:
-                assert jm.exact_rank(m) == rank_by_rational_elimination(m.rows)
+                assert jm.exact_rank(m) == rank_by_rational_elimination(m.rows.tolist())
 
 
 class TestModularCertificate:
@@ -258,7 +271,7 @@ class TestModularCertificate:
     def test_deficient_rank_needs_an_exact_certificate(self, monkeypatch):
         # with Bareiss answering -1, any other answer is the certificate's
         monkeypatch.setattr(jm, "bareiss_rank", lambda rows: -1)
-        rows = [list(r) for r in jm.build_join_matrix("M", 4).rows]
+        rows = jm.build_join_matrix("M", 4).rows.tolist()
         rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
         assert jm.exact_rank(rows) == 14
         # rank 1 mod p, 2 over Q: the kernel identity fails on row 0
@@ -317,14 +330,14 @@ class TestKernelCertificateAgainstOracles:
         assert [jm.exact_rank(rows) for rows in cases] == truths
 
     def test_m6_with_a_dependent_row(self):
-        rows = [list(r) for r in jm.build_join_matrix("M", 6).rows]
+        rows = jm.build_join_matrix("M", 6).rows.tolist()
         rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
         assert jm.exact_rank(rows) == jm.bareiss_rank(rows) == 202
 
     def test_deficient_principal_subset_of_m7(self):
         m = jm.build_join_matrix("M", 7)
         subset = sorted(random.Random(3).sample(range(m.dimension), 220))
-        sub = [[m.rows[i][j] for j in subset] for i in subset]
+        sub = m.rows[np.ix_(subset, subset)].tolist()
         assert not jm.verify_principal_submatrix_rank(m, subset)
         assert jm.exact_rank(sub) == jm.bareiss_rank(sub) == 219
 
@@ -366,7 +379,7 @@ class TestPrincipalSubmatrix:
         for _ in range(50):
             size = rng.randint(1, m.dimension)
             subset = sorted(rng.sample(range(m.dimension), size))
-            sub = [[m.rows[i][j] for j in subset] for i in subset]
+            sub = m.rows[np.ix_(subset, subset)].tolist()
             truth = rank_by_rational_elimination(sub) == len(subset)
             assert jm.verify_principal_submatrix_rank(m, subset) == truth
             full, deficient = full + truth, deficient + (not truth)
@@ -378,7 +391,7 @@ class TestPrincipalSubmatrix:
             jm.verify_principal_submatrix_rank(m, [5])
 
     def test_detects_singular_submatrix(self):
-        rows = ((1, 1, 0), (1, 1, 0), (0, 0, 1))
+        rows = np.array(((1, 1, 0), (1, 1, 0), (0, 0, 1)), dtype=np.int8)
         fake = jm.JoinMatrix("M", 0, (None, None, None), rows)
         assert not jm.verify_principal_submatrix_rank(fake, [0, 1])
 
@@ -407,7 +420,7 @@ class TestReportsAndExports:
         bits = []
         for byte in packed:
             bits.extend((byte >> (7 - k)) & 1 for k in range(8))
-        flat = [v for row in m.rows for v in row]
+        flat = m.rows.ravel().tolist()
         assert bits[: len(flat)] == flat
 
     @pytest.mark.parametrize(
@@ -417,7 +430,25 @@ class TestReportsAndExports:
         m = jm.build_join_matrix(kind, n)
         header, packed = jm.export_binary(m).split(b"\n", 1)
         assert json.loads(header)["dimension"] == m.dimension
-        assert packed == packed_msb_first(m.rows)
+        assert packed == packed_msb_first(m.rows.tolist())
+
+    # whole matrices, past the pairwise oracle's 40 sampled rows; the
+    # digests come from an independent build (a per-row closure fixed point)
+    @pytest.mark.parametrize(
+        "kind, n, text_sha, binary_sha",
+        [
+            ("M", 7, "22aae64c3bfefdd7cc2b090f26edabb105585ecace3fe4511b09130452d039cc",
+             "fa146d51815ff32afc67efd3438b0ca1cef521eed0404b54ba3307d166cb3e3f"),
+            ("E", 8, "a58d004d99177a82e33b2e966052cea883081751190d724736df5637cba738f2",
+             "26caf5a8d9d08e590f0bcb1ce4f3daafcd89765ce988ca4d0690c3cab562264b"),
+            ("E", 10, "5d9b2537b6b9edbeb5e154b8f6a2f97800128ef36b634e63836cab9b64c0195b",
+             "cd8250d8262db6fb8b7fdb1022a56147638f4122a70c252a1b166e6de36a2654"),
+        ],
+    )
+    def test_exports_match_pinned_digests(self, kind, n, text_sha, binary_sha):
+        m = jm.build_join_matrix(kind, n)
+        assert hashlib.sha256(jm.export_text(m).encode()).hexdigest() == text_sha
+        assert hashlib.sha256(jm.export_binary(m)).hexdigest() == binary_sha
 
     def test_index_hash_is_stable(self):
         a = jm.build_join_matrix("M", 4).index_hash()

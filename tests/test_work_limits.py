@@ -361,6 +361,18 @@ class TestCommandsRefuseFirst:
             " 2.147e+09 bytes"
         ]
 
+    def test_error_eval_refuses_a_negative_t_before_the_family_is_enumerated(
+        self, capsys, monkeypatch
+    ):
+        # a negative t shrinks the batch estimate; it is refused there
+        monkeypatch.setattr(fm, "enumerate_family", fail)
+        with pytest.raises(SystemExit) as e:
+            main(["error-eval", "--n", "11", "--t", "-1"])
+        assert e.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "bcclab: error: round count must be nonnegative"
+        ]
+
     def test_indist_stats_refuses_the_graph_before_any_member_runs(
         self, capsys, monkeypatch
     ):
