@@ -34,6 +34,7 @@ from .sim import (
     KT0,
     KT1,
     SYMBOL_FROM_CHAR,
+    codes_text,
     instance_from_json,
     instance_to_json,
     make_instance,
@@ -291,7 +292,7 @@ def cmd_fool(args, rep):
         e1, e2 = report.pair(idx)
         rep.emit({
             "t": args.t,
-            "label": "".join(str(s) for s in report.labels[report.pairs[idx][0]]),
+            "label": report.labels[report.pairs[idx][0]],
             "pair": [[e1.head, e1.tail], [e2.head, e2.tail]],
             "split_lengths": list(report.split_lengths(idx)),
             "verified": report.verification["failures"] == 0,
@@ -395,11 +396,8 @@ def cmd_simulate(args, rep):
         "t": args.t,
         "system": run.system_verdict.value,
         "verdicts": [v.value for v in run.verdicts],
-        "sent": ["".join(str(s) for s in run.sent[v]) for v in range(inst.n)],
-        "rounds": [
-            "".join(str(run.sent[v][r]) for v in range(inst.n))
-            for r in range(args.t)
-        ],
+        "sent": codes_text(run.codes),
+        "rounds": codes_text(run.codes.T),
     })
     return 0
 

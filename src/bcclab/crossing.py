@@ -10,6 +10,7 @@ exactly, and hunt for such fooling pairs on cycle instances.
 """
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 from operator import ne
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import PY_OP, InternalConsistencyError, check_work
 from .families import canonical_cycles, two_cycle_codes, walk_cycle
-from .sim import KT0, BccInstance, hosted_work, simulate, simulate_hosted
+from .sim import KT0, BccInstance, codes_text, hosted_work, simulate, simulate_hosted
 
 
 class DirectedInputEdge(NamedTuple):
@@ -198,41 +199,50 @@ def cycle_orientation(instance):
     return tuple(seq)
 
 
-def splitting_pairs(positions, n, min_len=3):
-    """Position pairs whose same-direction crossing splits an n-cycle.
+def splitting_pairs(labels, min_len=3):
+    """Same-label position pairs whose same-direction crossing splits a cycle.
 
-    Position p of an oriented cycle c is the edge c[p] -> c[p+1 mod n].
-    Crossing the same-direction edges at positions i < k is independent
-    and splits c into the cycles c[i+1:k+1] and c[k+1:] + c[:i+1], both of
-    at least m = max(3, min_len) vertices, exactly when
-    m <= k - i <= n - m (distances 1 and 2 and their mirrors fail
-    independence). Reversing both edges yields the same crossed instance,
-    and a mixed-direction pair merges into a single cycle, so neither adds
-    a split.
+    ``labels`` holds an integer for each position p of an oriented n-cycle
+    c, the edge c[p] -> c[p+1 mod n]. Crossing the same-direction edges at
+    positions i < k is independent and splits c into the cycles
+    c[i+1:k+1] and c[k+1:] + c[:i+1], both of at least m = max(3, min_len)
+    vertices, exactly when m <= k - i <= n - m (distances 1 and 2 and
+    their mirrors fail independence). Reversing both edges yields the same
+    crossed instance, and a mixed-direction pair merges into a single
+    cycle, so neither adds a split.
 
-    ``positions`` must be ascending; the result is an (p, 2) int64 array
-    of the qualifying (i, k) in lexicographic order.
+    Returns an (p, 2) int64 array of the qualifying (i, k) whose labels
+    are equal, in lexicographic order.
     """
-    pos, lo, hi = _splitting_ranges(positions, n, min_len)
-    counts = hi - lo
-    a = np.repeat(np.arange(len(pos)), counts)
-    b = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    return np.column_stack((pos[a], pos[b]))
+    order, lo, counts = _splitting_ranges(labels, min_len)
+    pairs = np.empty((counts.sum(), 2), dtype=np.int64)
+    pairs[:, 0] = np.repeat(np.arange(len(counts)), counts)
+    # position i's partners are order[lo[i]:lo[i] + counts[i]], ascending
+    at = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    at += np.arange(len(at))
+    pairs[:, 1] = order[at]
+    return pairs
 
 
-def splitting_pair_count(positions, n, min_len=3):
-    """``len(splitting_pairs(positions, n, min_len))``, without the pairs."""
-    _, lo, hi = _splitting_ranges(positions, n, min_len)
-    return int((hi - lo).sum())
+def splitting_pair_count(labels, min_len=3):
+    """``len(splitting_pairs(labels, min_len))``, without the pairs."""
+    return int(_splitting_ranges(labels, min_len)[2].sum())
 
 
-def _splitting_ranges(positions, n, min_len):
-    """The positions as an array, and for each index a the range [lo, hi)
-    of the indices b with m <= pos[b] - pos[a] <= n - m."""
-    pos = np.asarray(positions, dtype=np.int64)
+def _splitting_ranges(labels, min_len):
+    """The positions sorted by (label, position), and for each position i
+    where the run of that order holding the positions k with i's label and
+    m <= k - i <= n - m starts, and its length."""
+    labels = np.asarray(labels)
+    n = len(labels)
+    order = np.argsort(labels, kind="stable")
+    # a position's key, 2n times where its label first comes in the order
+    # plus the position, ascends along the order
+    key = labels[order].searchsorted(labels) * (2 * n) + np.arange(n)
+    ordered = key[order]
     m = max(3, min_len)
-    lo = np.searchsorted(pos, pos + m)
-    return pos, lo, np.maximum(np.searchsorted(pos, pos + n - m, side="right"), lo)
+    lo = ordered.searchsorted(key + m)
+    return order, lo, np.maximum(ordered.searchsorted(key + n - m, side="right") - lo, 0)
 
 
 def split_codes(cycles, pairs):
@@ -256,18 +266,17 @@ def split_codes(cycles, pairs):
 class FoolingPairReport:
     """All crossing pairs that the algorithm provably cannot detect.
 
-    ``edges`` lists the canonically oriented cycle edges by position;
-    ``pairs`` is an integer array of position pairs (i, k), i < k, each
-    one an independent same-label pair whose crossing splits the cycle
-    into two cycles of length >= 3. Pair (i, k) splits into lengths
-    (k - i, n - (k - i)).
+    Position p is the cycle edge cycle[p] -> cycle[p+1 mod n], ``labels[p]``
+    the 2t characters (``0``, ``1``, ``-``) its head, then its tail broadcast,
+    and ``pairs`` an integer array of position pairs (i, k), i < k, each one
+    an independent same-label pair whose crossing splits the cycle into two
+    cycles of length >= 3. Pair (i, k) splits into lengths (k - i, n - (k - i)).
     """
 
     instance: BccInstance
     t: int
     cycle: tuple
-    edges: tuple
-    labels: tuple  # per position, a 2t-symbol tuple
+    labels: tuple
     pairs: np.ndarray
     verification: dict
 
@@ -275,12 +284,12 @@ class FoolingPairReport:
         return len(self.pairs)
 
     def pair(self, i):
-        a, b = self.pairs[i]
-        return self.edges[a], self.edges[b]
+        c, n = self.cycle, len(self.cycle)
+        return tuple(oriented_edge(self.instance, c[p], c[(p + 1) % n])
+                     for p in self.pairs[i].tolist())
 
     def __iter__(self):
-        for a, b in self.pairs:
-            yield self.edges[a], self.edges[b]
+        return map(self.pair, range(len(self)))
 
     def split_lengths(self, i):
         a, b = self.pairs[i]
@@ -288,20 +297,17 @@ class FoolingPairReport:
         return j, self.instance.n - j
 
     def bucket_sizes(self):
-        sizes = {}
-        for label in self.labels:
-            sizes[label] = sizes.get(label, 0) + 1
-        return sizes
+        return Counter(self.labels)
 
 
 def find_fooling_pairs(instance, algorithm, t, verify="sampled", sample=8, rng=None):
     """Fooling pairs of a one-cycle KT0 instance against a deterministic run.
 
     Simulates once, labels each canonically oriented cycle edge with the
-    2t symbols its endpoints broadcast, buckets edges by label, and emits
-    every same-bucket independent pair whose crossing splits the cycle:
-    the position pairs :func:`splitting_pairs` selects, a fact the unit
-    tests re-derive from the definitions.
+    2t symbols its endpoints broadcast, and emits every same-label
+    independent pair whose crossing splits the cycle: the position pairs
+    :func:`splitting_pairs` selects, a fact the unit tests re-derive from
+    the definitions.
 
     verify="sampled" re-checks `sample` random emitted pairs, "full"
     every pair, and "none" none. A re-check crosses the pair and compares
@@ -319,41 +325,32 @@ def find_fooling_pairs(instance, algorithm, t, verify="sampled", sample=8, rng=N
     n = instance.n
     cycle = cycle_orientation(instance)
     run = simulate(instance, algorithm, t)
-    edges = tuple(
-        oriented_edge(instance, cycle[i], cycle[(i + 1) % n]) for i in range(n)
-    )
-    labels = tuple(
-        run.sent[cycle[i]] + run.sent[cycle[(i + 1) % n]]
-        for i in range(n)
-    )
-    buckets = {}
-    for pos, label in enumerate(labels):
-        buckets.setdefault(label, []).append(pos)
-    shared = [p for p in buckets.values() if len(p) > 1]
-    count = sum(splitting_pair_count(p, n) for p in shared)
+    heads = np.array(cycle)
+    rows = np.concatenate((run.codes[heads], run.codes[np.roll(heads, -1)]), axis=1)
+    distinct, bucket = np.unique(rows, axis=0, return_inverse=True)
+    bucket = bucket.reshape(-1)  # 1-D whatever shape this numpy gives the inverse
+    count = splitting_pair_count(bucket)
     checks = {"full": count, "sampled": min(sample, count), "none": 0}[verify]
     # a check makes about ten passes over n entries: the crossing copies
     # the neighbor lists, the input edges (twice) and four port rows, and
     # the moved ports are sought in the edge difference and the four
-    # changed rows; then it hosts the four endpoints. The pairs take 16
-    # bytes each, three times over while they are built.
+    # changed rows; then it hosts the four endpoints. The pairs peak at 32
+    # bytes each (16 kept, an int64 index and a temporary) while they are
+    # built, and a position's label, sort keys and ranges under 100 + 8t.
     steps, memory = hosted_work(n, 4, t, algorithm)
     check_work(f"verifying {checks} of {count} fooling pairs on {n} vertices",
-               checks * (steps + 10 * n * PY_OP), memory + 48 * count)
-    chunks = [splitting_pairs(p, n) for p in shared]
-    pairs = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-
-    verification = {"mode": verify, "checked": 0, "failures": 0}
+               checks * (steps + 10 * n * PY_OP), memory + 32 * count + (100 + 8 * t) * n)
+    labels = tuple(np.array(codes_text(distinct), dtype=object)[bucket])
+    report = FoolingPairReport(instance, t, cycle, labels, splitting_pairs(bucket),
+                               {"mode": verify, "checked": 0, "failures": 0})
     if checks:
         if verify == "full":
-            chosen = range(len(pairs))
+            chosen = range(count)
         else:
             rng = rng or random.Random(0)
-            chosen = sorted(rng.sample(range(len(pairs)), checks))
+            chosen = sorted(rng.sample(range(count), checks))
         for idx in chosen:
-            a, b = pairs[idx]
-            e1, e2 = edges[a], edges[b]
+            e1, e2 = report.pair(idx)
             if not are_independent(instance, e1, e2):
                 raise InternalConsistencyError(f"pair {idx} is not independent")
             crossed = cross(instance, e1, e2)
@@ -361,5 +358,5 @@ def find_fooling_pairs(instance, algorithm, t, verify="sampled", sample=8, rng=N
                 raise InternalConsistencyError(
                     f"pair {idx} failed the indistinguishability re-check"
                 )
-            verification["checked"] += 1
-    return FoolingPairReport(instance, t, cycle, edges, labels, pairs, verification)
+            report.verification["checked"] += 1
+    return report

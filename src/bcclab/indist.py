@@ -118,11 +118,11 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
     check_graph_size(n, family.min_cycle_len)
     ones = family.one_cycles
     cycles = family.one_cycle_array()
-    pairs = splitting_pairs(range(n), n, family.min_cycle_len)
-    sent = simulate_members(cycle_neighbors(cycles), KT0, algorithm, t).sent
-    # heads[j, p]: the vertex at position p of member j broadcast x
-    heads = np.take_along_axis((sent == np.array(x, dtype=np.int8)).all(axis=2), cycles, axis=1)
-    tails = np.take_along_axis((sent == np.array(y, dtype=np.int8)).all(axis=2), cycles, axis=1)
+    pairs = splitting_pairs([0] * n, family.min_cycle_len)  # one label for every position
+    transcript = simulate_members(cycle_neighbors(cycles), KT0, algorithm, t).codes
+    # heads[j, p] (tails[j, p]): the vertex at position p of member j broadcast x (y)
+    heads, tails = (np.take_along_axis((transcript == np.array(s, dtype=np.int8)).all(axis=2),
+                                       cycles, axis=1) for s in (x, y))
     forward = heads & np.roll(tails, -1, axis=1)
     backward = np.roll(heads, -1, axis=1) & tails
     active_directed = dict(zip(ones, (forward.sum(axis=1) + backward.sum(axis=1)).tolist()))

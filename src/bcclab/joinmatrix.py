@@ -114,14 +114,14 @@ def build_join_matrix(kind, n):
     count, enumerate_index = _kind(kind)
     dim = capped_count(count, n)
     width = max(1, 2**n // 128)  # uint64 words for a row's 2^(n-1) - 1 proper sets holding 1
-    # the elimination and one AND per word per entry; the int8 rows and
-    # the rank's two int64 copies (the closures, 2^n <= 8 d, fit in those)
+    # the elimination and one AND per word per entry; the int8 rows and the rank's
+    # two int64 copies (the closures, 2^n <= 8 d bytes a row, fit in those)
     check_work(f"kind {kind} at n={n} with dimension {dim if n <= 64 else 'over 2^63'}",
                dim * dim * (2 * dim // 3 + width), 17 * dim * dim)
     index = tuple(enumerate_index(n))
     sets = np.arange(1, (1 << n) - 1, 2, dtype=np.int16)  # the proper sets holding 1
     closed = np.zeros((dim, 64 * width), dtype=bool)
-    closed[:, :len(sets)] = _block_closures(index, n)[:, sets] == sets
+    closed[:, :len(sets)] = _block_closures(index, n, sets) == sets
     words = np.packbits(closed, axis=1).view(np.uint64)
     rows = np.empty((dim, dim), dtype=np.int8)
     step = max(1, dim // (8 * width))  # a block's uint64 temporary fits in `rows`
@@ -135,8 +135,8 @@ def build_join_matrix(kind, n):
     return JoinMatrix(kind, n, index, rows.view(_Rows))
 
 
-def _block_closures(index, n):
-    """closure[r, S]: the union of the blocks of index[r] meeting the set S.
+def _block_closures(index, n, sets):
+    """closure[r, i]: the union of the blocks of index[r] meeting sets[i].
 
     Sets are bitmasks over {1..n} (element e is bit e-1); n <= 15 keeps
     every mask, and every set label, inside an int16.
@@ -145,8 +145,7 @@ def _block_closures(index, n):
     for r, p in enumerate(index):
         for k, block in enumerate(p.blocks):
             masks[r, k] = sum(1 << (e - 1) for e in block)
-    sets = np.arange(1 << n, dtype=np.int16)
-    closure = np.zeros((len(index), 1 << n), dtype=np.int16)
+    closure = np.zeros((len(index), len(sets)), dtype=np.int16)
     for block_masks in masks.T[:, :, None]:
         closure |= np.where(sets & block_masks != 0, block_masks, 0)
     return closure

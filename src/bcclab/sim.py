@@ -52,11 +52,17 @@ class Symbol(IntEnum):
     SILENT = 2
 
     def __str__(self):
-        return "01-"[self]
+        return _CHARS[self]
 
 
-SYMBOL_FROM_CHAR = {"0": Symbol.ZERO, "1": Symbol.ONE, "-": Symbol.SILENT}
+_CHARS = "01-"  # the character of each Symbol code
+SYMBOL_FROM_CHAR = {c: Symbol(code) for code, c in enumerate(_CHARS)}
 _SYMBOLS = np.array(tuple(Symbol), dtype=object)  # the Symbol of each int8 code
+
+
+def codes_text(codes):
+    """Each row of a 2-D array of Symbol codes as text: ``0``, ``1`` or ``-`` per code."""
+    return [row.tobytes().decode() for row in np.frombuffer(_CHARS.encode(), np.uint8)[codes]]
 
 
 class Verdict(Enum):
@@ -303,8 +309,8 @@ class SimulationRun:
 
     ``codes[v, r]``, a read-only (n, t) ``int8`` array, is the code of
     the Symbol vertex v broadcast in round r + 1; ``sent`` derives the
-    Symbol tuples. What a vertex received follows from it: in round r
-    every other vertex heard v's ``sent[v][r - 1]`` at its port facing v.
+    Symbol tuples, which the library never reads. In round r every other
+    vertex heard v's ``codes[v, r - 1]`` at its port facing v.
     """
 
     instance: BccInstance
@@ -395,11 +401,11 @@ def _law_instance(n, mode):
     return BccInstance(n, mode, tuple(range(n)), frozenset(), ())
 
 
-def simulate_hosted(instance, algorithm, t, hosted, sent):
+def simulate_hosted(instance, algorithm, t, hosted, codes):
     """Run only the vertices `hosted` of `instance` for `t` rounds.
 
-    Every other vertex u is heard broadcasting ``sent[u, r - 1]`` in round
-    r: ``sent`` is an (n, t) ``int8`` array of Symbol codes, the transcript
+    Every other vertex u is heard broadcasting ``codes[u, r - 1]`` in round
+    r: ``codes`` is an (n, t) ``int8`` array of Symbol codes, the transcript
     of some run on n vertices. The hosted vertices start from their views
     in `instance` and hear each round at their own ports, their own
     broadcasts included. Returns their views, and their broadcasts as a
@@ -416,19 +422,19 @@ def simulate_hosted(instance, algorithm, t, hosted, sent):
     hosted = list(hosted)
     if hosted != sorted(set(hosted)) or (hosted and not 0 <= hosted[0] <= hosted[-1] < n):
         raise ValueError(f"hosted vertices must ascend among 0..{n - 1}")
-    sent = np.asarray(sent)
-    if sent.shape != (n, t) or sent.dtype != np.int8:
-        raise ValueError(f"sent must be an ({n}, {t}) int8 array, got {sent.shape} {sent.dtype}")
+    codes = np.asarray(codes)
+    if codes.shape != (n, t) or codes.dtype != np.int8:
+        raise ValueError(f"codes must be an ({n}, {t}) int8 array, got {codes.shape} {codes.dtype}")
     check_work(f"{t} rounds of {len(hosted)} hosted vertices on {n}",
                *hosted_work(n, len(hosted), t, algorithm))
-    views, _, _, codes = _run_instance(instance, algorithm, t, hosted, sent)
-    return views, codes[0]
+    views, _, _, hosted_codes = _run_instance(instance, algorithm, t, hosted, codes)
+    return views, hosted_codes[0]
 
 
-def _run_instance(instance, algorithm, t, vertices, sent=None):
+def _run_instance(instance, algorithm, t, vertices, transcript=None):
     """Run `vertices` of `instance` through the round engine as one member.
 
-    Without `sent` they are all n vertices; with it every other vertex
+    Without `transcript` they are all n vertices; with it every other vertex
     broadcasts as that (n, t) transcript says. Returns the views, one per
     vertex, and what :func:`_run_rounds` returns.
     """
@@ -438,7 +444,7 @@ def _run_instance(instance, algorithm, t, vertices, sent=None):
         deliver = _inbox_step(instance.port_row, algorithm, vertices)
     else:
         fold = algorithm.members_receiver(instance._port_sums())
-    hosting = None if sent is None else (list(vertices), sent)
+    hosting = None if transcript is None else (list(vertices), transcript)
     return views, *_run_rounds(views, np.arange(len(views))[None], algorithm, t,
                                fold, deliver, hosting)
 
@@ -494,9 +500,9 @@ def _run_rounds(views, view_index, algorithm, t, fold=None, deliver=None, hostin
     the inbox loop as a step ``(states, round_no, heard) -> states`` over
     one state per view, it broadcasts once per view and round.
 
-    ``hosting = (columns, sent)`` makes the m = 1 member the vertices
-    ``columns`` of a run on n vertices, whose others broadcast as the
-    (n, t) ``int8`` transcript ``sent`` says. The fold and the step hear
+    ``hosting = (columns, transcript)`` makes the m = 1 member the
+    vertices ``columns`` of a run on n vertices, whose others broadcast
+    as the (n, t) ``int8`` ``transcript`` says. The fold and the step hear
     whole rounds: ``heard[j, u]`` is the code of what u broadcast.
 
     Returns the distinct final states, the (m, n) index of each vertex's
@@ -505,13 +511,13 @@ def _run_rounds(views, view_index, algorithm, t, fold=None, deliver=None, hostin
     of code ``codes[j, v, r]`` in round r + 1.
     """
     states = [algorithm.initialize(view) for view in views]
-    columns, sent = hosting or (slice(None), None)
-    vertices = range(view_index.shape[1]) if sent is None else columns
+    columns, transcript = hosting or (slice(None), None)
+    vertices = range(view_index.shape[1]) if transcript is None else columns
     if fold is not None:
         digests = np.array([state[0] for state in states])[view_index]
-        if sent is not None:  # the fold reads whole rounds; unhosted digests are never broadcast
+        if transcript is not None:  # whole rounds are folded; unhosted digests never broadcast
             own = digests
-            digests = np.zeros((1, len(sent)), dtype=own.dtype)
+            digests = np.zeros((1, len(transcript)), dtype=own.dtype)
             digests[:, columns] = own
     index = view_index
     codes = np.empty(view_index.shape + (t,), dtype=np.int8)
@@ -526,8 +532,8 @@ def _run_rounds(views, view_index, algorithm, t, fold=None, deliver=None, hostin
         heard = codes[:, :, r - 1] = np.frombuffer(bytes(payloads), dtype=np.int8)[index]
         if fold is None and deliver is None:
             continue
-        if sent is not None:
-            heard, own = sent[None, :, r - 1].copy(), heard
+        if transcript is not None:
+            heard, own = transcript[None, :, r - 1].copy(), heard
             heard[:, columns] = own
         if fold is not None:
             digests = fold(digests, r, heard)
@@ -543,12 +549,12 @@ def _run_rounds(views, view_index, algorithm, t, fold=None, deliver=None, hostin
 class MemberRuns:
     """What :func:`simulate_members` produced for m members, as arrays.
 
-    ``sent[j, v, r]`` is the code of the Symbol vertex v of member j
+    ``codes[j, v, r]`` is the code of the Symbol vertex v of member j
     broadcast in round r + 1. ``system_yes[j]`` says whether member j's
     system verdict is YES; it is None unless verdicts were asked for.
     """
 
-    sent: np.ndarray
+    codes: np.ndarray
     system_yes: np.ndarray = None
 
 

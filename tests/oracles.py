@@ -6,6 +6,8 @@ what the library computes another way; none is used by the library.
 
 from fractions import Fraction
 
+import numpy as np
+
 from bcclab.crossing import oriented_edge
 from bcclab.families import two_cycle_classes
 
@@ -40,3 +42,33 @@ def family_ratio_terms(n, min_cycle_len=3):
             term /= 2
         terms[i] = term
     return terms
+
+
+def bucketed_fooling_pairs(run, cycle):
+    """:func:`bcclab.crossing.find_fooling_pairs`' labels, pairs and bucket
+    sizes, the long way: a Symbol tuple per position, dict buckets of
+    them, each bucket's splitting pairs over its ascending positions, and
+    the chunks stacked and sorted."""
+    n = len(cycle)
+    labels = [run.sent[cycle[p]] + run.sent[cycle[(p + 1) % n]] for p in range(n)]
+    buckets = {}
+    for p, label in enumerate(labels):
+        buckets.setdefault(label, []).append(p)
+    chunks = [position_splitting_pairs(ps, n) for ps in buckets.values() if len(ps) > 1]
+    pairs = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=np.int64)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    text = {label: "".join(map(str, label)) for label in buckets}
+    return ([text[label] for label in labels], pairs,
+            {text[label]: len(ps) for label, ps in buckets.items()})
+
+
+def position_splitting_pairs(positions, n, min_len=3):
+    """The (i, k) among the ascending `positions` of an n-cycle with
+    m <= k - i <= n - m, m = max(3, min_len), in lexicographic order."""
+    pos = np.asarray(positions, dtype=np.int64)
+    m = max(3, min_len)
+    lo = np.searchsorted(pos, pos + m)
+    counts = np.maximum(np.searchsorted(pos, pos + n - m, side="right"), lo) - lo
+    a = np.repeat(np.arange(len(pos)), counts)
+    b = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return np.column_stack((pos[a], pos[b]))

@@ -24,12 +24,13 @@ from bcclab.algorithms import (
 from bcclab.sim import (
     KT1,
     Algorithm,
+    SimulationRun,
     Symbol,
     Verdict,
     make_instance,
     simulate,
 )
-from oracles import directed_input_edges, received
+from oracles import bucketed_fooling_pairs, directed_input_edges, received
 from test_sim import random_kt0_ports
 
 
@@ -277,6 +278,13 @@ class TestCross:
                         assert len(fm.cycles_of_instance(merged)) == 1
 
 
+def subset_labels(positions, n):
+    """Labels of n positions under which exactly `positions` share one."""
+    labels = np.arange(1, n + 1)
+    labels[list(positions)] = 0
+    return labels
+
+
 class TestSplitKernel:
     def test_pairs_and_count_match_the_distance_matrix(self):
         # the b x b distance matrix the ranges replace, on random subsets
@@ -284,15 +292,32 @@ class TestSplitKernel:
         for _ in range(300):
             n = rng.randrange(1, 40)
             pos = np.array(sorted(rng.sample(range(n), rng.randrange(n + 1))), dtype=np.int64)
+            labels = subset_labels(pos, n)
             for min_len in (1, 3, 4, 6):
                 dist = pos - pos[:, None]
                 m = max(3, min_len)
                 a, b = np.nonzero((dist >= m) & (dist <= n - m))
                 want = np.column_stack((pos[a], pos[b]))
-                got = cx.splitting_pairs(pos, n, min_len)
+                got = cx.splitting_pairs(labels, min_len)
                 assert got.dtype == np.int64 and got.shape == want.shape
                 assert np.array_equal(got, want)
-                assert cx.splitting_pair_count(pos, n, min_len) == len(want)
+                assert cx.splitting_pair_count(labels, min_len) == len(want)
+
+    def test_pairs_of_many_labels_in_lexicographic_order(self):
+        # every same-label pair at a splitting distance, whatever the labels'
+        # values and number, listed by first position, then second
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randrange(0, 30)
+            labels = [rng.randrange(rng.randrange(1, 6)) - 2 for _ in range(n)]
+            for min_len in (1, 3, 4, 6, 40):
+                m = max(3, min_len)
+                want = [(i, k) for i, k in combinations(range(n), 2)
+                        if labels[i] == labels[k] and m <= k - i <= n - m]
+                got = cx.splitting_pairs(np.array(labels, dtype=np.int64), min_len)
+                assert got.dtype == np.int64 and got.shape == (len(want), 2)
+                assert [tuple(p) for p in got.tolist()] == want
+                assert cx.splitting_pair_count(labels, min_len) == len(want)
 
     def test_kernel_matches_instance_crossings(self):
         # every same-direction position pair of a randomly wired cycle:
@@ -319,7 +344,7 @@ class TestSplitKernel:
                     if keys:
                         assert keys == {split_key(cycle, i, k)}
                         expected.append((i, k))
-                got = cx.splitting_pairs(range(n), n, m).tolist()
+                got = cx.splitting_pairs([0] * n, m).tolist()
                 assert [tuple(p) for p in got] == expected
 
     @pytest.mark.parametrize("n, m", [(6, 3), (7, 3), (8, 3), (8, 4)])
@@ -329,7 +354,7 @@ class TestSplitKernel:
         fam = fm.enumerate_family(n, min_cycle_len=m)
         keys = dict(zip(fam.key_codes().tolist(), fam.all_two_cycle_keys()))
         assert len(keys) == fam.v2_size
-        pairs = cx.splitting_pairs(range(n), n, m)
+        pairs = cx.splitting_pairs([0] * n, m)
         table = cx.split_codes(np.array(fam.one_cycles, dtype=np.int8), pairs)
         assert table.shape == (fam.v1_size, len(pairs))
         for lk, codes in zip(fam.one_cycles, table.tolist()):
@@ -342,9 +367,9 @@ class TestSplitKernel:
                 assert key == fm.cycles_of_instance(cx.cross(inst, e1, e2))
 
     def test_subset_of_positions(self):
-        pairs = cx.splitting_pairs([0, 1, 4, 5, 7], 9)
+        pairs = cx.splitting_pairs(subset_labels([0, 1, 4, 5, 7], 9))
         assert pairs.tolist() == [[0, 4], [0, 5], [1, 4], [1, 5], [1, 7], [4, 7]]
-        assert cx.splitting_pairs([2], 9).shape == (0, 2)
+        assert cx.splitting_pairs(subset_labels([2], 9)).shape == (0, 2)
 
 
 class TestLabelsAndActivity:
@@ -500,6 +525,38 @@ class TestFoolingPairs:
         monkeypatch.setattr(cx, "simulate", fail)
         with pytest.raises(ValueError, match="'ful'.*'sampled', 'full' and 'none'"):
             cx.find_fooling_pairs(cycle_instance(6), AlwaysSilent(), 1, verify="ful")
+
+    @pytest.mark.parametrize("name", sorted(set(reference_algorithms()) - {"full-exchange-sparse"})
+                             + ["random-table-3", "port-weights"])
+    def test_equals_the_bucketed_oracle(self, name):
+        # the labels, pairs and bucket sizes of the Symbol-tuple buckets,
+        # and each pair's edges read off the cycle
+        rng = random.Random(31)
+        for n in [*range(6, 41), *range(41, 300, 23), 300]:
+            inst = cycle_instance(n) if n % 2 else random_cycle_instance(rng, n)
+            algo = machine(name, inst)
+            cycle = cx.cycle_orientation(inst)
+            for t in range(4):
+                report = cx.find_fooling_pairs(inst, algo, t, verify="none")
+                labels, pairs, sizes = bucketed_fooling_pairs(simulate(inst, algo, t), cycle)
+                assert list(report.labels) == labels
+                assert report.pairs.dtype == np.int64 and report.pairs.shape == pairs.shape
+                assert np.array_equal(report.pairs, pairs)
+                assert list(report.bucket_sizes().items()) == list(sizes.items())
+                for idx in range(0, len(pairs), 97):
+                    a, b = pairs[idx].tolist()
+                    assert report.pair(idx) == tuple(
+                        cx.oriented_edge(inst, cycle[p], cycle[(p + 1) % n]) for p in (a, b))
+
+    def test_reads_no_symbol_tuples(self, monkeypatch):
+        def fail(run):
+            raise AssertionError("read SimulationRun.sent")
+
+        monkeypatch.setattr(SimulationRun, "sent", property(fail))
+        inst = cycle_instance(20)
+        for algo in (IdExchange(bits=5), RandomTable(seed=2, modulus=3), PortWeights()):
+            report = cx.find_fooling_pairs(inst, algo, 2, verify="full")
+            assert report.verification["checked"] == len(report) > 0
 
     def test_split_lengths(self):
         inst = cycle_instance(9)

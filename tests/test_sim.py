@@ -256,10 +256,10 @@ class TestPortLaw:
             shift[:, :, 1] = (shift[:, :, 0] + rng.integers(1, n - 1, size=(50, n))) % n
             shift[:, :, 1] += shift[:, :, 1] == 0
             neighbors = (np.arange(n)[:, None] + shift) % n
-            sent = simulate_members(neighbors, KT0, InputPorts(), n - 1).sent
+            codes = simulate_members(neighbors, KT0, InputPorts(), n - 1).codes
             want = [[[int(r in {table[v][u] for u in nbr}) for r in range(1, n)]
                      for v, nbr in enumerate(member)] for member in neighbors.tolist()]
-            assert sent.tolist() == want
+            assert codes.tolist() == want
 
     def test_crossings_equal_the_full_table_cross(self):
         rng = random.Random(22)
@@ -945,9 +945,9 @@ def assert_members_match(neighbors, instances, mode, algorithm, t):
     got = simulate_members(neighbors, mode, algorithm, t, verdicts=True)
     oracle = inbox_twin(algorithm)
     runs = [simulate(inst, oracle, t) for inst in instances]
-    assert got.sent.dtype == np.int8
-    assert got.sent.shape == (len(instances), neighbors.shape[1], t)
-    assert got.sent.tolist() == [[list(map(int, row)) for row in run.sent] for run in runs]
+    assert got.codes.dtype == np.int8
+    assert got.codes.shape == (len(instances), neighbors.shape[1], t)
+    assert got.codes.tolist() == [[list(map(int, row)) for row in run.sent] for run in runs]
     assert got.system_yes.tolist() == [run.system_verdict is Verdict.YES for run in runs]
     return got
 
@@ -1010,7 +1010,7 @@ class TestSimulateMembers:
                 # without verdicts the call skips them, and sends the same
                 bare = simulate_members(neighbors, mode, make(), largest)
                 assert bare.system_yes is None
-                assert np.array_equal(bare.sent, got.sent)
+                assert np.array_equal(bare.codes, got.codes)
 
     def test_the_path_follows_the_machine(self, monkeypatch):
         assert AlwaysYes().members_receiver([10] * 5) is None
@@ -1022,7 +1022,7 @@ class TestSimulateMembers:
         monkeypatch.setattr(sim, "make_instance", fail)
         for name, (make, _, _) in MEMBER_MACHINES.items():
             again = simulate_members(neighbors, KT1, make(), 6, verdicts=True)
-            assert np.array_equal(again.sent, runs[name].sent)
+            assert np.array_equal(again.codes, runs[name].codes)
             assert np.array_equal(again.system_yes, runs[name].system_yes)
 
     def test_array_fold_equals_exact_fold_at_the_int64_edge(self):
@@ -1058,7 +1058,7 @@ class TestSimulateMembers:
             got = simulate_members(neighbors, KT0, machine, 3, verdicts=True)
             want = simulate_members(neighbors, KT0, make(), 3, verdicts=True)
             assert calls
-            assert np.array_equal(got.sent, want.sent)
+            assert np.array_equal(got.codes, want.codes)
             assert np.array_equal(got.system_yes, want.system_yes)
             assert_members_match(neighbors, instances, KT0, machine, 3)
 
