@@ -29,9 +29,6 @@ class DirectedInputEdge(NamedTuple):
     head_port: int
     tail_port: int
 
-    def reversed(self):
-        return DirectedInputEdge(self.tail, self.head, self.tail_port, self.head_port)
-
 
 def oriented_edge(instance, head, tail):
     """The directed input edge head->tail with its two port labels."""

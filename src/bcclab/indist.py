@@ -6,20 +6,21 @@ independent directed edges of I1 crosses into I2. An operation is a
 crossing up to reversing both edges (the twin yields the identical
 crossed instance). Every graph edge carries exactly one operation: the
 removed edges E(I1) - E(I2) fix the crossed pair. So the graph stores
-only its adjacency, keyed by the family's own key objects; ``op_counts``
-is derived from it, operation totals equal edge totals, and no witness
+only its int32 edge rows; the key adjacencies and ``op_counts`` are
+derived from them, operation totals equal edge totals, and no witness
 pair is stored (the tests rebuild witnesses by instance-level crossing).
 
 The build works on arrays. One :func:`bcclab.sim.simulate_members`
 call gives every one-cycle member's broadcasts, and numpy marks the
 active positions from them. It then computes the code of the key each
 (member, splitting pair) crossing leaves, a block of members at a time,
-and finds it among the family's sorted key codes; only the live cells
-are turned back into the family's key objects.
+and finds it among the family's sorted key codes; the live cells are the
+edge rows, and :func:`degree_stats` counts degrees over them.
 """
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,15 +32,14 @@ from .sim import KT0, simulate_members
 SPLIT_BLOCK_ROWS = 1024  # members per split-code block; bounds the transient arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndistGraph:
     family: object
     t: int
     x: tuple
     y: tuple
     algorithm_name: str
-    adjacency: dict  # one-cycle key -> frozenset of two-cycle keys
-    right_adjacency: dict  # two-cycle key -> frozenset of one-cycle keys
+    edges: np.ndarray  # read-only (e, 2) int32 rows (left index, right index), left ascending
     active_directed: dict  # one-cycle key -> number of active directed edges
     active_undirected: dict  # one-cycle key -> edges with an active orientation
 
@@ -47,12 +47,22 @@ class IndistGraph:
     def left(self):
         return self.family.one_cycles
 
-    @property
+    @cached_property
     def right(self):
         return tuple(self.family.all_two_cycle_keys())
 
+    @cached_property
+    def adjacency(self):
+        """one-cycle key -> frozenset of two-cycle keys, for the lefts with an edge."""
+        return _grouped(self.edges, 0, self.left, self.right, keep_empty=False)
+
+    @cached_property
+    def right_adjacency(self):
+        """two-cycle key -> frozenset of one-cycle keys, for every right key."""
+        return _grouped(self.edges, 1, self.right, self.left, keep_empty=True)
+
     def edge_count(self):
-        return sum(len(v) for v in self.adjacency.values())
+        return len(self.edges)
 
     def degree(self, lk):
         return len(self.adjacency.get(lk, ()))
@@ -77,6 +87,19 @@ class IndistGraph:
         }
 
 
+def _grouped(edges, col, keys, others, keep_empty):
+    """keys[j] -> frozenset of the others at the far end of the edges with
+    edges[:, col] == j, each set filled in edge-row order."""
+    far = edges[edges[:, col].argsort(kind="stable"), 1 - col]
+    ends = np.bincount(edges[:, col], minlength=len(keys)).cumsum().tolist()
+    grouped, start = {}, 0
+    for key, end in zip(keys, ends):
+        if end > start or keep_empty:
+            grouped[key] = frozenset({others[j] for j in far[start:end].tolist()})
+        start = end
+    return grouped
+
+
 def check_graph_size(n, min_cycle_len):
     """Refuse the graph of the n-vertex family before the family is built.
 
@@ -89,9 +112,10 @@ def check_graph_size(n, min_cycle_len):
     pairs = n * max(0, n - 2 * max(3, min_cycle_len) + 1) // 2
     # pairs is 0 below n = 6, so (n-1)! is never taken at n < 1
     cells = pairs and capped_count(one_cycle_count, n) * pairs
-    # each cell is coded, then kept as an edge of 130 B (n = 10)
+    # each cell is coded, then kept as an 8-byte edge row; with every cell an edge, the
+    # build and degree_stats peak at 34 B a cell (n = 9) and 27 B (n = 10), member runs included
     check_work(f"the indistinguishability graph at n={n}, up to {cells} edges",
-               cells * (25 * n + 5 * PY_OP), 130 * cells)
+               cells * (25 * n + 5 * PY_OP), 35 * cells)
 
 
 def build_indist_graph(family, algorithm, t, x=(), y=()):
@@ -107,9 +131,9 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
     least the family's minimum length) whose two edges are active in a
     common direction. The split codes are computed for blocks
     of members at once and looked up among the family's
-    :meth:`~bcclab.families.CycleFamily.key_codes`, so both adjacencies
-    hold the family's own key objects. A crossed key absent from the
-    family indicates a bug and raises InternalConsistencyError.
+    :meth:`~bcclab.families.CycleFamily.key_codes`; an edge row holds the
+    member's and the key's indices in the family's order. A crossed key
+    absent from the family indicates a bug and raises InternalConsistencyError.
     """
     x, y = tuple(x), tuple(y)
     if len(x) != t or len(y) != t:
@@ -128,12 +152,10 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
     active_directed = dict(zip(ones, (forward.sum(axis=1) + backward.sum(axis=1)).tolist()))
     active_undirected = dict(zip(ones, (forward | backward).sum(axis=1).tolist()))
 
-    right = tuple(family.all_two_cycle_keys())
     codes = family.key_codes()
     order = codes.argsort()
     codes = np.append(codes[order], -1)  # a sentinel past the end that is no code
-    adjacency = {}
-    right_sets = [set() for _ in right]
+    blocks = [np.empty((0, 2), dtype=np.int32)]
     first, second = pairs[:, 0], pairs[:, 1]
     for start in range(0, len(ones), SPLIT_BLOCK_ROWS):
         block = slice(start, start + SPLIT_BLOCK_ROWS)
@@ -152,24 +174,13 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
                 f"crossing positions {i}, {k} of {ones[start + rows[bad]]} leaves "
                 "a two-cycle key missing from the enumerated family"
             )
-        found = order[at].tolist()
-        cut = 0
-        for lk, count in zip(ones[block], live.sum(axis=1).tolist()):
-            if not count:
-                continue
-            neighbors = set()
-            for j in found[cut:cut + count]:
-                neighbors.add(right[j])
-                right_sets[j].add(lk)
-            adjacency[lk] = frozenset(neighbors)
-            cut += count
-    right_adjacency = {}
-    for j, rk in enumerate(right):  # free each set once it is frozen
-        right_adjacency[rk] = frozenset(right_sets[j])
-        right_sets[j] = None
+        # np.nonzero lists the cells row by row, so the left index ascends
+        blocks.append(np.column_stack((start + rows, order[at])).astype(np.int32))
+    edges = np.concatenate(blocks)
+    edges.flags.writeable = False
     return IndistGraph(
         family, t, x, y, getattr(algorithm, "name", "?"),
-        adjacency, right_adjacency, active_directed, active_undirected,
+        edges, active_directed, active_undirected,
     )
 
 
@@ -211,7 +222,8 @@ class DegreeStats:
 
 
 def degree_stats(graph):
-    """Degree histograms, per-class edge totals and the handshake check.
+    """Degree histograms, per-class edge totals and the handshake check,
+    each an ``np.bincount`` over the edge rows, with no key adjacency.
 
     The handshake identity (edges counted from the left equal those
     counted from the right) is asserted; each edge is one operation, so
@@ -221,30 +233,31 @@ def degree_stats(graph):
     by (active undirected edges d, class i, 2*floor requirement = d,
     observed neighbors of simple degree i*(d-i)) and deduplicated.
     """
-    left_edges = graph.edge_count()
-    right_edges = sum(len(v) for v in graph.right_adjacency.values())
+    family, lefts, rights = graph.family, graph.edges[:, 0], graph.edges[:, 1]
+    left_degree = np.bincount(lefts, minlength=len(graph.left))
+    right_degree = np.bincount(rights, minlength=family.v2_size)
+    left_edges, right_edges = int(left_degree.sum()), int(right_degree.sum())
     handshake = left_edges == right_edges
     if not handshake:
         raise InternalConsistencyError(
             f"handshake violated: edges {left_edges}/{right_edges}"
         )
-    left_hist = Counter(len(v) for v in graph.adjacency.values())
-    left_hist.update({0: len(graph.left) - len(graph.adjacency)})
-    left_hist += Counter()  # drop zero-count entries
-    right_hist = Counter(len(v) for v in graph.right_adjacency.values())
-    ti_edges = {}
-    for rk, lks in graph.right_adjacency.items():
-        i = len(rk[0])
-        ti_edges[i] = ti_edges.get(i, 0) + len(lks)
+    left_hist, right_hist = (Counter({d: c for d, c in enumerate(np.bincount(x).tolist()) if c})
+                             for x in (left_degree, right_degree))
+    ti_edges, start = {}, 0
+    for i, keys in sorted(family.two_cycles.items()):  # all_two_cycle_keys() order
+        ti_edges[i], start = int(right_degree[start:start + len(keys)].sum()), start + len(keys)
+    # per left with an edge and class i <= d/2: its neighbors of degree i(d - i)
+    d_und = np.array([graph.active_undirected[lk] for lk in graph.left], dtype=np.int32)
+    neighbor_degree = right_degree.astype(np.int32)[rights]
     rows = Counter()
-    right_degree = {rk: len(lks) for rk, lks in graph.right_adjacency.items()}
-    for lk, rks in graph.adjacency.items():
-        d_und = graph.active_undirected[lk]
-        neighbor_degrees = Counter(right_degree[rk] for rk in rks)
-        for i in range(3, d_und // 2 + 1):
-            observed = neighbor_degrees.get(i * (d_und - i), 0)
-            rows[(d_und, i, d_und, observed)] += 1
+    for i in range(3, int(d_und.max(initial=0)) // 2 + 1):
+        reported = (left_degree > 0) & (d_und >= 2 * i)
+        target = np.where(reported, i * (d_und - i), -1).astype(np.int32)
+        observed = np.bincount(lefts[neighbor_degree == target[lefts]], minlength=len(d_und))
+        cells = Counter(zip(d_und[reported].tolist(), observed[reported].tolist()))
+        rows.update({(d, i, d, seen): count for (d, seen), count in cells.items()})
     return DegreeStats(
-        len(graph.left), len(graph.right), left_edges,
+        len(graph.left), family.v2_size, left_edges,
         left_hist, right_hist, ti_edges, ti_edges, left_edges, handshake, rows,
     )

@@ -4,12 +4,15 @@ Each function reads a library object the long way, to be compared with
 what the library computes another way; none is used by the library.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from bcclab.crossing import oriented_edge
+from bcclab.crossing import DirectedInputEdge, oriented_edge
+from bcclab.errors import InternalConsistencyError
 from bcclab.families import two_cycle_classes
+from bcclab.indist import DegreeStats
 
 
 def received(run, v, round_no):
@@ -31,6 +34,44 @@ def directed_input_edges(instance):
         out.append(oriented_edge(instance, u, v))
         out.append(oriented_edge(instance, v, u))
     return tuple(out)
+
+
+def reversed_edge(edge):
+    """The directed input edge tail->head of `edge`, with its ports swapped."""
+    return DirectedInputEdge(edge.tail, edge.head, edge.tail_port, edge.head_port)
+
+
+def dict_degree_stats(graph):
+    """:func:`bcclab.indist.degree_stats` the long way, by walking the
+    graph's two key adjacencies: the handshake from both sides, a
+    ``Counter`` of neighbor degrees per left."""
+    left_edges = sum(len(v) for v in graph.adjacency.values())
+    right_edges = sum(len(v) for v in graph.right_adjacency.values())
+    handshake = left_edges == right_edges
+    if not handshake:
+        raise InternalConsistencyError(
+            f"handshake violated: edges {left_edges}/{right_edges}"
+        )
+    left_hist = Counter(len(v) for v in graph.adjacency.values())
+    left_hist.update({0: len(graph.left) - len(graph.adjacency)})
+    left_hist += Counter()  # drop zero-count entries
+    right_hist = Counter(len(v) for v in graph.right_adjacency.values())
+    ti_edges = {}
+    for rk, lks in graph.right_adjacency.items():
+        i = len(rk[0])
+        ti_edges[i] = ti_edges.get(i, 0) + len(lks)
+    rows = Counter()
+    right_degree = {rk: len(lks) for rk, lks in graph.right_adjacency.items()}
+    for lk, rks in graph.adjacency.items():
+        d_und = graph.active_undirected[lk]
+        neighbor_degrees = Counter(right_degree[rk] for rk in rks)
+        for i in range(3, d_und // 2 + 1):
+            observed = neighbor_degrees.get(i * (d_und - i), 0)
+            rows[(d_und, i, d_und, observed)] += 1
+    return DegreeStats(
+        len(graph.left), len(graph.right), left_edges,
+        left_hist, right_hist, ti_edges, ti_edges, left_edges, handshake, rows,
+    )
 
 
 def family_ratio_terms(n, min_cycle_len=3):

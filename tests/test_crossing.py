@@ -30,7 +30,7 @@ from bcclab.sim import (
     make_instance,
     simulate,
 )
-from oracles import bucketed_fooling_pairs, directed_input_edges, received
+from oracles import bucketed_fooling_pairs, directed_input_edges, received, reversed_edge
 from test_sim import random_kt0_ports
 
 
@@ -252,7 +252,7 @@ class TestCross:
             if not cx.are_independent(inst, e1, e2):
                 continue
             assert cx.cross(inst, e1, e2) == cx.cross(
-                inst, e1.reversed(), e2.reversed()
+                inst, reversed_edge(e1), reversed_edge(e2)
             )
 
     def test_crossing_type_law_exhaustive(self):

@@ -11,22 +11,24 @@ from dataclasses import fields, replace
 from itertools import combinations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bcclab import families as fm
 from bcclab import indist as ig
 from bcclab import matching as mt
 from bcclab.algorithms import AlwaysSilent, IdExchange, RandomTable
+from bcclab.cli import main
 from bcclab.crossing import are_independent, cross, states_identical
 from bcclab.errors import InternalConsistencyError
 from bcclab.sim import Symbol, simulate
-from oracles import directed_input_edges
+from oracles import dict_degree_stats, directed_input_edges, reversed_edge
 
 
 def _op_key(f1, f2):
     """Canonical representative of {f1, f2} under both-edge reversal."""
     a = tuple(sorted((tuple(f1), tuple(f2))))
-    b = tuple(sorted((tuple(f1.reversed()), tuple(f2.reversed()))))
+    b = tuple(sorted((tuple(reversed_edge(f1)), tuple(reversed_edge(f2)))))
     return min(a, b)
 
 
@@ -34,9 +36,10 @@ def instance_level_graph(family, algorithm, t, x=(), y=()):
     """Reference builder: crosses every active directed pair as an instance.
 
     Returns a record with every :class:`bcclab.indist.IndistGraph` field
-    plus ``op_counts``, the distinct pairs up to both-edge reversal per
-    edge, and ``witnesses``, the first crossing pair of each edge in
-    combinations(directed_input_edges(...), 2) order.
+    but ``edges``, the two key adjacencies, ``op_counts``, the distinct
+    pairs up to both-edge reversal per edge, and ``witnesses``, the first
+    crossing pair of each edge in combinations(directed_input_edges(...), 2)
+    order.
     """
     x, y = tuple(x), tuple(y)
     right_index = set(family.all_two_cycle_keys())
@@ -77,10 +80,23 @@ def instance_level_graph(family, algorithm, t, x=(), y=()):
     )
 
 
+def assert_edge_array(graph):
+    """The edges are a read-only (e, 2) int32 array, ascending in the
+    one-cycle index, with no repeated row."""
+    edges = graph.edges
+    assert edges.dtype == np.int32 and edges.shape == (len(edges), 2)
+    assert not edges.flags.writeable
+    assert (np.diff(edges[:, 0]) >= 0).all()
+    assert len(set(map(tuple, edges.tolist()))) == len(edges)
+
+
 def assert_matches_oracle(got, want):
-    """Every IndistGraph field, and the derived operation counts, agree."""
-    for field in fields(ig.IndistGraph):
-        assert getattr(got, field.name) == getattr(want, field.name), field.name
+    """Every IndistGraph field but the edge array, the two key adjacencies
+    derived from it, and the derived operation counts agree."""
+    names = [field.name for field in fields(ig.IndistGraph) if field.name != "edges"]
+    for name in names + ["adjacency", "right_adjacency"]:
+        assert getattr(got, name) == getattr(want, name), name
+    assert_edge_array(got)
     # one operation per edge, counted by the oracle's own reversal
     # classes: the removed edges E(lk) - E(rk) fix the crossed pair
     assert got.op_counts == want.op_counts
@@ -170,6 +186,16 @@ class TestBuildAtRoundZero:
             assert all(ones[lk] is lk for lk in lks)
         assert retained < 8 * 2**20
 
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_edge_array(self, n):
+        assert_edge_array(ig.build_indist_graph(fm.enumerate_family(n), AlwaysSilent(), 0))
+
+    def test_adjacencies_keep_the_key_order(self, fam7, g7):
+        assert list(g7.adjacency) == list(fam7.one_cycles)
+        assert list(g7.right_adjacency) == list(fam7.all_two_cycle_keys())
+        assert g7.right == tuple(fam7.all_two_cycle_keys())
+        assert g7.adjacency is g7.adjacency  # derived once per graph
+
     def test_x_y_length_validation(self, fam6):
         with pytest.raises(ValueError, match=r"\|x\|"):
             ig.build_indist_graph(fam6, AlwaysSilent(), 1, (), ())
@@ -239,7 +265,30 @@ class TestAgainstInstanceLevelOracle:
         assert_matches_oracle(got, instance_level_graph(fam, *args))
 
 
+def _raise_on_read(self):
+    raise AssertionError("a key adjacency was read")
+
+
 class TestDegreeStats:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("n, min_cycle_len", [(6, 3), (7, 3), (8, 3), (8, 4)])
+    def test_record_equals_the_dict_oracle(self, n, min_cycle_len, case):
+        fam = fm.enumerate_family(n, min_cycle_len)
+        algorithm, t, xy = ORACLE_CASES[case]
+        if xy is None:
+            xy = (_common_broadcast(fam, algorithm, t),) * 2
+        graph = ig.build_indist_graph(fam, algorithm, t, *xy)
+        got = ig.degree_stats(graph)
+        assert got.to_record() == dict_degree_stats(graph).to_record()
+
+    def test_reads_no_key_adjacency(self, fam7, monkeypatch, capsys):
+        graph = ig.build_indist_graph(fam7, AlwaysSilent(), 0)
+        for name in ("adjacency", "right_adjacency"):
+            monkeypatch.setattr(ig.IndistGraph, name, property(_raise_on_read))
+        assert ig.degree_stats(graph).edge_count == 2520
+        assert main(["indist-stats", "--n", "7"]) == 0
+        assert '"pass": true' in capsys.readouterr().out
+
     def test_handshake_and_totals_n7(self, g7):
         stats = ig.degree_stats(g7)
         assert stats.handshake_ok

@@ -5,7 +5,9 @@ neither side runs its work. The guard tests lower a limit and show that
 each site refuses before its work starts.
 """
 
+import gc
 import re
+import tracemalloc
 from functools import cache
 from types import SimpleNamespace
 
@@ -162,6 +164,24 @@ def test_refused(name, call, args, site):
         errors.check_work(*record)
 
 
+@pytest.mark.parametrize("n, algorithm, t", [
+    (6000, AlwaysSilent(), 0), (20000, IdExchange(bits=15), 3),
+], ids=["always-silent-6000-t0", "id-exchange-20000-t3"])
+def test_run_estimate_bounds_its_peak(n, algorithm, t):
+    # the views and states a run keeps are counted, not only its transcript
+    inst = sim.make_instance(n, cycle_edges(n))
+    memory = estimate(sim.simulate, inst, algorithm, t, site=f"{t} rounds")[2]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sim.simulate(inst, algorithm, t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= memory
+
+
 def test_member_batch_refused_on_memory_alone():
     name, call, args, site = next(r for r in REFUSE if r[1] is sim.simulate_members)
     _, steps, memory = estimate(call, *args, site=site)
@@ -312,7 +332,7 @@ class TestRefusalComesFirst:
     def test_indist_graph_simulates_no_member(self, limits, monkeypatch):
         family = fm.enumerate_family(7)
         monkeypatch.setattr(ig, "simulate_members", fail)
-        limits(memory=10**5)
+        limits(memory=5 * 10**4)  # the 2520 cells are estimated at 88,200 bytes
         with pytest.raises(ResourceLimitError, match="^the indistinguishability graph at n=7"):
             ig.build_indist_graph(family, AlwaysSilent(), 0)
 
