@@ -40,12 +40,19 @@ class IndistGraph:
     y: tuple
     algorithm_name: str
     edges: np.ndarray  # read-only (e, 2) int32 rows (left index, right index), left ascending
-    active_directed: dict  # one-cycle key -> number of active directed edges
-    active_undirected: dict  # one-cycle key -> edges with an active orientation
+    active: np.ndarray  # read-only (|V1|, 2) int16, left order: active directed, undirected edges
 
     @property
     def left(self):
         return self.family.one_cycles
+
+    @cached_property
+    def active_directed(self):  # one-cycle key -> number of active directed edges
+        return dict(zip(self.left, self.active[:, 0].tolist()))
+
+    @cached_property
+    def active_undirected(self):  # one-cycle key -> edges with an active orientation
+        return dict(zip(self.left, self.active[:, 1].tolist()))
 
     @cached_property
     def right(self):
@@ -149,8 +156,9 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
                                        cycles, axis=1) for s in (x, y))
     forward = heads & np.roll(tails, -1, axis=1)
     backward = np.roll(heads, -1, axis=1) & tails
-    active_directed = dict(zip(ones, (forward.sum(axis=1) + backward.sum(axis=1)).tolist()))
-    active_undirected = dict(zip(ones, (forward | backward).sum(axis=1).tolist()))
+    active = np.column_stack((forward.sum(axis=1) + backward.sum(axis=1),
+                              (forward | backward).sum(axis=1))).astype(np.int16)
+    active.flags.writeable = False
 
     codes = family.key_codes()
     order = codes.argsort()
@@ -180,7 +188,7 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
     edges.flags.writeable = False
     return IndistGraph(
         family, t, x, y, getattr(algorithm, "name", "?"),
-        edges, active_directed, active_undirected,
+        edges, active,
     )
 
 
@@ -225,20 +233,21 @@ def degree_stats(graph):
     """Degree histograms, per-class edge totals and the handshake check,
     each an ``np.bincount`` over the edge rows, with no key adjacency.
 
-    The handshake identity (edges counted from the left equal those
-    counted from the right) is asserted; each edge is one operation, so
-    the operation totals are the edge totals. The degree-condition rows
-    are reported, not asserted, since the underlying counting convention
-    fixes constants the finite graph need not reproduce. Rows are keyed
-    by (active undirected edges d, class i, 2*floor requirement = d,
-    observed neighbors of simple degree i*(d-i)) and deduplicated.
+    The handshake identity is asserted: the left degrees count every edge
+    row and the right degrees only the distinct (left, right) rows, so a
+    repeated row raises InternalConsistencyError. Each edge is one
+    operation, so the operation totals are the edge totals. The
+    degree-condition rows are reported, not asserted, since the underlying
+    counting convention fixes constants the finite graph need not
+    reproduce. Rows are keyed by (active undirected edges d, class i,
+    2*floor requirement = d, observed neighbors of simple degree i*(d-i))
+    and deduplicated.
     """
     family, lefts, rights = graph.family, graph.edges[:, 0], graph.edges[:, 1]
     left_degree = np.bincount(lefts, minlength=len(graph.left))
-    right_degree = np.bincount(rights, minlength=family.v2_size)
+    right_degree = _distinct_right_degree(graph.edges, len(graph.left), family.v2_size)
     left_edges, right_edges = int(left_degree.sum()), int(right_degree.sum())
-    handshake = left_edges == right_edges
-    if not handshake:
+    if left_edges != right_edges:
         raise InternalConsistencyError(
             f"handshake violated: edges {left_edges}/{right_edges}"
         )
@@ -248,7 +257,7 @@ def degree_stats(graph):
     for i, keys in sorted(family.two_cycles.items()):  # all_two_cycle_keys() order
         ti_edges[i], start = int(right_degree[start:start + len(keys)].sum()), start + len(keys)
     # per left with an edge and class i <= d/2: its neighbors of degree i(d - i)
-    d_und = np.array([graph.active_undirected[lk] for lk in graph.left], dtype=np.int32)
+    d_und = graph.active[:, 1].astype(np.int32)
     neighbor_degree = right_degree.astype(np.int32)[rights]
     rows = Counter()
     for i in range(3, int(d_und.max(initial=0)) // 2 + 1):
@@ -259,5 +268,17 @@ def degree_stats(graph):
         rows.update({(d, i, d, seen): count for (d, seen), count in cells.items()})
     return DegreeStats(
         len(graph.left), family.v2_size, left_edges,
-        left_hist, right_hist, ti_edges, ti_edges, left_edges, handshake, rows,
+        left_hist, right_hist, ti_edges, ti_edges, left_edges, True, rows,
     )
+
+
+def _distinct_right_degree(edges, left_size, right_size):
+    """Each right vertex's number of distinct (left, right) edge rows. The
+    rows ascend by left, so a block of lefts at a time is sorted and each
+    row equal to its predecessor taken off."""
+    degree = np.bincount(edges[:, 1], minlength=right_size)
+    bounds = edges[:, 0].searchsorted(range(0, left_size + SPLIT_BLOCK_ROWS, SPLIT_BLOCK_ROWS))
+    for start, end in zip(bounds.tolist(), bounds[1:].tolist()):
+        code = np.sort(edges[start:end, 0].astype(np.int64) * right_size + edges[start:end, 1])
+        degree -= np.bincount(code[1:][code[1:] == code[:-1]] % right_size, minlength=right_size)
+    return degree

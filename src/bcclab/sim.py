@@ -17,19 +17,15 @@ The run owns the transcript: ``SimulationRun.codes`` holds every
 broadcast as an (n, t) ``int8`` array of Symbol codes, and receptions
 follow from it through the port tables.
 
-One private round engine runs every machine, for :func:`simulate` (one
-member), for :func:`simulate_hosted` (some vertices of one member,
-hearing the others from a given transcript) and for
-:func:`simulate_members` (many cycle-family members at once), writing
-the broadcasts into one (m, n, t) ``int8`` array. A record-only machine
-(no fold) initializes once per distinct view and broadcasts once per
-(view, round); its states never change after ``initialize``, and it
-decides from the broadcasts through ``Algorithm.decide_run``, one call
-per batch. A folding machine (``Algorithm.members_receiver``) folds an
-(m, n) digest array and broadcasts once per distinct (digest, round). A
-machine that overrides ``receive`` runs the engine's per-vertex inbox
-loop, the model's own definition of delivery, with one state per
-member-vertex.
+One private round engine, :func:`_run_rounds`, runs every machine for
+:func:`simulate` (one member), :func:`simulate_hosted` (some vertices of
+one member, hearing the others from a given transcript) and
+:func:`simulate_members` (many cycle-family members at once), and writes
+the broadcasts into one (m, n, t) ``int8`` array. It picks each
+machine's path itself: the per-vertex inbox loop, the model's own
+definition of delivery, for a machine that overrides ``receive``; the
+fold of ``Algorithm.members_receiver`` where the machine gives one; and
+otherwise record-only, one broadcast per distinct (view, round).
 """
 
 import json
@@ -354,8 +350,9 @@ def simulate(instance, algorithm, t):
     check_work(f"{t} rounds on {n} vertices",
                n * t * (n * inbox + PY_OP) + inbox * n * n * PY_OP,
                (8 * t + 640) * n + inbox * 30 * n * n)
-    views, states, index, codes = _run_instance(instance, algorithm, t, range(n))
-    yes = algorithm.decide_run(views, np.arange(n)[None], states, index, codes)
+    views, view_index = tuple(map(instance.view, range(n))), np.arange(n)[None]
+    states, index, codes = _run_rounds(views, view_index, algorithm, t, instance)
+    yes = algorithm.decide_run(views, view_index, states, index, codes)
     codes = codes[0]
     codes.flags.writeable = False
     return SimulationRun(
@@ -430,26 +427,10 @@ def simulate_hosted(instance, algorithm, t, hosted, codes):
         raise ValueError(f"codes must be an ({n}, {t}) int8 array, got {codes.shape} {codes.dtype}")
     check_work(f"{t} rounds of {len(hosted)} hosted vertices on {n}",
                *hosted_work(n, len(hosted), t, algorithm))
-    views, _, _, hosted_codes = _run_instance(instance, algorithm, t, hosted, codes)
+    views = tuple(map(instance.view, hosted))
+    _, _, hosted_codes = _run_rounds(views, np.arange(len(views))[None], algorithm, t,
+                                     instance, (hosted, codes))
     return views, hosted_codes[0]
-
-
-def _run_instance(instance, algorithm, t, vertices, transcript=None):
-    """Run `vertices` of `instance` through the round engine as one member.
-
-    Without `transcript` they are all n vertices; with it every other vertex
-    broadcasts as that (n, t) transcript says. Returns the views, one per
-    vertex, and what :func:`_run_rounds` returns.
-    """
-    views = tuple(instance.view(v) for v in vertices)
-    fold = deliver = None
-    if _overrides_receive(algorithm):
-        deliver = _inbox_step(instance.port_row, algorithm, vertices)
-    else:
-        fold = algorithm.members_receiver(instance._port_sums())
-    hosting = None if transcript is None else (list(vertices), transcript)
-    return views, *_run_rounds(views, np.arange(len(views))[None], algorithm, t,
-                               fold, deliver, hosting)
 
 
 def _inbox_step(port_row, algorithm, vertices):
@@ -492,30 +473,38 @@ def _check_payloads(payloads, round_no, index, vertices):
         )
 
 
-def _run_rounds(views, view_index, algorithm, t, fold=None, deliver=None, hosting=None):
+def _run_rounds(views, view_index, algorithm, t, ports, hosting=None):
     """The one round engine: every run of a machine goes through it.
 
     Vertex v of member j starts from ``views[view_index[j, v]]``, an
-    (m, n) index. A record-only machine (no ``fold``, no ``deliver``)
-    initializes once per view and broadcasts once per (view, round).
-    With the fold of ``members_receiver`` it folds an (m, n) digest array
-    and broadcasts once per distinct (digest, round). With ``deliver``,
-    the inbox loop as a step ``(states, round_no, heard) -> states`` over
-    one state per view, it broadcasts once per view and round.
+    (m, n) index, and hears each round at its port row in the instance
+    ``ports``, the same for every member. The engine picks the path: a
+    machine that overrides ``receive`` gets one state per member-vertex
+    and the inbox loop of :func:`_inbox_step`; any other initializes once
+    per view and, given a fold by ``members_receiver``, folds an (m, n)
+    digest array and broadcasts once per distinct (digest, round), else
+    is record-only and broadcasts once per (view, round).
 
     ``hosting = (columns, transcript)`` makes the m = 1 member the
     vertices ``columns`` of a run on n vertices, whose others broadcast
-    as the (n, t) ``int8`` ``transcript`` says. The fold and the step hear
-    whole rounds: ``heard[j, u]`` is the code of what u broadcast.
+    as the (n, t) ``int8`` ``transcript`` says. The fold and the inbox
+    loop hear whole rounds: ``heard[j, u]`` is the code of what u broadcast.
 
     Returns the distinct final states, the (m, n) index of each vertex's
     among them, and the (m, n, t) ``int8`` transcript (n is a hosted
     run's number of columns): vertex v of member j broadcast the Symbol
     of code ``codes[j, v, r]`` in round r + 1.
     """
-    states = [algorithm.initialize(view) for view in views]
     columns, transcript = hosting or (slice(None), None)
     vertices = range(view_index.shape[1]) if transcript is None else columns
+    fold = deliver = None
+    if _overrides_receive(algorithm):
+        deliver = _inbox_step(ports.port_row, algorithm, vertices)
+        views = [views[k] for k in view_index.ravel().tolist()]
+        view_index = np.arange(len(views)).reshape(view_index.shape)
+    else:
+        fold = algorithm.members_receiver(ports._port_sums())
+    states = [algorithm.initialize(view) for view in views]
     if fold is not None:
         digests = np.array([state[0] for state in states])[view_index]
         if transcript is not None:  # whole rounds are folded; unhosted digests never broadcast
@@ -570,11 +559,8 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
     the port of v facing u is u + 1 if u < v, else u, and in KT1 it is u.
     The transcripts equal :func:`simulate`'s on each member's instance.
 
-    Every machine runs the round engine once for the whole batch: a
-    record-only one broadcasts once per distinct (view, round), one with
-    a ``members_receiver`` fold once per distinct (digest, round), and
-    one that overrides ``receive`` once per member-vertex and round,
-    through the inbox loop at the canonical ports.
+    The round engine runs the whole batch at once, on the distinct views
+    and the canonical ports, and picks the machine's path as for one run.
 
     With ``verdicts`` each member's system verdict is computed too, from
     one ``decide_run`` call for the whole batch.
@@ -587,9 +573,7 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
     m, n, _ = neighbors.shape
     check_work(f"a batch of {m} members on {n} vertices over {t} rounds",
                *members_work(m, n, mode, algorithm, t, verdicts))
-    inbox = _overrides_receive(algorithm)
     law = _law_instance(n, mode)
-    fold = None if inbox else algorithm.members_receiver(law._port_sums())
     vertex = np.arange(n)
     if m and (neighbors.min() < 0 or neighbors.max() >= n or (neighbors == vertex[:, None]).any()):
         raise ValueError(f"input neighbors must be other vertices among 0..{n - 1}")
@@ -604,12 +588,7 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
         VertexView(mode, n, key // (n * n), frozenset((key // n % n, key % n)), all_ids)
         for key in keys.tolist()
     ]
-    deliver = None
-    if inbox:  # a state per member-vertex
-        views = [views[k] for k in view_index.ravel().tolist()]
-        view_index = np.arange(m * n).reshape(m, n)
-        deliver = _inbox_step(law.port_row, algorithm, range(n))
-    states, state_index, codes = _run_rounds(views, view_index, algorithm, t, fold, deliver)
+    states, state_index, codes = _run_rounds(views, view_index, algorithm, t, law)
     if not verdicts:
         return MemberRuns(codes)
     yes = algorithm.decide_run(views, view_index, states, state_index, codes)

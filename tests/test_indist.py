@@ -36,7 +36,8 @@ def instance_level_graph(family, algorithm, t, x=(), y=()):
     """Reference builder: crosses every active directed pair as an instance.
 
     Returns a record with every :class:`bcclab.indist.IndistGraph` field
-    but ``edges``, the two key adjacencies, ``op_counts``, the distinct
+    but ``edges`` and ``active``, the two key adjacencies, the two active
+    edge counts by one-cycle key, ``op_counts``, the distinct
     pairs up to both-edge reversal per edge, and ``witnesses``, the first
     crossing pair of each edge in combinations(directed_input_edges(...), 2)
     order.
@@ -91,12 +92,15 @@ def assert_edge_array(graph):
 
 
 def assert_matches_oracle(got, want):
-    """Every IndistGraph field but the edge array, the two key adjacencies
-    derived from it, and the derived operation counts agree."""
-    names = [field.name for field in fields(ig.IndistGraph) if field.name != "edges"]
-    for name in names + ["adjacency", "right_adjacency"]:
+    """Every IndistGraph field but the two arrays, the key adjacencies and
+    active counts derived from them, and the derived operation counts agree."""
+    arrays = ("edges", "active")
+    names = [field.name for field in fields(ig.IndistGraph) if field.name not in arrays]
+    for name in names + ["adjacency", "right_adjacency", "active_directed", "active_undirected"]:
         assert getattr(got, name) == getattr(want, name), name
     assert_edge_array(got)
+    assert got.active.dtype == np.int16 and got.active.shape == (len(got.left), 2)
+    assert not got.active.flags.writeable
     # one operation per edge, counted by the oracle's own reversal
     # classes: the removed edges E(lk) - E(rk) fix the crossed pair
     assert got.op_counts == want.op_counts
@@ -269,6 +273,16 @@ def _raise_on_read(self):
     raise AssertionError("a key adjacency was read")
 
 
+def _with_repeated_row(graph, left):
+    """The graph with the first edge row of `left` repeated after its last,
+    so the rows still ascend by left."""
+    lefts = graph.edges[:, 0]
+    first, end = lefts.searchsorted(left), lefts.searchsorted(left, side="right")
+    edges = np.insert(graph.edges, end, graph.edges[first], axis=0)
+    edges.flags.writeable = False
+    return replace(graph, edges=edges)
+
+
 class TestDegreeStats:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("n, min_cycle_len", [(6, 3), (7, 3), (8, 3), (8, 4)])
@@ -288,6 +302,24 @@ class TestDegreeStats:
         assert ig.degree_stats(graph).edge_count == 2520
         assert main(["indist-stats", "--n", "7"]) == 0
         assert '"pass": true' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, left", [(7, 0), (7, 359), (8, 1500)])
+    def test_a_repeated_edge_row_fails_the_handshake(self, n, left):
+        # n = 8 has 2520 lefts, so the row repeats in a later block of lefts
+        graph = ig.build_indist_graph(fm.enumerate_family(n), AlwaysSilent(), 0)
+        edges = len(graph.edges)
+        with pytest.raises(InternalConsistencyError,
+                           match=f"handshake violated: edges {edges + 1}/{edges}"):
+            ig.degree_stats(_with_repeated_row(graph, left))
+
+    def test_indist_stats_fails_with_the_witness(self, monkeypatch, capsys):
+        build = ig.build_indist_graph
+        monkeypatch.setattr(ig, "build_indist_graph",
+                            lambda *args: _with_repeated_row(build(*args), 7))
+        assert main(["indist-stats", "--n", "7"]) == 1
+        out = capsys.readouterr().out
+        assert '"pass": false' in out
+        assert '"witness": "handshake violated: edges 2521/2520"' in out
 
     def test_handshake_and_totals_n7(self, g7):
         stats = ig.degree_stats(g7)
