@@ -34,6 +34,9 @@ import numpy as np
 
 from .sim import KT1, Algorithm, Symbol, Verdict
 
+# a bit's Symbol: indexing this is about 50 times cheaper than calling the IntEnum
+_BITS = (Symbol.ZERO, Symbol.ONE)
+
 
 def id_width(ids):
     """W of the round budgets: the bit length of the largest id, at least 1."""
@@ -89,7 +92,7 @@ class IdExchange(Algorithm):
     def broadcast(self, view, round_no):
         if round_no > self.bits:
             return Symbol.SILENT
-        return Symbol((view.own_id >> (round_no - 1)) & 1)
+        return _BITS[(view.own_id >> (round_no - 1)) & 1]
 
     def decide(self, state):
         return Verdict.YES
@@ -143,7 +146,7 @@ class FullExchangeSparse(Algorithm):
         slot, bit = divmod(round_no - 1, w)
         if slot >= len(neighbors):
             return Symbol.SILENT
-        return Symbol((neighbors[slot] >> bit) & 1)
+        return _BITS[(neighbors[slot] >> bit) & 1]
 
     def decide_run(self, views, view_index, states, state_index, codes):
         m, n, t = codes.shape

@@ -17,26 +17,36 @@ r; entry (p, q) is 1 when the words of p and q share no bit. The
 2^(n-1) - 1 sets take one uint64 word up to n = 7, 2 at n = 8 and 8 at
 n = 10, and the matrix is kept as one read-only (d, d) int8 array.
 
-Ranks are exact and use no floating point. One row echelon elimination
-modulo the prime PRIME = 16777213 (the largest below 2^24) gives the
-rank r mod p, a lower bound on the rank over the rationals (a minor that
-is nonzero mod p is nonzero over the integers), so a full r is returned
-at once. Reduction is delayed: a step reduces only its pivot column and
-pivot row, and an int64 entry takes up to _UPDATES = 2^15 unreduced
-products of two residues before the trailing block is reduced.
+Ranks are exact. One row echelon elimination modulo the prime
+PRIME = 16777213 (the largest below 2^24) gives the rank r mod p, a
+lower bound on the rank over the rationals (a minor that is nonzero mod
+p is nonzero over the integers), so a full r is returned at once. It
+runs on int64 residues in panels of _PANEL = 32 columns: inside a panel
+each pivot updates the panel alone; then forward substitution finishes
+the panel's pivot rows right of it, and the rows below take one float64
+BLAS product L21 U12. An entry of that product sums at most 32 products
+of two residues, each below 2^48, so every partial sum is an integer
+below 2^53, exact in any summation order; the trailing int64 block
+takes _UNREDUCED = 2^9 such products before it is reduced. The
+elimination keeps its factors, A[R, C] = L U mod p in the LAPACK getrf
+layout, R and C the pivot rows and columns.
 
 A deficient r is returned only with an integer kernel certificate. With
-R and C the pivot rows and columns and F the other columns, Dixon's
-p-adic lifting solves A[R, C] Y = A[R, F] over the rationals in int64,
-lifting until p^k exceeds twice the squared Hadamard bound of the pivot
-rows; rational reconstruction with one running denominator gives
-Y = Num / den, and A[:, C] Num == den A[:, F] is checked in Python
-integers on every row. Those are n - r independent kernel vectors, so
-the rank is at most r. A matrix whose certificate cannot be built or
-fails (entries too large for int64 lifting, a failed reconstruction, a
-failed identity) is ranked by fraction-free (Bareiss) integer
-elimination, which stays the oracle: no deficient rank rests on the
-prime alone.
+F the other columns, Dixon's p-adic lifting solves A[R, C] Y = A[R, F]
+over the rationals in int64, one base-p digit at a time by forward and
+back substitution on those factors. After 1, 2, 4, ... digits, and at
+the cap where p^k first exceeds twice the squared Hadamard bound of the
+pivot rows, rational reconstruction with one running denominator tries
+Y = Num / den, and A[:, C] Num == den A[:, F] is checked in integers on
+every row; the lifting stops once it holds. Those are n - r independent
+kernel vectors, so the rank is at most r. The answer is the identity's,
+not the lifting's: at the cap the reconstruction is sure to find Y, so
+stopping earlier changes no answer, and a kernel of small integers (a
+dependent row of a 0/1 matrix) takes one digit. A matrix whose
+certificate cannot be built or fails (entries too large for int64
+lifting, an identity that fails at the cap) is ranked by fraction-free
+(Bareiss) integer elimination, which stays the oracle: no deficient
+rank rests on the prime alone.
 """
 
 import hashlib
@@ -51,9 +61,11 @@ from . import partitions as pt
 from .errors import capped_count, check_work
 
 PRIME = 16777213  # the largest prime below 2^24
-# an int64 holds a residue minus _UPDATES products of two residues:
-# PRIME + _UPDATES * (PRIME - 1)^2 < 2^63
-_UPDATES = 2**15
+# columns of a panel: _PANEL * (PRIME - 1)^2 < 2^53
+_PANEL = 32
+# panels between reductions of the trailing block, each subtracting a
+# product below 2^53: an int64 holds a residue minus 2^9 of them
+_UNREDUCED = 2**9
 
 # kind -> (closed-form count of its index, the index enumeration)
 KINDS = {
@@ -114,8 +126,9 @@ def build_join_matrix(kind, n):
     count, enumerate_index = _kind(kind)
     dim = capped_count(count, n)
     width = max(1, 2**n // 128)  # uint64 words for a row's 2^(n-1) - 1 proper sets holding 1
-    # the elimination and one AND per word per entry; the int8 rows and the rank's
-    # two int64 copies (the closures, 2^n <= 8 d bytes a row, fit in those)
+    # the elimination and one AND per word per entry; the int8 rows, the rank's
+    # int64 residues and as many bytes again for its panel, GEMM blocks and
+    # numpy's buffers (the closures, 2^n <= 8 d bytes a row, fit in those)
     check_work(f"kind {kind} at n={n} with dimension {dim if n <= 64 else 'over 2^63'}",
                dim * dim * (2 * dim // 3 + width), 17 * dim * dim)
     index = tuple(enumerate_index(n))
@@ -163,97 +176,177 @@ def exact_rank(matrix):
     a = _integer_array(rows)
     if not a.size:
         return 0
-    rank, pivot_rows, pivot_cols = _echelon_mod_prime(a)
-    if rank == min(a.shape) or _kernel_certificate(a, pivot_rows, pivot_cols):
+    rank, pivot_rows, pivot_cols, lu = _echelon_mod_prime(a)
+    if rank == min(a.shape) or _kernel_certificate(a, lu, pivot_rows, pivot_cols):
         return rank
     return bareiss_rank(rows)
 
 
 def _integer_array(rows):
-    """The rows as an int64 array, or as an object array of Python ints
-    when an entry does not fit one.
+    """The rows as an integer array (a JoinMatrix's int8 rows uncopied),
+    or as an object array of Python ints when an entry does not fit int64.
 
     A non-integer entry raises TypeError: truncating it would rank a
     different matrix.
     """
     a = np.asarray(rows)
     if a.dtype.kind in "bi":
-        return a.astype(np.int64, copy=False)
+        return a
     return np.array([[operator.index(v) for v in r] for r in rows], dtype=object)
 
 
 def _echelon_mod_prime(a):
     """Row echelon elimination of the integer array a over GF(PRIME).
 
-    Returns the rank r, the original ids of the r pivot rows and the r
-    pivot columns, both in pivot order. The pivot of a column is the
-    first remaining row that is nonzero mod PRIME there, so A[R, C] is
-    nonsingular mod PRIME with nonzero leading minors. Reduction is
-    delayed: a step reduces only its pivot column and pivot row and
-    subtracts one product of two residues from each trailing entry, and
-    the trailing block is reduced every _UPDATES steps.
+    Returns (r, pivot_rows, pivot_cols, lu): the rank r, the original ids
+    of the r pivot rows and the r pivot columns, both in pivot order, and
+    the int64 array of residues the elimination ran in, its rows in pivot
+    order. The pivot of a column is the first remaining row that is
+    nonzero mod PRIME there, so B = A[R, C] is nonsingular mod PRIME, and
+    lu[:r, C] holds B = L U mod PRIME in the LAPACK getrf layout: the
+    pivots on the diagonal and each pivot's multipliers below it make L,
+    and the pivot rows divided by their pivots make the unit upper
+    triangle U.
+
+    The columns are taken in panels of _PANEL, as the module docstring
+    says: _factor_panel, forward substitution for U12, and the product
+    L21 U12 by row blocks. A column is reduced when its panel reaches it.
     """
-    a = (a % PRIME).astype(np.int64, copy=False)
-    nrows, ncols = a.shape
-    order = np.arange(nrows)
+    # the residues, reduced in place (an object array first, to fit int64)
+    lu = (a % PRIME if a.dtype == object else a).astype(np.int64)
+    lu %= PRIME
+    nrows, ncols = lu.shape
+    order = list(range(nrows))
     pivot_cols = []
-    for col in range(ncols):
+    inverses = []  # of the pivots, in pivot order
+    for start in range(0, ncols, _PANEL):
+        stop = min(start + _PANEL, ncols)
+        top = len(pivot_cols)
+        pivot_cols += _factor_panel(lu, top, start, stop, order, inverses)
         rank = len(pivot_cols)
-        column = a[rank:, col] % PRIME
-        nonzero = np.flatnonzero(column)
+        if rank == nrows:
+            break
+        if rank == top or stop == ncols:
+            continue
+        columns = pivot_cols[top:]
+        l11 = lu[top:rank, columns]
+        u12 = lu[top:rank, stop:]
+        u12 %= PRIME
+        for i, inverse in enumerate(inverses[top:]):
+            u12[i] = (u12[i] - l11[i, :i] @ u12[:i]) % PRIME * inverse % PRIME
+        u12 = u12.astype(np.float64)
+        step = max(1, nrows // 8)  # a block's product takes 1/8 of lu's bytes
+        for block in range(rank, nrows, step):
+            product = lu[block:block + step, columns].astype(np.float64) @ u12
+            trailing = lu[block:block + step, stop:]
+            np.subtract(trailing, product, out=trailing, dtype=np.int64, casting="unsafe")
+        if stop // _PANEL % _UNREDUCED == 0:
+            lu[rank:, stop:] %= PRIME
+    rank = len(pivot_cols)
+    return rank, np.array(order[:rank], dtype=np.intp), np.array(pivot_cols, dtype=np.intp), lu
+
+
+def _factor_panel(lu, top, start, stop, order, inverses):
+    """Eliminate the panel lu[top:, start:stop] pivot by pivot; return its
+    pivot columns.
+
+    A pivot's row exchange moves whole rows of lu and the ids in order,
+    and its inverse is appended to inverses. The panel is eliminated in
+    a transposed copy, so that each update runs over whole contiguous
+    rows: numpy buffers an update of a strided block, at up to three
+    times its bytes.
+    """
+    panel = lu[top:, start:stop].T.copy()
+    pivots = []  # counted from start
+    for j, column in enumerate(panel):
+        k = len(pivots)
+        column = column[k:]
+        column %= PRIME
+        nonzero = column.nonzero()[0]
         if not nonzero.size:
             continue
-        if nonzero[0]:  # rows rank..pivot-1 are zero in col
-            swap = [rank, rank + nonzero[0]]
-            a[swap] = a[swap[::-1]]
-            order[swap] = order[swap[::-1]]
-            column[[0, nonzero[0]]] = column[[nonzero[0], 0]]
-        pivot_cols.append(col)
-        if rank + 1 == nrows:
+        if nonzero[0]:  # rows top+k..pivot-1 are zero in the column
+            pivot = k + nonzero[0]
+            panel[:, [k, pivot]] = panel[:, [pivot, k]]
+            lu[[top + k, top + pivot]] = lu[[top + pivot, top + k]]
+            order[top + k], order[top + pivot] = order[top + pivot], order[top + k]
+        pivots.append(j)
+        inverses.append(pow(int(column[0]), -1, PRIME))
+        if top + k + 1 == len(lu):
             break
-        row = a[rank, col + 1:] % PRIME * pow(int(column[0]), -1, PRIME) % PRIME
-        trailing = a[rank + 1:, col + 1:]
-        trailing -= column[1:, None] * row
-        if len(pivot_cols) % _UPDATES == 0:
-            trailing %= PRIME
-    rank = len(pivot_cols)
-    return rank, order[:rank], np.array(pivot_cols, dtype=np.intp)
+        row = panel[j + 1:, k] % PRIME * inverses[-1] % PRIME
+        panel[j + 1:, k] = row
+        below = np.zeros(panel.shape[1], dtype=np.int64)  # the column below the pivot
+        below[k + 1:] = column[1:]
+        # einsum forms the outer product without a broadcast's buffers
+        panel[j + 1:] -= np.einsum("i,j->ij", row, below)
+    lu[top:, start:stop] = panel.T
+    return [start + j for j in pivots]
 
 
-def _kernel_certificate(a, pivot_rows, pivot_cols):
+def _kernel_certificate(a, lu, pivot_rows, pivot_cols):
     """True when the integer array a provably has rank len(pivot_rows).
 
     With R the pivot rows and C the pivot columns of _echelon_mod_prime,
     B = A[R, C] is nonsingular mod PRIME, so a nonzero r x r minor gives
-    rank >= r. Dixon's p-adic lifting solves B Y = A[R, F] over the
-    rationals, F the other columns; Y = Num / den is rebuilt by rational
-    reconstruction and checked as A[:, C] Num == den A[:, F] over the
-    integers on every row. That gives n - r independent integer kernel
-    vectors, so rank <= r. False (the caller falls back to Bareiss) when
-    the lifting would leave int64, B is singular mod PRIME, the
-    reconstruction fails or the identity does not hold.
+    rank >= r; the lifting on B's factors in lu and the early stop are
+    the module docstring's. False (the caller falls back to Bareiss) when
+    the lifting would leave int64, or the identity still fails at the
+    cap.
     """
     r = len(pivot_rows)
     free = np.ones(a.shape[1], dtype=bool)
     free[pivot_cols] = False
     # |residual| <= r * beta and |residual - B y| < r * beta * PRIME stay
-    # in int64, and so does a product of B^-1 with r residues
+    # in int64, and so does a dot product of r pairs of residues
     beta = max(int(a.max()), -int(a.min()))
     if r * max(beta, PRIME) * PRIME >= 2**63:
         return False
+    factors = lu[:r, pivot_cols]
     b = a[np.ix_(pivot_rows, pivot_cols)].astype(np.int64)
-    b_inverse = _inverse_mod_prime(b)
-    if b_inverse is None:
-        return False
     # by Cramer's rule an entry of Y is det(B_j) / det(B), both at most
     # the Hadamard bound H of the pivot rows; a fraction with numerator
-    # and denominator at most H is unique mod M once M > 2 H^2
-    h_squared = math.prod((a[pivot_rows].astype(object) ** 2).sum(axis=1).tolist())
-    lifted, modulus = _padic_solution(
-        b, b_inverse, a[np.ix_(pivot_rows, free)].astype(np.int64), 2 * h_squared
-    )
+    # and denominator at most H is unique mod M once M > 2 H^2 (the row
+    # sums of squares are taken in int64 where they fit)
+    rows = a[pivot_rows].astype(np.int64 if a.shape[1] * beta**2 < 2**63 else object)
+    limit = 2 * math.prod((rows * rows).sum(axis=1).tolist())
+    residual = a[np.ix_(pivot_rows, free)].astype(np.int64)
+    inverses = [pow(int(p), -1, PRIME) for p in factors.diagonal()]
+    lifted, modulus, digits = 0, 1, 0
+    while modulus <= limit:
+        y, residual = _padic_step(factors, inverses, b, residual)
+        lifted = lifted + modulus * y.astype(object)
+        modulus *= PRIME
+        digits += 1
+        if (modulus > limit or digits & (digits - 1) == 0) and _kernel_identity(
+            a, pivot_cols, free, beta, lifted, modulus
+        ):
+            return True
+    return False
+
+
+def _padic_step(factors, inverses, b, residual):
+    """The next base-PRIME digit y = B^-1 residual mod PRIME, by forward
+    and back substitution on B's factors (inverses: of their pivots), and
+    (residual - B y) / PRIME, which PRIME divides."""
+    y = residual % PRIME
+    for i, inverse in enumerate(inverses):  # L z = residual
+        y[i] = (y[i] - factors[i, :i] @ y[:i]) % PRIME * inverse % PRIME
+    for i in range(len(y) - 2, -1, -1):  # U y = z
+        y[i] = (y[i] - factors[i, i + 1:] @ y[i + 1:]) % PRIME
+    return y, (residual - b @ y) // PRIME
+
+
+def _kernel_identity(a, pivot_cols, free, beta, lifted, modulus):
+    """True when Y == lifted (mod modulus) rebuilds as Num / den with
+    A[:, C] Num == den A[:, F] over the integers.
+
+    Wang's reconstruction of each entry with one running denominator (the
+    lcm so far, a divisor of det(B)); the identity is evaluated in int64
+    when no sum can leave it, else in Python integers.
+    """
     bound = math.isqrt((modulus - 1) // 2)
-    den = 1  # lcm of the denominators so far, a divisor of det(B)
+    den = 1
     for x in lifted.flat:
         d = _reconstructed_denominator(x * den % modulus, modulus, bound)
         if d is None:
@@ -261,46 +354,10 @@ def _kernel_certificate(a, pivot_rows, pivot_cols):
         den *= d
     num = lifted * den % modulus
     num = np.where(num > modulus // 2, num - modulus, num)
-    lhs = a[:, pivot_cols].astype(object) @ num
-    return bool((lhs == den * a[:, free].astype(object)).all())
-
-
-def _inverse_mod_prime(b):
-    """B^-1 mod PRIME by in-place Gauss-Jordan elimination without row
-    exchanges, or None when a leading minor of B is 0 mod PRIME.
-
-    Reduction is delayed as in _echelon_mod_prime; the caller keeps the
-    order of B below _UPDATES.
-    """
-    inverse = b % PRIME
-    for k in range(len(inverse)):
-        pivot = int(inverse[k, k] % PRIME)
-        if not pivot:
-            return None
-        inverse[k, k] = 1
-        row = inverse[k] % PRIME * pow(pivot, -1, PRIME) % PRIME
-        column = inverse[:, k] % PRIME
-        column[k] = 0
-        inverse[:, k] = 0
-        inverse -= column[:, None] * row
-        inverse[k] = row
-    return inverse % PRIME
-
-
-def _padic_solution(b, b_inverse, rhs, limit):
-    """(X, M) with B X == rhs (mod M), M = PRIME^k the first power over limit.
-
-    Each step takes the next base-PRIME digit y = B^-1 residual mod
-    PRIME and divides residual - B y, which PRIME divides, by PRIME.
-    """
-    lifted = np.zeros(rhs.shape, dtype=object)
-    residual, modulus = rhs, 1
-    while modulus <= limit:
-        y = b_inverse @ (residual % PRIME) % PRIME
-        residual = (residual - b @ y) // PRIME
-        lifted += modulus * y.astype(object)
-        modulus *= PRIME
-    return lifted, modulus
+    largest = np.abs(num).max(initial=den)
+    dtype = np.int64 if len(pivot_cols) * beta * largest < 2**63 else object
+    lhs = a[:, pivot_cols].astype(dtype) @ num.astype(dtype)
+    return bool((lhs == den * a[:, free].astype(dtype)).all())
 
 
 def _reconstructed_denominator(z, modulus, bound):

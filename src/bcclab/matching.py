@@ -63,7 +63,7 @@ def _match_rows(row_of, rows, n_rights):
 
     Returns (match_left, match_right, matched_lefts, matched_rights):
     the partner of each left and right (-1 if free), and the lefts and
-    rights in the order they were first matched. Two shortcuts keep the
+    rights in the order they were first matched. Three shortcuts keep the
     answer of the plain algorithm:
 
     - Phase 1 is a first-fit greedy pass. With every left free, every
@@ -75,6 +75,8 @@ def _match_rows(row_of, rows, n_rights):
       nondecreasing order and match_right does not change during it, so
       a second scan of the same row finds no new free right and no new
       unlayered left.
+    - The phases stop once every left or every right is matched: no
+      augmenting path is left, so the last BFS would find none.
 
     The augmenting search keeps its own stack, so a long augmenting path
     needs no recursion.
@@ -153,7 +155,7 @@ def _match_rows(row_of, rows, n_rights):
                 path.pop()
                 at.pop()
 
-    while bfs():
+    while len(matched_lefts) < min(m, n_rights) and bfs():
         for u in range(m):
             if match_left[u] < 0:
                 augment(u)

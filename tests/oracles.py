@@ -4,12 +4,14 @@ Each function reads a library object the long way, to be compared with
 what the library computes another way; none is used by the library.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from bcclab.crossing import DirectedInputEdge, oriented_edge
+from bcclab.joinmatrix import PRIME, _reconstructed_denominator
 from bcclab.errors import InternalConsistencyError
 from bcclab.families import two_cycle_classes
 from bcclab.indist import DegreeStats
@@ -113,3 +115,95 @@ def position_splitting_pairs(positions, n, min_len=3):
     a = np.repeat(np.arange(len(pos)), counts)
     b = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
     return np.column_stack((pos[a], pos[b]))
+
+
+# an int64 holds a residue minus _UPDATES products of two residues:
+# PRIME + _UPDATES * (PRIME - 1)^2 < 2^63
+_UPDATES = 2**15
+
+
+def per_pivot_echelon(a):
+    """:func:`bcclab.joinmatrix._echelon_mod_prime`'s (rank, pivot rows,
+    pivot columns) the long way: one rank-1 update of the whole trailing
+    block per pivot, in int64, with the same pivot rule (the first
+    remaining row nonzero mod PRIME) and the same row exchanges."""
+    a = (a % np.int64(PRIME)).astype(np.int64)
+    nrows, ncols = a.shape
+    order = np.arange(nrows)
+    pivot_cols = []
+    for col in range(ncols):
+        rank = len(pivot_cols)
+        column = a[rank:, col] % PRIME
+        nonzero = np.flatnonzero(column)
+        if not nonzero.size:
+            continue
+        if nonzero[0]:  # rows rank..pivot-1 are zero in col
+            swap = [rank, rank + nonzero[0]]
+            a[swap] = a[swap[::-1]]
+            order[swap] = order[swap[::-1]]
+            column[[0, nonzero[0]]] = column[[nonzero[0], 0]]
+        pivot_cols.append(col)
+        if rank + 1 == nrows:
+            break
+        row = a[rank, col + 1:] % PRIME * pow(int(column[0]), -1, PRIME) % PRIME
+        trailing = a[rank + 1:, col + 1:]
+        trailing -= column[1:, None] * row
+        if len(pivot_cols) % _UPDATES == 0:
+            trailing %= PRIME
+    rank = len(pivot_cols)
+    return rank, order[:rank], np.array(pivot_cols, dtype=np.intp)
+
+
+def inverse_mod_prime(b):
+    """B^-1 mod PRIME by in-place Gauss-Jordan elimination without row
+    exchanges, or None when a leading minor of B is 0 mod PRIME; B's
+    order stays below _UPDATES."""
+    inverse = b % PRIME
+    for k in range(len(inverse)):
+        pivot = int(inverse[k, k] % PRIME)
+        if not pivot:
+            return None
+        inverse[k, k] = 1
+        row = inverse[k] % PRIME * pow(pivot, -1, PRIME) % PRIME
+        column = inverse[:, k] % PRIME
+        column[k] = 0
+        inverse[:, k] = 0
+        inverse -= column[:, None] * row
+        inverse[k] = row
+    return inverse % PRIME
+
+
+def full_lift_certificate(a, pivot_rows, pivot_cols):
+    """:func:`bcclab.joinmatrix._kernel_certificate` the long way: B^-1 by
+    Gauss-Jordan, Dixon's lifting all the way to the cap p^k > 2 H^2 (H
+    the Hadamard bound of the pivot rows), one reconstruction there, and
+    the identity A[:, C] Num == den A[:, F] in Python integers."""
+    r = len(pivot_rows)
+    free = np.ones(a.shape[1], dtype=bool)
+    free[pivot_cols] = False
+    beta = max(int(a.max()), -int(a.min()))
+    if r * max(beta, PRIME) * PRIME >= 2**63:
+        return False
+    b = a[np.ix_(pivot_rows, pivot_cols)].astype(np.int64)
+    b_inverse = inverse_mod_prime(b)
+    if b_inverse is None:
+        return False
+    limit = 2 * math.prod((a[pivot_rows].astype(object) ** 2).sum(axis=1).tolist())
+    lifted = np.zeros((r, int(free.sum())), dtype=object)
+    residual, modulus = a[np.ix_(pivot_rows, free)].astype(np.int64), 1
+    while modulus <= limit:
+        y = b_inverse @ (residual % PRIME) % PRIME
+        residual = (residual - b @ y) // PRIME
+        lifted += modulus * y.astype(object)
+        modulus *= PRIME
+    bound = math.isqrt((modulus - 1) // 2)
+    den = 1
+    for x in lifted.flat:
+        d = _reconstructed_denominator(x * den % modulus, modulus, bound)
+        if d is None:
+            return False
+        den *= d
+    num = lifted * den % modulus
+    num = np.where(num > modulus // 2, num - modulus, num)
+    lhs = a[:, pivot_cols].astype(object) @ num
+    return bool((lhs == den * a[:, free].astype(object)).all())

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from bcclab import joinmatrix as jm
 from bcclab import partitions as pt
 from bcclab.errors import ResourceLimitError
+from oracles import full_lift_certificate, inverse_mod_prime, per_pivot_echelon
 
 P = jm.PRIME
 
@@ -276,14 +277,14 @@ class TestModularCertificate:
         assert jm.exact_rank(rows) == 14
         # rank 1 mod p, 2 over Q: the kernel identity fails on row 0
         assert jm.exact_rank([[P, 0], [0, 1]]) == -1
-        lift = jm._padic_solution
+        step = jm._padic_step
 
         def perturbed(*args):
-            lifted, modulus = lift(*args)
-            lifted[0, 0] += 1
-            return lifted, modulus
+            digit, residual = step(*args)
+            digit[0, 0] = (digit[0, 0] + 1) % P
+            return digit, residual
 
-        monkeypatch.setattr(jm, "_padic_solution", perturbed)
+        monkeypatch.setattr(jm, "_padic_step", perturbed)
         assert jm.exact_rank(rows) == -1
 
     def test_hadamard_bound_lifts_far_enough(self, monkeypatch):
@@ -293,7 +294,23 @@ class TestModularCertificate:
         a = 9 * P // 20
         rows = [[a, a + 1], [2 * a, 2 * a + 2]]
         monkeypatch.setattr(jm, "bareiss_rank", lambda rows: -1)
+        steps = counted_steps(monkeypatch)
         assert jm.exact_rank(rows) == 1
+        assert len(steps) == 2
+
+    def test_identity_past_int64(self, monkeypatch):
+        # Y = (x + 1) / x with x near 2^30 and rows scaled by 2^5: the
+        # identity's sums reach 2^65, so they are taken in Python integers
+        x = 2**30 + 7
+        monkeypatch.setattr(jm, "bareiss_rank", lambda rows: -1)
+        assert jm.exact_rank([[x, x + 1], [2**5 * x, 2**5 * (x + 1)]]) == 1
+
+    def test_row_sums_of_squares_past_int64(self, monkeypatch):
+        # 2 (2^33)^2 leaves int64 while r beta PRIME does not: the Hadamard
+        # bound is summed in Python integers
+        monkeypatch.setattr(jm, "bareiss_rank", lambda rows: -1)
+        assert jm.exact_rank([[2**33, 2**33], [2**34, 2**34]]) == 1
+        assert jm.exact_rank([[2**33, -(2**33)], [-(2**34), 2**34]]) == 1
 
     def test_non_integer_entries_rejected(self):
         # truncating 1.5 to 1 would certify a rank-1 matrix as full rank
@@ -304,6 +321,136 @@ class TestModularCertificate:
         # floor division by the pivot 0.5 would rank this rank-2 matrix 1
         with pytest.raises(TypeError):
             jm.bareiss_rank([[0.5, 1], [1, 3]])
+
+
+def counted_steps(monkeypatch):
+    """The calls to jm._padic_step from here on, one entry per lifted digit."""
+    calls = []
+    step = jm._padic_step
+
+    def spy(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(jm, "_padic_step", spy)
+    return calls
+
+
+@st.composite
+def echelon_inputs(draw):
+    """Integer matrices whose elimination mod PRIME crosses panel edges:
+    widths around one and two panels, low rank, zero and repeated
+    columns, a dependent row, multiples of PRIME, and 2^70 entries (an
+    object array)."""
+    nrows = draw(st.integers(1, 70))
+    ncols = draw(st.sampled_from((1, 2, 7, 31, 32, 33, 63, 64, 65)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # 0/1 entries, as join matrices have
+        a = (rng.random((nrows, ncols)) < draw(st.sampled_from((0.1, 0.5)))).astype(np.int64)
+    else:
+        k = draw(st.integers(0, min(nrows, ncols)))
+        a = rng.integers(-3, 4, (nrows, k)) @ rng.integers(-3, 4, (k, ncols))
+    a[:, rng.random(ncols) < draw(st.sampled_from((0, 0.1, 0.4)))] = 0
+    for j in np.flatnonzero(rng.random(ncols) < draw(st.sampled_from((0, 0.1)))):
+        a[:, j] = a[:, rng.integers(j + 1)]
+    if nrows > 2 and draw(st.booleans()):
+        a[-1] = a[0] + a[1]
+    multiples = rng.random(a.shape) < draw(st.sampled_from((0, 0.02, 0.2)))
+    a[multiples] = PRIME_MULTIPLES[rng.integers(len(PRIME_MULTIPLES), size=multiples.sum())]
+    if draw(st.booleans()):
+        a = a.astype(object)
+        a[rng.integers(nrows), rng.integers(ncols)] = 2**70
+    return a
+
+
+PRIME_MULTIPLES = np.array([P, -P, 2 * P, 0])
+
+
+def factors_of(lu, rank, pivot_cols):
+    """(L, U) of B = A[R, C] from the getrf layout of _echelon_mod_prime."""
+    block = lu[:rank, pivot_cols]
+    return np.tril(block), np.triu(block, 1) + np.eye(rank, dtype=np.int64)
+
+
+class TestPanelEchelonAgainstOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(echelon_inputs())
+    def test_pivots_and_factors(self, a):
+        rank, pivot_rows, pivot_cols, lu = jm._echelon_mod_prime(a)
+        expected = per_pivot_echelon(a)
+        assert (rank, pivot_rows.tolist(), pivot_cols.tolist()) == (
+            expected[0], expected[1].tolist(), expected[2].tolist())
+        lower, upper = factors_of(lu, rank, pivot_cols)
+        b = a[np.ix_(pivot_rows, pivot_cols)] % P
+        assert ((lower @ upper) % P == b).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(echelon_inputs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_factor_solve_is_the_inverse(self, a, width, seed):
+        rank, pivot_rows, pivot_cols, lu = jm._echelon_mod_prime(a)
+        b = a[np.ix_(pivot_rows, pivot_cols)]
+        if b.dtype == object:  # a 2^70 entry: the certificate refuses to lift
+            return
+        factors = lu[:rank, pivot_cols]
+        inverses = [pow(int(p), -1, P) for p in factors.diagonal()]
+        v = np.random.default_rng(seed).integers(-(2**40), 2**40, (rank, width))
+        digit, _ = jm._padic_step(factors, inverses, b, v)
+        assert (digit == inverse_mod_prime(b) @ (v % P) % P).all()
+
+    def test_m7_and_e10(self):
+        for kind, n in (("M", 7), ("E", 10)):
+            a = jm.build_join_matrix(kind, n).rows
+            rank, pivot_rows, pivot_cols, lu = jm._echelon_mod_prime(a)
+            expected = per_pivot_echelon(a)
+            assert rank == expected[0] == len(a)
+            assert (pivot_rows == expected[1]).all() and (pivot_cols == expected[2]).all()
+            lower, upper = factors_of(lu, rank, pivot_cols)
+            rows = np.random.default_rng(n).choice(rank, 40, replace=False)
+            assert ((lower[rows] @ upper) % P == a[np.ix_(pivot_rows[rows], pivot_cols)]).all()
+
+
+class TestEarlyStopAgainstFullLift:
+    """The certificate stops once its identity holds; the full lift to the
+    Hadamard cap (the oracle) must give the same answer."""
+
+    @staticmethod
+    def both(rows):
+        a = jm._integer_array(rows)
+        rank, pivot_rows, pivot_cols, lu = jm._echelon_mod_prime(a)
+        assert rank < min(a.shape)
+        return (jm._kernel_certificate(a, lu, pivot_rows, pivot_cols),
+                full_lift_certificate(a, pivot_rows, pivot_cols))
+
+    @pytest.mark.parametrize("m, n", [(7, 7), (12, 9), (9, 12), (23, 40), (40, 17), (40, 40)])
+    def test_low_rank_products(self, m, n):
+        rng = random.Random(f"low-rank/{m}x{n}")
+        for k in range(min(m, n)):
+            assert self.both(low_rank_product(rng, m, n, k)) == (True, True)
+
+    def test_m6_with_a_dependent_row_takes_one_digit(self, monkeypatch):
+        rows = jm.build_join_matrix("M", 6).rows.tolist()
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        assert self.both(rows) == (True, True)
+        steps = counted_steps(monkeypatch)
+        assert jm.exact_rank(rows) == 202
+        assert len(steps) == 1
+
+    def test_deficient_principal_subset_of_m7(self):
+        m = jm.build_join_matrix("M", 7)
+        subset = sorted(random.Random(3).sample(range(m.dimension), 220))
+        assert self.both(m.rows[np.ix_(subset, subset)]) == (True, True)
+
+    @pytest.mark.parametrize("rows", [[[P, 0], [0, 1]], [[1, 1], [1, 1 + P]], [[P, 1], [0, P]]])
+    def test_refused_where_the_rank_is_not_the_prime_rank(self, rows):
+        assert self.both(rows) == (False, False)
+
+    @settings(max_examples=60, deadline=None)
+    @given(echelon_inputs())
+    def test_random(self, a):
+        rank, pivot_rows, pivot_cols, lu = jm._echelon_mod_prime(a)
+        if rank < min(a.shape):
+            assert jm._kernel_certificate(a, lu, pivot_rows, pivot_cols) == (
+                full_lift_certificate(a, pivot_rows, pivot_cols))
 
 
 def low_rank_product(rng, m, n, k):

@@ -182,6 +182,23 @@ def test_run_estimate_bounds_its_peak(n, algorithm, t):
     assert 0 < peak <= memory
 
 
+@pytest.mark.parametrize("kind, n", [("M", 6), ("E", 8), ("E", 10)])
+def test_matrix_estimate_bounds_the_rank_peak(kind, n):
+    # the bytes of the build's check cover the rank's int64 residues, its
+    # panel and GEMM blocks, and the buffers numpy takes for them
+    memory = estimate(jm.build_join_matrix, kind, n, site=f"kind {kind}")[2]
+    matrix = jm.build_join_matrix(kind, n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        jm.exact_rank(matrix)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= memory
+
+
 def test_member_batch_refused_on_memory_alone():
     name, call, args, site = next(r for r in REFUSE if r[1] is sim.simulate_members)
     _, steps, memory = estimate(call, *args, site=site)
