@@ -170,23 +170,19 @@ def cmd_family(args, rep):
         code = 0 if record["pass"] else 1
     rep.emit(record)
     if args.dump_members:
-        for key in fam.one_cycles:
-            rep.emit({"one_cycle": list(key)})
-        for key in fam.all_two_cycle_keys():
-            rep.emit({"two_cycle": [list(c) for c in key]})
+        for row in fam.one_cycle_rows.tolist():
+            rep.emit({"one_cycle": row})
+        for first, second in fam.two_cycle_rows.values():
+            for pair in zip(first.tolist(), second.tolist()):
+                rep.emit({"two_cycle": list(pair)})
     return code
-
-
-def _family_and_machine(args):
-    """The family of args.n, and the machine with its defaults from the
-    family's first one-cycle instance."""
-    fam = fm.enumerate_family(args.n, args.min_cycle_len)
-    return fam, _algorithm(args, fam.one_cycle_instance(fam.one_cycles[0]))
 
 
 def _built_graph(args):
     ig.check_graph_size(args.n, args.min_cycle_len)
-    fam, algorithm = _family_and_machine(args)
+    fam = fm.enumerate_family(args.n, args.min_cycle_len)
+    # the machine takes its defaults from the family's first one-cycle instance
+    algorithm = _algorithm(args, fam.one_cycle_instance(fam.one_cycle_rows[0].tolist()))
     # x and y default to all-silent strings of length t
     x = _parse_symbols(args.x if args.x else "-" * args.t)
     y = _parse_symbols(args.y if args.y else "-" * args.t)

@@ -3,20 +3,21 @@
 Families are enumerated at the graph level over the fixed vertex set
 {0..n-1} with canonical ids and ports: port assignments multiply every
 family size by the same factor, so ratios and per-instance degree
-statistics are unaffected while exhaustive runs stay small. Members are
-stored as canonical keys; a key is the cycle vertex sequence rotated to
-its lexicographically minimal rotation/reflection. Key order
-(:func:`cycle_order`), cycle walks, the cycles on a vertex set and the
-class lengths i of T_i (:func:`two_cycle_classes`) each have one owner.
-The canonical rule, the two-cycle key order and the cycle walk also have
-batch forms over integer arrays (:func:`canonical_cycles`,
-:func:`two_cycle_codes`, :func:`cycle_neighbors`), kept next to their
-scalar forms.
+statistics are unaffected while exhaustive runs stay small. A member's
+key lists its cycles, each rotated to its lexicographically minimal
+rotation/reflection. The members are stored once, as int8 cycle arrays
+(:class:`CycleFamily`), and their key tuples are derived on read. Key
+order (:func:`cycle_order`), cycle walks, the cycles on a vertex set (one
+table builder) and the class lengths i of T_i (:func:`two_cycle_classes`)
+each have one owner; the canonical rule, the key order and the cycle walk
+have batch forms over integer arrays (:func:`canonical_cycles`,
+:func:`two_cycle_codes`, :func:`cycle_neighbors`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import chain, combinations, permutations
 from math import comb, factorial, log
 
 import numpy as np
@@ -71,13 +72,8 @@ def cycle_order(cycle):
     return len(cycle), cycle
 
 
-def two_cycle_key(a, b):
-    """Family key of two disjoint canonical cycles, in :func:`cycle_order`."""
-    return (a, b) if cycle_order(a) <= cycle_order(b) else (b, a)
-
-
 def two_cycle_codes(a, b):
-    """int64 codes of the keys :func:`two_cycle_key` makes of canonical rows a, b.
+    """int64 codes of the keys (cycles in :func:`cycle_order`) of canonical rows a, b.
 
     Row j of a and of b are two disjoint canonical cycles covering n
     vertices. A key is coded as its first cycle's length times n**n plus
@@ -141,17 +137,15 @@ def cycles_of_instance(instance):
     return tuple(sorted(out, key=cycle_order))
 
 
-def _cycles_on(vertices):
-    """Every cycle on the vertex set once, canonically keyed."""
-    first, *rest = sorted(vertices)
-    for perm in permutations(rest):
-        if perm[0] < perm[-1]:  # reflection representative
-            yield (first,) + perm
-
-
-def one_cycle_keys(n):
-    """All (n-1)!/2 distinct cycles on {0..n-1}, canonically keyed."""
-    return _cycles_on(range(n))
+def _cycle_table(k):
+    """Every cycle on 0..k-1 once, canonically keyed: 0, then each permutation
+    of 1..k-1 whose first entry is below its last, in lexicographic order, as
+    a ((k-1)!/2, k) int8 array. Relabelled by an ascending vertex list, it
+    gives the cycles on that set, still canonical and in order."""
+    perms = np.fromiter(chain.from_iterable(permutations(range(1, k))), np.int8,
+                        count=factorial(k - 1) * (k - 1)).reshape(-1, k - 1)
+    perms = perms[perms[:, 0] < perms[:, -1]]  # the reflection representatives
+    return np.column_stack((np.zeros(len(perms), np.int8), perms))
 
 
 def two_cycle_classes(n, min_cycle_len=3):
@@ -161,71 +155,77 @@ def two_cycle_classes(n, min_cycle_len=3):
     return range(min_cycle_len, n // 2 + 1)
 
 
-def two_cycle_keys(n, min_cycle_len=3):
-    """All splits into two disjoint cycles, smaller length first.
-
-    Yields (i, key) with i the smaller cycle length; for even n the
-    i = n/2 class drops the complement duplicates by keeping only the
-    splits whose first cycle contains vertex 0.
-    """
-    for i in two_cycle_classes(n, min_cycle_len):
-        for subset in combinations(range(n), i):
-            if 2 * i == n and 0 not in subset:
-                continue
-            complement = tuple(v for v in range(n) if v not in subset)
-            for ca in _cycles_on(subset):
-                for cb in _cycles_on(complement):
-                    yield i, two_cycle_key(ca, cb)
+def _two_cycle_rows(n, i):
+    """T_i's first and second cycles, in key order: each i-subset in
+    lexicographic order (for n = 2i only those holding 0, which drops the
+    complement duplicates), each cycle on it, then each on its complement.
+    The subset's cycle leads: it is the shorter, or the one holding 0."""
+    subsets = np.fromiter(chain.from_iterable(combinations(range(n), i)), np.int8).reshape(-1, i)
+    subsets = subsets[subsets[:, 0] == 0] if 2 * i == n else subsets
+    outside = (subsets[:, :, None] != np.arange(n)).all(axis=1)  # [s, v]: v not in subset s
+    rest = np.nonzero(outside)[1].astype(np.int8).reshape(-1, n - i)
+    inner, outer = _cycle_table(i), _cycle_table(n - i)
+    first = np.repeat(subsets[:, inner].reshape(-1, i), len(outer), axis=0)
+    second = np.repeat(rest[:, None, outer], len(inner), axis=1).reshape(-1, n - i)
+    return first, second
 
 
-@dataclass(frozen=True)
+def _row_tuples(rows):
+    """The rows as tuples of Python ints, converted 1024 rows at a time, so
+    no list of lists of the whole array is held."""
+    return chain.from_iterable(map(tuple, rows[start:start + 1024].tolist())
+                               for start in range(0, len(rows), 1024))
+
+
+@dataclass(frozen=True, eq=False)
 class CycleFamily:
-    """Enumerated one-cycle members V1 and two-cycle classes T_i."""
+    """Enumerated one-cycle members V1 and two-cycle classes T_i, stored once
+    as read-only int8 cycle arrays in key order: ``one_cycle_rows`` has one
+    n-cycle a row, and ``two_cycle_rows`` maps each i, ascending, to the
+    (first, second) cycles of T_i's keys. Sizes, codes and neighbors read
+    the arrays; the key tuples (:attr:`one_cycles`, :attr:`two_cycles`)
+    are derived from them on first read."""
 
     n: int
     min_cycle_len: int
-    one_cycles: tuple  # canonical cycle keys
-    two_cycles: dict  # i -> tuple of two-cycle keys
+    one_cycle_rows: np.ndarray  # (|V1|, n)
+    two_cycle_rows: dict  # i -> ((|T_i|, i), (|T_i|, n - i)) arrays
+
+    @cached_property
+    def one_cycles(self):
+        return tuple(_row_tuples(self.one_cycle_rows))
+
+    @cached_property
+    def two_cycles(self):  # i -> T_i's keys, each a pair of cycles
+        return {i: tuple(zip(_row_tuples(first), _row_tuples(second)))
+                for i, (first, second) in self.two_cycle_rows.items()}
 
     @property
     def v1_size(self):
-        return len(self.one_cycles)
+        return len(self.one_cycle_rows)
 
     @property
     def v2_size(self):
-        return sum(len(v) for v in self.two_cycles.values())
+        return sum(self.t_sizes().values())
 
     def t_sizes(self):
-        return {i: len(v) for i, v in self.two_cycles.items()}
+        return {i: len(first) for i, (first, _) in self.two_cycle_rows.items()}
 
     def all_two_cycle_keys(self):
-        for i in sorted(self.two_cycles):
-            yield from self.two_cycles[i]
-
-    def one_cycle_array(self):
-        """:attr:`one_cycles` as an (|V1|, n) int8 array."""
-        return np.array(self.one_cycles, dtype=np.int8).reshape(-1, self.n)
-
-    def _two_cycle_arrays(self):
-        """Per class i, in key order, the keys' first and second cycles as arrays."""
-        for i in sorted(self.two_cycles):
-            keys = self.two_cycles[i]
-            first = np.array([key[0] for key in keys], dtype=np.int8).reshape(-1, i)
-            second = np.array([key[1] for key in keys], dtype=np.int8).reshape(-1, self.n - i)
-            yield first, second
+        return chain.from_iterable(self.two_cycles.values())
 
     def key_codes(self):
         """:func:`two_cycle_codes` of :meth:`all_two_cycle_keys`, in that order."""
-        parts = [two_cycle_codes(*pair) for pair in self._two_cycle_arrays()]
+        parts = [two_cycle_codes(*pair) for pair in self.two_cycle_rows.values()]
         return np.concatenate([np.empty(0, dtype=np.int64)] + parts)
 
     def one_cycle_neighbors(self):
         """:func:`cycle_neighbors` of the one-cycle members, in key order."""
-        return cycle_neighbors(self.one_cycle_array())
+        return cycle_neighbors(self.one_cycle_rows)
 
     def two_cycle_neighbors(self):
         """:func:`cycle_neighbors` of :meth:`all_two_cycle_keys`, in that order."""
-        parts = [cycle_neighbors(*pair) for pair in self._two_cycle_arrays()]
+        parts = [cycle_neighbors(*pair) for pair in self.two_cycle_rows.values()]
         return np.concatenate([np.empty((0, self.n, 2), dtype=np.int8)] + parts)
 
     def one_cycle_instance(self, key, mode=KT0):
@@ -240,20 +240,20 @@ def check_family_size(n, min_cycle_len=3):
     n <= 11 is admitted."""
     if n < 5:
         raise ValueError("family enumeration needs n >= 5")
-    # a key takes about n Python-level operations and 8 n + 150 bytes
+    # a key takes about n Python-level operations and 3 n bytes, for the n-cycle table's
+    # permutation buffer and filtered copy: a peak of 23-25 B a key at n = 9..11
     keys = capped_count(
         lambda n: one_cycle_count(n) * (1 + family_ratio_float(n, min_cycle_len)), n)
-    check_work(f"family enumeration at n={n}", keys * n * PY_OP, keys * (8 * n + 150))
+    check_work(f"family enumeration at n={n}", keys * n * PY_OP, keys * 3 * n)
 
 
 def enumerate_family(n, min_cycle_len=3):
     """Complete duplicate-free families for n >= 5 (n <= 11 is admitted)."""
     check_family_size(n, min_cycle_len)
-    twos = {}
-    for i, key in two_cycle_keys(n, min_cycle_len):
-        twos.setdefault(i, []).append(key)
-    twos = {i: tuple(v) for i, v in sorted(twos.items())}
-    ones = tuple(one_cycle_keys(n))
+    ones = _cycle_table(n)  # first: its permutation buffer is the peak
+    twos = {i: _two_cycle_rows(n, i) for i in two_cycle_classes(n, min_cycle_len)}
+    for rows in (ones, *chain.from_iterable(twos.values())):
+        rows.flags.writeable = False
     return CycleFamily(n, min_cycle_len, ones, twos)
 
 

@@ -147,8 +147,7 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
         raise ValueError(f"need |x| = |y| = t = {t}")
     n = family.n
     check_graph_size(n, family.min_cycle_len)
-    ones = family.one_cycles
-    cycles = family.one_cycle_array()
+    cycles = family.one_cycle_rows
     pairs = splitting_pairs([0] * n, family.min_cycle_len)  # one label for every position
     transcript = simulate_members(cycle_neighbors(cycles), KT0, algorithm, t).codes
     # heads[j, p] (tails[j, p]): the vertex at position p of member j broadcast x (y)
@@ -165,7 +164,7 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
     codes = np.append(codes[order], -1)  # a sentinel past the end that is no code
     blocks = [np.empty((0, 2), dtype=np.int32)]
     first, second = pairs[:, 0], pairs[:, 1]
-    for start in range(0, len(ones), SPLIT_BLOCK_ROWS):
+    for start in range(0, len(cycles), SPLIT_BLOCK_ROWS):
         block = slice(start, start + SPLIT_BLOCK_ROWS)
         f, b = forward[block], backward[block]
         live = f[:, first] & f[:, second] | b[:, first] & b[:, second]
@@ -179,7 +178,7 @@ def build_indist_graph(family, algorithm, t, x=(), y=()):
             bad = missing.argmax()
             i, k = pairs[cols[bad]].tolist()
             raise InternalConsistencyError(
-                f"crossing positions {i}, {k} of {ones[start + rows[bad]]} leaves "
+                f"crossing positions {i}, {k} of {family.one_cycles[start + rows[bad]]} leaves "
                 "a two-cycle key missing from the enumerated family"
             )
         # np.nonzero lists the cells row by row, so the left index ascends
@@ -244,8 +243,8 @@ def degree_stats(graph):
     and deduplicated.
     """
     family, lefts, rights = graph.family, graph.edges[:, 0], graph.edges[:, 1]
-    left_degree = np.bincount(lefts, minlength=len(graph.left))
-    right_degree = _distinct_right_degree(graph.edges, len(graph.left), family.v2_size)
+    left_degree = np.bincount(lefts, minlength=family.v1_size)
+    right_degree = _distinct_right_degree(graph.edges, family.v1_size, family.v2_size)
     left_edges, right_edges = int(left_degree.sum()), int(right_degree.sum())
     if left_edges != right_edges:
         raise InternalConsistencyError(
@@ -254,8 +253,8 @@ def degree_stats(graph):
     left_hist, right_hist = (Counter({d: c for d, c in enumerate(np.bincount(x).tolist()) if c})
                              for x in (left_degree, right_degree))
     ti_edges, start = {}, 0
-    for i, keys in sorted(family.two_cycles.items()):  # all_two_cycle_keys() order
-        ti_edges[i], start = int(right_degree[start:start + len(keys)].sum()), start + len(keys)
+    for i, size in family.t_sizes().items():  # all_two_cycle_keys() order
+        ti_edges[i], start = int(right_degree[start:start + size].sum()), start + size
     # per left with an edge and class i <= d/2: its neighbors of degree i(d - i)
     d_und = graph.active[:, 1].astype(np.int32)
     neighbor_degree = right_degree.astype(np.int32)[rights]
@@ -267,7 +266,7 @@ def degree_stats(graph):
         cells = Counter(zip(d_und[reported].tolist(), observed[reported].tolist()))
         rows.update({(d, i, d, seen): count for (d, seen), count in cells.items()})
     return DegreeStats(
-        len(graph.left), family.v2_size, left_edges,
+        family.v1_size, family.v2_size, left_edges,
         left_hist, right_hist, ti_edges, ti_edges, left_edges, True, rows,
     )
 

@@ -1,19 +1,22 @@
 """Reference readings of library objects that only the tests take.
 
 Each function reads a library object the long way, to be compared with
-what the library computes another way; none is used by the library.
+what the library computes another way; none is used by the library. The
+family's reference enumeration (:func:`one_cycle_keys`,
+:func:`two_cycle_keys`) builds the key tuples one permutation at a time.
 """
 
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 
 from bcclab.crossing import DirectedInputEdge, oriented_edge
 from bcclab.joinmatrix import PRIME, _reconstructed_denominator
 from bcclab.errors import InternalConsistencyError
-from bcclab.families import two_cycle_classes
+from bcclab.families import cycle_order, two_cycle_classes
 from bcclab.indist import DegreeStats
 
 
@@ -85,6 +88,39 @@ def family_ratio_terms(n, min_cycle_len=3):
             term /= 2
         terms[i] = term
     return terms
+
+
+def cycles_on(vertices):
+    """Every cycle on the vertex set once, canonically keyed: the smallest
+    vertex, then each permutation of the rest with first < last."""
+    first, *rest = sorted(vertices)
+    for perm in permutations(rest):
+        if perm[0] < perm[-1]:  # reflection representative
+            yield (first,) + perm
+
+
+def one_cycle_keys(n):
+    """All (n-1)!/2 distinct cycles on {0..n-1}, canonically keyed."""
+    return cycles_on(range(n))
+
+
+def two_cycle_key(a, b):
+    """Family key of two disjoint canonical cycles, in :func:`cycle_order`."""
+    return (a, b) if cycle_order(a) <= cycle_order(b) else (b, a)
+
+
+def two_cycle_keys(n, min_cycle_len=3):
+    """All splits into two disjoint cycles, as (i, key) with i the smaller
+    cycle length, in the family's key order: for even n the i = n/2 class
+    keeps only the splits whose first cycle contains vertex 0."""
+    for i in two_cycle_classes(n, min_cycle_len):
+        for subset in combinations(range(n), i):
+            if 2 * i == n and 0 not in subset:
+                continue
+            complement = tuple(v for v in range(n) if v not in subset)
+            for ca in cycles_on(subset):
+                for cb in cycles_on(complement):
+                    yield i, two_cycle_key(ca, cb)
 
 
 def bucketed_fooling_pairs(run, cycle):

@@ -30,7 +30,13 @@ from bcclab.sim import (
     make_instance,
     simulate,
 )
-from oracles import bucketed_fooling_pairs, directed_input_edges, received, reversed_edge
+from oracles import (
+    bucketed_fooling_pairs,
+    directed_input_edges,
+    received,
+    reversed_edge,
+    two_cycle_key,
+)
 from test_sim import random_kt0_ports
 
 
@@ -107,7 +113,7 @@ def split_key(cycle, i, k):
     Built by the scalar rules, one pair at a time; the pair must satisfy
     :func:`bcclab.crossing.splitting_pairs`.
     """
-    return fm.two_cycle_key(
+    return two_cycle_key(
         fm.canonical_cycle(cycle[i + 1:k + 1]),
         fm.canonical_cycle(cycle[k + 1:] + cycle[:i + 1]),
     )

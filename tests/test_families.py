@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from bcclab import families as fm
 from bcclab.errors import ResourceLimitError
 from bcclab.sim import make_instance
-from oracles import family_ratio_terms
+from oracles import family_ratio_terms, one_cycle_keys, two_cycle_key, two_cycle_keys
 from work_estimates import largest_admitted
 
 
@@ -60,7 +61,7 @@ class TestTwoCycleCodes:
             forward = fm.two_cycle_codes(a, b)
             assert forward.tolist() == fm.two_cycle_codes(b, a).tolist()
             for (ca, cb), code in zip(pieces, forward.tolist()):
-                first, second = fm.two_cycle_key(ca, cb)
+                first, second = two_cycle_key(ca, cb)
                 digits = first + second
                 assert code == len(first) * n**n + sum(
                     d * n ** (n - 1 - p) for p, d in enumerate(digits)
@@ -72,7 +73,8 @@ class TestTwoCycleCodes:
         assert (n // 2 + 1) * n**n < 2**63
 
 
-# SHA-256 of repr(list(...)) of each enumeration. IndistGraph keys and
+# SHA-256 of repr(list(...)) of each enumeration: the family's one-cycle
+# keys, and (i, key) for each two-cycle key of T_i. IndistGraph keys and
 # `family --dump-members` follow this order, so it is part of the contract.
 ONE_CYCLE_ORDER = {
     5: "ea0bcd8bad4617ece40f41befd4b46bfa1e3915e9aa6aeb2701697beb898cb65",
@@ -102,11 +104,32 @@ def order_digest(keys):
 class TestEnumerationOrder:
     @pytest.mark.parametrize("n", sorted(ONE_CYCLE_ORDER))
     def test_one_cycle_keys(self, n):
-        assert order_digest(fm.one_cycle_keys(n)) == ONE_CYCLE_ORDER[n]
+        assert order_digest(fm.enumerate_family(n).one_cycles) == ONE_CYCLE_ORDER[n]
 
     @pytest.mark.parametrize("n, m", sorted(TWO_CYCLE_ORDER))
     def test_two_cycle_keys(self, n, m):
-        assert order_digest(fm.two_cycle_keys(n, m)) == TWO_CYCLE_ORDER[n, m]
+        fam = fm.enumerate_family(n, m)
+        keys = ((i, key) for i, class_keys in fam.two_cycles.items() for key in class_keys)
+        assert order_digest(keys) == TWO_CYCLE_ORDER[n, m]
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_arrays_and_keys_match_the_reference_enumeration(self, n, m):
+        fam = fm.enumerate_family(n, m)
+        ones = tuple(one_cycle_keys(n))
+        twos = {}
+        for i, key in two_cycle_keys(n, m):
+            twos.setdefault(i, []).append(key)
+        assert fam.one_cycles == ones
+        assert fam.two_cycles == {i: tuple(keys) for i, keys in twos.items()}
+        assert {type(v) for key in fam.one_cycles for v in key} == {int}
+        arrays = [fam.one_cycle_rows, *chain.from_iterable(fam.two_cycle_rows.values())]
+        assert all(a.dtype == np.int8 and not a.flags.writeable for a in arrays)
+        assert fam.one_cycle_rows.tolist() == [list(key) for key in ones]
+        assert list(fam.two_cycle_rows) == list(twos)
+        for i, (first, second) in fam.two_cycle_rows.items():
+            assert first.shape[1] == i
+            assert list(zip(map(tuple, first.tolist()), map(tuple, second.tolist()))) == twos[i]
 
 
 class TestEnumeration:

@@ -207,9 +207,9 @@ class TestBuildAtRoundZero:
     @pytest.mark.parametrize("n", [7, 8])
     def test_family_missing_a_class_raises(self, n):
         fam = fm.enumerate_family(n)
-        for i in fam.two_cycles:
-            twos = {j: keys for j, keys in fam.two_cycles.items() if j != i}
-            broken = replace(fam, two_cycles=twos)
+        for i in fam.two_cycle_rows:
+            twos = {j: rows for j, rows in fam.two_cycle_rows.items() if j != i}
+            broken = replace(fam, two_cycle_rows=twos)
             with pytest.raises(InternalConsistencyError, match="missing from the enumerated family"):
                 ig.build_indist_graph(broken, AlwaysSilent(), 0)
 
@@ -302,6 +302,25 @@ class TestDegreeStats:
         assert ig.degree_stats(graph).edge_count == 2520
         assert main(["indist-stats", "--n", "7"]) == 0
         assert '"pass": true' in capsys.readouterr().out
+
+    def test_size_only_paths_build_no_key_tuples(self, monkeypatch, capsys):
+        # the graph, its statistics and error-eval's two member batches read
+        # the family's cycle arrays; the key tuples are derived only on read
+        fam = fm.enumerate_family(7)
+        ig.degree_stats(ig.build_indist_graph(fam, AlwaysSilent(), 0))
+        built, enumerate_family = [], fm.enumerate_family
+
+        def enumerate_and_keep(*args):
+            built.append(enumerate_family(*args))
+            return built[-1]
+
+        monkeypatch.setattr(fm, "enumerate_family", enumerate_and_keep)
+        assert main(["error-eval", "--n", "7"]) == 0
+        assert '"error": ' in capsys.readouterr().out
+        assert len(built) == 1
+        for family in (fam, *built):
+            assert "one_cycles" not in family.__dict__
+            assert "two_cycles" not in family.__dict__
 
     @pytest.mark.parametrize("n, left", [(7, 0), (7, 359), (8, 1500)])
     def test_a_repeated_edge_row_fails_the_handshake(self, n, left):

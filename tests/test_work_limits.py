@@ -38,8 +38,8 @@ def family_stub(n, min_cycle_len=3):
     every one-cycle member is the cycle 0, 1, ..., n-1."""
     count = fm.one_cycle_count(n)
     return SimpleNamespace(
-        n=n, min_cycle_len=min_cycle_len, one_cycles=range(count),
-        one_cycle_array=lambda: np.broadcast_to(np.arange(n, dtype=np.int8), (count, n)),
+        n=n, min_cycle_len=min_cycle_len,
+        one_cycle_rows=np.broadcast_to(np.arange(n, dtype=np.int8), (count, n)),
     )
 
 
@@ -182,6 +182,22 @@ def test_run_estimate_bounds_its_peak(n, algorithm, t):
     assert 0 < peak <= memory
 
 
+@pytest.mark.parametrize("n", [9, 10])
+def test_family_estimate_bounds_its_peak(n):
+    # the bytes charged a key cover the n-cycle table's permutation buffer,
+    # its filtered copy and the np.repeat temporaries of the two-cycle rows
+    memory = estimate(fm.enumerate_family, n, site="family")[2]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fm.enumerate_family(n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= memory
+
+
 @pytest.mark.parametrize("kind, n", [("M", 6), ("E", 8), ("E", 10)])
 def test_matrix_estimate_bounds_the_rank_peak(kind, n):
     # the bytes of the build's check cover the rank's int64 residues, its
@@ -298,9 +314,8 @@ class TestRefusalComesFirst:
             jm.build_join_matrix("M", 5)
 
     def test_family(self, limits, monkeypatch):
-        monkeypatch.setattr(fm, "one_cycle_keys", fail)
-        monkeypatch.setattr(fm, "two_cycle_keys", fail)
-        limits(memory=10**4)
+        monkeypatch.setattr(fm, "_cycle_table", fail)
+        limits(memory=10**3)  # the estimate at n = 6 is 70 keys of 18 bytes
         with pytest.raises(ResourceLimitError, match="^family enumeration at n=6"):
             fm.enumerate_family(6)
 
