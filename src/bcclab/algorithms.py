@@ -190,6 +190,10 @@ def _connected(src, slots):
     the smallest root an edge reaches, then pointer jumping (Shiloach and
     Vishkin, 1982); a root is its tree's smallest vertex, so a graph is
     connected iff vertex 0 is every vertex's root."""
+    # numpy, because each array pass labels all b graphs at once. One graph
+    # alone is cheaper in pure Python: on one 800-vertex reduction graph
+    # (n = 200, general variant; 2-core x86-64 host) this took about 200 us
+    # plus the build of its int32 arrays, unionfind.component_roots 100 us
     b, n, _ = slots.shape
     base = np.arange(0, b * n, n, dtype=np.int32)[:, None]
     edge = slots >= 0

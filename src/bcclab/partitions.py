@@ -1,17 +1,17 @@
 """Exact set-partition algebra on the ground set {1..n}.
 
 Partitions are kept in canonical form (block elements ascending, blocks
-ordered by minimum element), the join is computed with a disjoint-set
-forest, and enumeration follows restricted-growth-string lexicographic
-order so that enumeration indices are stable and can serve as matrix
-row/column indices.
+ordered by minimum element), the join labels each element with the least
+element of its class (``unionfind.component_roots``), and enumeration
+follows restricted-growth-string lexicographic order so that enumeration
+indices are stable and can serve as matrix row/column indices.
 """
 
 from functools import lru_cache
 from math import factorial
 
 from .errors import PY_OP, PartitionParseError, capped_count, check_work
-from .unionfind import DisjointSet
+from .unionfind import component_roots
 
 
 class SetPartition:
@@ -97,16 +97,18 @@ def _check_same_ground(p, q):
 
 
 def join(p, q):
-    """Finest common coarsening of p and q, via disjoint-set merging."""
+    """Finest common coarsening of p and q: every block of both links its
+    elements to its first, and each element is labelled with the least
+    element of its class. Grouped by ascending label, the blocks come out
+    in canonical order."""
     _check_same_ground(p, q)
     n = p.ground_size
-    ds = DisjointSet(n)
-    for part in (p, q):
-        for block in part.blocks:
-            first = block[0]
-            for e in block[1:]:
-                ds.union(first - 1, e - 1)
-    return SetPartition(n, [[i + 1 for i in g] for g in ds.groups()])
+    pairs = ((b[0], e) for part in (p, q) for b in part.blocks for e in b[1:])
+    roots = component_roots(n + 1, pairs)  # vertex 0 stays alone
+    blocks = {}
+    for e in range(1, n + 1):
+        blocks.setdefault(roots[e], []).append(e)
+    return SetPartition(n, blocks.values())
 
 
 def is_refinement(p, q):

@@ -23,7 +23,7 @@ from functools import cached_property
 from . import partitions as pt
 from .errors import InternalConsistencyError
 from .sim import KT1, Verdict, make_instance, simulate
-from .unionfind import DisjointSet
+from .unionfind import component_roots
 
 GENERAL = "general"
 TWO_REGULAR = "two-regular"
@@ -100,20 +100,15 @@ def build_reduction(variant, p_a, p_b):
 
 def components_partition(graph):
     """Partition of [n] induced by connected components on the rung vertices."""
-    ds = DisjointSet(len(graph.ids))
-    for u, v in graph.edges:
-        ds.union(u, v)
-    n = graph.n
-    roots = {}
+    roots = component_roots(len(graph.ids), graph.edges)
+    l0, r0 = graph.l_vertex(1), graph.r_vertex(1)
     blocks = {}
-    for i in range(1, n + 1):
-        root = ds.find(graph.l_vertex(i))
-        blocks.setdefault(root, []).append(i)
-        roots[i] = root
-    for i in range(1, n + 1):  # rungs force the R projection to agree
-        if ds.find(graph.r_vertex(i)) != roots[i]:
-            raise InternalConsistencyError(f"l{i} and r{i} lie in different components")
-    return pt.SetPartition(n, blocks.values())
+    for i in range(graph.n):
+        root = roots[l0 + i]
+        if roots[r0 + i] != root:  # rungs force the R projection to agree
+            raise InternalConsistencyError(f"l{i + 1} and r{i + 1} lie in different components")
+        blocks.setdefault(root, []).append(i + 1)
+    return pt.SetPartition(graph.n, blocks.values())
 
 
 def verify_join_correspondence(p_a, p_b, variant):

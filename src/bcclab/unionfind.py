@@ -1,33 +1,23 @@
-"""Disjoint-set forest with union by size and path compression."""
+"""Connected components as least-vertex labels: a set-union forest with
+linking by index and path halving (Tarjan and van Leeuwen, "Worst-case
+analysis of set union algorithms", 1984)."""
 
 
-class DisjointSet:
-    def __init__(self, size):
-        self.parent = list(range(size))
-        self.size = [1] * size
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:  # path compression
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i, j):
-        """Merge the sets containing i and j; returns True if they were distinct."""
-        i, j = self.find(i), self.find(j)
-        if i == j:
-            return False
-        if self.size[i] < self.size[j]:
-            i, j = j, i
-        self.parent[j] = i
-        self.size[i] += self.size[j]
-        return True
-
-    def groups(self):
-        """All classes, as a list of sorted element lists, ordered by minimum element."""
-        members = {}
-        for i in range(len(self.parent)):
-            members.setdefault(self.find(i), []).append(i)
-        return sorted(members.values())
+def component_roots(size, pairs):
+    """Each vertex's least component vertex, on the graph over range(size)
+    with edges ``pairs``. A link points the larger root at the smaller, so
+    every parent is below its child, and one ascending pass settles each
+    vertex on the root its parent already holds."""
+    parent = list(range(size))
+    for u, v in pairs:
+        while u != parent[u]:  # path halving
+            parent[u] = u = parent[parent[u]]
+        while v != parent[v]:
+            parent[v] = v = parent[parent[v]]
+        if u < v:
+            parent[v] = u
+        elif v < u:
+            parent[u] = v
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return parent

@@ -243,3 +243,28 @@ def full_lift_certificate(a, pivot_rows, pivot_cols):
     num = np.where(num > modulus // 2, num - modulus, num)
     lhs = a[:, pivot_cols].astype(object) @ num
     return bool((lhs == den * a[:, free].astype(object)).all())
+
+
+def component_minima(size, pairs):
+    """Each vertex's least component vertex, on the graph over range(size)
+    whose edges are ``pairs``, by breadth-first search over adjacency sets
+    from each vertex left unreached, in ascending order."""
+    adjacent = [set() for _ in range(size)]
+    for u, v in pairs:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    label = [None] * size
+    for s in range(size):
+        if label[s] is not None:
+            continue
+        label[s] = s
+        frontier = [s]
+        while frontier:
+            reached = []
+            for u in frontier:
+                for w in adjacent[u]:
+                    if label[w] is None:
+                        label[w] = s
+                        reached.append(w)
+            frontier = reached
+    return label

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bcclab import partitions as pt
 from bcclab.errors import STEP_LIMIT, PartitionParseError, ResourceLimitError
 from bcclab.partitions import SetPartition
+from oracles import component_minima
 from work_estimates import estimate
 
 
@@ -116,6 +117,35 @@ class TestJoin:
         for r in pt.enumerate_partitions(p.ground_size):
             if pt.is_refinement(p, r) and pt.is_refinement(q, r):
                 assert pt.is_refinement(j, r)
+
+
+def random_rgs_partition(rng, n, p_new):
+    """A restricted growth string that opens a block with probability p_new."""
+    rgs, top = [0], 0
+    for _ in range(n - 1):
+        if rng.random() < p_new:
+            top += 1
+            rgs.append(top)
+        else:
+            rgs.append(rng.randint(0, top))
+    return SetPartition.from_rgs(rgs)
+
+
+class TestJoinAgainstOracle:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from([0.002, 0.02, 0.2, 0.9]),
+           st.sampled_from([0.002, 0.02, 0.2, 0.9]))
+    def test_n2000_matches_bfs_labels(self, seed, p_new, q_new):
+        n, rng = 2000, random.Random(seed)
+        p, q = random_rgs_partition(rng, n, p_new), random_rgs_partition(rng, n, q_new)
+        # the element graph: each block a path over its elements, 0-based
+        pairs = [(a - 1, b - 1) for part in (p, q) for block in part.blocks
+                 for a, b in zip(block, block[1:])]
+        label = component_minima(n, pairs)
+        blocks = {}
+        for e in range(1, n + 1):
+            blocks.setdefault(label[e - 1], []).append(e)
+        assert pt.join(p, q) == SetPartition(n, blocks.values())
 
 
 class TestRefinement:

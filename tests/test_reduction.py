@@ -4,12 +4,14 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcclab import partitions as pt
 from bcclab import reduction as rd
 from bcclab.algorithms import AlwaysSilent, FullExchangeSparse, RandomTable
 from bcclab.errors import InternalConsistencyError
 from bcclab.sim import Symbol, Verdict, simulate
+from oracles import component_minima
 
 
 def vertex_label(graph, v):
@@ -142,6 +144,37 @@ class TestJoinCorrespondence:
             p_a = pt.random_pair_partition(rng, 100)
             p_b = pt.random_pair_partition(rng, 100)
             assert rd.verify_join_correspondence(p_a, p_b, rd.TWO_REGULAR)
+
+
+class TestComponentsAgainstOracle:
+    """components_partition against breadth-first labels of the whole graph,
+    read on the l rung vertices; pt.join shares the labeller, so it is no
+    oracle here."""
+
+    @staticmethod
+    def oracle_partition(graph):
+        label = component_minima(len(graph.ids), graph.edges)
+        blocks = {}
+        for i in range(1, graph.n + 1):
+            blocks.setdefault(label[graph.l_vertex(i)], []).append(i)
+        return pt.SetPartition(graph.n, blocks.values())
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 60), st.randoms(use_true_random=False))
+    def test_general(self, n, rng):
+        g = rd.build_reduction(
+            rd.GENERAL, pt.random_partition(rng, n), pt.random_partition(rng, n)
+        )
+        assert rd.components_partition(g) == self.oracle_partition(g)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 30), st.randoms(use_true_random=False))
+    def test_two_regular(self, half, rng):
+        n = 2 * half
+        g = rd.build_reduction(
+            rd.TWO_REGULAR, pt.random_pair_partition(rng, n), pt.random_pair_partition(rng, n)
+        )
+        assert rd.components_partition(g) == self.oracle_partition(g)
 
 
 class TestTwoParty:
