@@ -217,10 +217,13 @@ class RandomTable(Algorithm):
     """A pseudorandomly drawn deterministic machine.
 
     The broadcast in round r is a fixed function of (seed, r, digest)
-    where the digest folds the received history into Z_modulus; with
-    modulus 1 every vertex broadcasts the same sequence, larger moduli
-    give partially diverging sequences. Useful for adversarial trials
-    that need a deterministic but arbitrary-looking machine.
+    where the digest folds the received history into Z_modulus. On KT0
+    every vertex broadcasts the same sequence at every modulus: every
+    port row sums to n(n-1)/2 and every digest starts at 0, so by the
+    fold below the digests never part. Only on KT1, whose port sums
+    differ, can a modulus above 1 make vertices diverge. Useful for
+    adversarial trials that need a deterministic but arbitrary-looking
+    machine.
 
     With modulus 1 the digest never changes, so the machine is
     record-only. A larger modulus folds every round into the digest:

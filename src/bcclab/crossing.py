@@ -64,40 +64,15 @@ def cross(instance, e1, e2):
     produced instance on the new edges restores the original bit for bit.
     """
     if instance.mode != KT0:
-        raise ValueError(
-            "crossing is only defined for KT0 instances (KT1 port labels "
-            "reveal the swap)"
-        )
+        raise ValueError("crossing is only defined for KT0 instances "
+                         "(KT1 port labels reveal the swap)")
     if not are_independent(instance, e1, e2):
         raise ValueError(f"edges {e1} and {e2} are not independent")
     v1, u1 = e1.head, e1.tail
     v2, u2 = e2.head, e2.tail
-    rows = dict(instance.rewired)
-    neighbors = list(instance.input_neighbors)
-    for a, x, y in (
-        (v1, u1, u2),  # at v1 swap the ports facing u1 and u2; u2 replaces u1
-        (u1, v1, v2),
-        (v2, u2, u1),
-        (u2, v2, v1),
-    ):
-        row = list(instance.port_row(a))
-        row[x], row[y] = row[y], row[x]
-        rows[a] = tuple(row)
-        if rows[a] == instance._law_row(a):  # an earlier crossing undone
-            del rows[a]
-        neighbors[a] = tuple(sorted(y if u == x else u for u in neighbors[a]))
-    edges = set(instance.input_edges)
-    edges.discard(tuple(sorted((v1, u1))))
-    edges.discard(tuple(sorted((v2, u2))))
-    edges.add(tuple(sorted((v1, u2))))
-    edges.add(tuple(sorted((v2, u1))))
-    crossed = BccInstance(instance.n, instance.mode, instance.ids, frozenset(edges),
-                          tuple(sorted(rows.items())))
-    # the cached properties' slots: the parent's ranks and law rows, and the
-    # neighbor lists, which spare the crossed instance an O(n log n) rebuild
-    crossed.__dict__.update(_rank=instance._rank, _law_rows=instance._law_rows,
-                            _rewired_rows=rows, input_neighbors=tuple(neighbors))
-    return crossed
+    # at v1 the ports facing u1 and u2 trade labels: u2 takes u1's input port
+    return instance._derive(swaps=((v1, u1, u2), (u1, v1, v2), (v2, u2, u1), (u2, v2, v1)),
+                            removed=((v1, u1), (v2, u2)), added=((v1, u2), (v2, u1)))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ follows restricted-growth-string lexicographic order so that enumeration
 indices are stable and can serve as matrix row/column indices.
 """
 
-from functools import lru_cache
+from functools import wraps
 from math import factorial
 
 from .errors import PY_OP, PartitionParseError, capped_count, check_work
@@ -241,9 +241,26 @@ def parse_partition(text):
     return SetPartition(n, blocks)
 
 
-@lru_cache(maxsize=1)
+def _keep_largest(build):
+    """Cache `build`'s table for the largest n asked for so far, which
+    serves every smaller n; a new table is built only for a new largest n.
+    ``cache_clear`` and ``__wrapped__`` are as on an lru_cache."""
+    table = []
+
+    @wraps(build)
+    def cached(n):
+        if not 0 < n <= len(table):  # the table for n has n rows
+            table[:] = build(n)
+        return table
+
+    cached.cache_clear = table.clear
+    return cached
+
+
+@_keep_largest
 def _completions(n):
-    """c[r][m] = m c[r-1][m] + c[r-1][m+1]: the RGS tails of length r, m blocks open."""
+    """c[r][m] = m c[r-1][m] + c[r-1][m+1]: the RGS tails of length r, m
+    blocks open, for r < n and m <= n - r; no entry depends on n."""
     if n < 1:
         raise ValueError("n must be a positive integer")
     _check_triangle(f"the completion counts at n={n}", n, n)

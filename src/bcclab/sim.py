@@ -120,7 +120,9 @@ class BccInstance:
     informative than any other bijection. ``rewired`` holds the KT0 rows
     that differ from the law, so equal tables give equal instances. An
     entry costs O(1); a law row is built once, for the instance and every
-    crossing of it. :func:`make_instance` validates; crossings build their own.
+    crossing of it. Only this module builds instances: :func:`make_instance`
+    validates, and ``_derive`` gives an explicit table's instance and every
+    crossing from another instance.
     """
 
     n: int
@@ -149,7 +151,7 @@ class BccInstance:
 
     @cached_property
     def _law_rows(self):
-        return {}  # built as read, and shared with every crossing
+        return {}  # built as read, and shared with every derived instance
 
     @cached_property
     def _rewired_rows(self):
@@ -169,8 +171,9 @@ class BccInstance:
         """v's port labels by vertex: ``port_row(v)[u] == port_at(v, u)``."""
         return self._rewired_rows.get(v) or self._law_row(v)
 
-    def _law_row(self, v):
-        rows = self._law_rows
+    def _law_row(self, v, rows=None):
+        """v's row under the law, kept in `rows`, by default the shared law rows."""
+        rows = self._law_rows if rows is None else rows
         if v not in rows:
             if self.mode == KT1:
                 rows[v] = self.ids[:v] + (0,) + self.ids[v + 1:]
@@ -180,6 +183,36 @@ class BccInstance:
                 row[v] = 0
                 rows[v] = tuple(row)
         return rows[v]
+
+    def _derive(self, rows=(), swaps=(), removed=(), added=()):
+        """This instance with port rows replaced, as (v, row) pairs, then
+        swapped, as (v, x, y) triples: at v the ports facing x and y trade
+        labels; and with the input edges ``removed`` dropped and ``added``
+        added. It keeps the rows that differ from the law, and shares the
+        id ranks, the law rows and the unchanged neighbor lists."""
+        changed = dict(rows)
+        for v, x, y in swaps:
+            row = list(changed.get(v) or self.port_row(v))
+            row[x], row[y] = row[y], row[x]
+            changed[v] = tuple(row)
+        law = self._law_rows  # a law row built only to be compared is not kept
+        rewired = {v: row for v, row in (self._rewired_rows | changed).items()
+                   if v not in changed or row != (law.get(v) or self._law_row(v, {}))}
+        edges, neighbors = set(self.input_edges), list(self.input_neighbors)
+        for u, v in removed:
+            edges.discard((u, v) if u < v else (v, u))
+            neighbors[u] = tuple(filter(v.__ne__, neighbors[u]))
+            neighbors[v] = tuple(filter(u.__ne__, neighbors[v]))
+        for u, v in added:
+            edges.add((u, v) if u < v else (v, u))
+            neighbors[u] = tuple(sorted((*neighbors[u], v)))
+            neighbors[v] = tuple(sorted((*neighbors[v], u)))
+        derived = BccInstance(self.n, self.mode, self.ids, frozenset(edges),
+                              tuple(sorted(rewired.items())))
+        # the cached properties' slots, which spare the derived instance a rebuild
+        derived.__dict__.update(_rank=self._rank, _law_rows=law,
+                                _rewired_rows=rewired, input_neighbors=tuple(neighbors))
+        return derived
 
     def _port_sums(self):
         """Each vertex's port label sum, in closed form: a KT0 row holds
@@ -225,13 +258,12 @@ def make_instance(n, input_edges, mode=KT0, ids=None, ports=None):
         raise ValueError("one port row per vertex required")
     for v, row in enumerate(rows):
         _require_ints(f"port labels at vertex {v}", row)
-        # either law fixes the whole row, length and zero diagonal included
         if mode == KT0 and not (sorted(row) == list(range(n)) and row[v] == 0):
             raise ValueError(f"KT0 ports at vertex {v} must be 1..n-1, and 0 at v")
-        if mode == KT1 and row != instance.port_row(v):
-            raise ValueError(f"KT1 port law violated at vertex {v}")
-    rewired = tuple((v, row) for v, row in enumerate(rows) if row != instance.port_row(v))
-    return BccInstance(n, mode, ids, edges, rewired)
+    derived = instance._derive(rows=enumerate(rows))
+    if mode == KT1 and derived.rewired:  # the law fixes the whole row, length included
+        raise ValueError(f"KT1 port law violated at vertex {derived.rewired[0][0]}")
+    return derived
 
 
 class Algorithm:
@@ -617,17 +649,9 @@ def evaluate_error(algorithm, t, yes_family, no_family):
     for inst in yes_family + no_family:
         if inst.n != ref.n or inst.mode != ref.mode:
             raise ValueError("families must share n and mode")
-    wrong_yes = sum(
-        1 for inst in yes_family
-        if simulate(inst, algorithm, t).system_verdict is Verdict.NO
-    )
-    wrong_no = sum(
-        1 for inst in no_family
-        if simulate(inst, algorithm, t).system_verdict is Verdict.YES
-    )
-    return Fraction(wrong_yes, 2 * len(yes_family)) + Fraction(
-        wrong_no, 2 * len(no_family)
-    )
+    wrong_yes = sum(simulate(i, algorithm, t).system_verdict is Verdict.NO for i in yes_family)
+    wrong_no = sum(simulate(i, algorithm, t).system_verdict is Verdict.YES for i in no_family)
+    return Fraction(wrong_yes, 2 * len(yes_family)) + Fraction(wrong_no, 2 * len(no_family))
 
 
 def instance_to_json(instance):

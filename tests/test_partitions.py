@@ -211,6 +211,25 @@ class TestUnranking:
         for n in (1, 5, 200):
             assert pt.random_partition(rng, n) == pt.partition_at(n, twin.randrange(pt.bell(n)))
 
+    def test_completion_table_is_built_only_for_a_new_largest_size(self, monkeypatch):
+        built = []
+        check = pt._check_triangle
+
+        def counted(what, n, rows):
+            if what.startswith("the completion counts"):
+                built.append(n)
+            check(what, n, rows)
+
+        monkeypatch.setattr(pt, "_check_triangle", counted)
+        pt._completions.cache_clear()
+        rng, twin = random.Random(8), random.Random(8)
+        for n in (5, 40, 12, 40, 3, 60, 59, 7, 1, 60, 33):
+            assert pt.random_partition(rng, n) == pt.partition_at(n, twin.randrange(pt.bell(n)))
+        assert built == [5, 40, 60]
+        # the n = 60 table unranks every smaller n as its own table does
+        assert [pt.partition_at(6, i) for i in range(pt.bell(6))] == list(pt.enumerate_partitions(6))
+        assert built == [5, 40, 60]
+
     def test_large_index_unranks_exactly(self):
         last = pt.partition_at(60, pt.bell(60) - 1)
         assert last == pt.SetPartition.singletons(60)
