@@ -15,7 +15,7 @@ blown-up graph is built. The core opens with a first-fit greedy pass
 (exact: it is what the first Hopcroft-Karp phase does when every left
 is free) and its BFS scans each distinct row once (exact: a second scan
 within one BFS finds nothing new). The Hall witness is read from the
-core's arrays and mapped back to keys at the end.
+core's last BFS layering and mapped back to keys at the end.
 """
 
 from dataclasses import dataclass
@@ -61,10 +61,13 @@ def _index_graph(adjacency):
 def _match_rows(row_of, rows, n_rights):
     """Hopcroft-Karp on index rows: left u may take any right in rows[row_of[u]].
 
-    Returns (match_left, match_right, matched_lefts, matched_rights):
-    the partner of each left and right (-1 if free), and the lefts and
-    rights in the order they were first matched. Three shortcuts keep the
-    answer of the plain algorithm:
+    Returns (match_left, match_right, matched_lefts, matched_rights,
+    dist): the partner of each left and right (-1 if free), the lefts and
+    rights in the order they were first matched, and the layer of each
+    left in the last BFS, ``len(row_of) + 1`` if it reached none. Unless
+    every left is matched, that BFS found no augmenting path, so it layered
+    exactly the lefts an alternating path reaches from a free left. Three
+    shortcuts keep the answer of the plain algorithm:
 
     - Phase 1 is a first-fit greedy pass. With every left free, every
       dist is 0, so an augmenting search from a free left can only take
@@ -76,7 +79,9 @@ def _match_rows(row_of, rows, n_rights):
       a second scan of the same row finds no new free right and no new
       unlayered left.
     - The phases stop once every left or every right is matched: no
-      augmenting path is left, so the last BFS would find none.
+      augmenting path is left, so the last BFS would find none. It still
+      runs once when every right but not every left is matched, for the
+      layers.
 
     The augmenting search keeps its own stack, so a long augmenting path
     needs no recursion.
@@ -159,7 +164,9 @@ def _match_rows(row_of, rows, n_rights):
         for u in range(m):
             if match_left[u] < 0:
                 augment(u)
-    return match_left, match_right, matched_lefts, matched_rights
+    if n_rights == len(matched_lefts) < m:
+        bfs()
+    return match_left, match_right, matched_lefts, matched_rights, dist
 
 
 def hopcroft_karp(adjacency):
@@ -176,7 +183,7 @@ def hopcroft_karp(adjacency):
     scan within one BFS finds nothing new.
     """
     lefts, rights, row_of, rows = _index_graph(adjacency)
-    match_left, match_right, matched_lefts, matched_rights = _match_rows(
+    match_left, match_right, matched_lefts, matched_rights, _ = _match_rows(
         row_of, rows, len(rights))
     return (
         len(matched_lefts),
@@ -264,48 +271,28 @@ def k_matching(adjacency, k):
     u*k + c, the order of sorted (u, c) pairs, so the copies are index
     arithmetic over one list of row numbers. Otherwise the left vertices
     with a copy reachable from an unmatched copy by an alternating path
-    form a set S with |N(S)| < k|S|, returned as a HallViolation. That
-    search runs on the solver's arrays, one left per copy set and each
-    distinct row scanned once: all copies of a left share its row, so
-    reaching one copy marks every right the others would.
+    form a set S with |N(S)| < k|S|, returned as a HallViolation. S is
+    read from the solver's last BFS layering, which reaches exactly those
+    copies: all copies of a left share its row, so reaching one copy
+    reaches every right the others would.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     check_k_matching_size(len(adjacency), sum(map(len, adjacency.values())), k)
     lefts, rights, row_of, rows = _index_graph(adjacency)
     copies = [g for g in row_of for _ in range(k)]
-    match_left, match_right, matched_lefts, _ = _match_rows(copies, rows, len(rights))
+    match_left, _, matched_lefts, _, dist = _match_rows(copies, rows, len(rights))
     if len(matched_lefts) == len(copies):
         firsts = dict.fromkeys(c // k for c in matched_lefts)  # in first-matched order
         return KMatching(k, {
             lefts[u]: frozenset(rights[r] for r in match_left[u * k:(u + 1) * k])
             for u in firsts
         })
-    # alternating BFS from the lefts with an unmatched copy: left via any
-    # edge, right via its matching edge to the left of the copy it holds
-    reached = bytearray(len(lefts))
-    queue = []
-    for c, r in enumerate(match_left):
-        if r < 0 and not reached[c // k]:
-            reached[c // k] = 1
-            queue.append(c // k)
-    scanned = bytearray(len(rows))
-    seen_right = bytearray(len(rights))
-    for u in queue:  # the queue grows while it is read
-        g = row_of[u]
-        if scanned[g]:
-            continue
-        scanned[g] = 1
-        for r in rows[g]:
-            if not seen_right[r]:
-                seen_right[r] = 1
-                # a reached right is matched, or the matching would augment
-                partner = match_right[r] // k
-                if not reached[partner]:
-                    reached[partner] = 1
-                    queue.append(partner)
-    subset = frozenset(lefts[u] for u in queue)
-    nbh = frozenset(rights[r] for r in range(len(rights)) if seen_right[r])
+    # every right in a reached copy's row is matched, to a reached copy, so
+    # N(S) is the reached copies' partners
+    reached = [c for c, d in enumerate(dist) if d <= len(copies)]
+    subset = frozenset(map(lefts.__getitem__, {c // k for c in reached}))
+    nbh = frozenset(rights[match_left[c]] for c in reached if match_left[c] >= 0)
     if len(nbh) >= k * len(subset):  # pragma: no cover - Koenig guarantees this
         raise AssertionError("deficient matching without a Hall violation")
     return HallViolation(k, subset, nbh)

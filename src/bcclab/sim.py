@@ -20,12 +20,14 @@ follow from it through the port tables.
 One private round engine, :func:`_run_rounds`, runs every machine for
 :func:`simulate` (one member), :func:`simulate_hosted` (some vertices of
 one member, hearing the others from a given transcript) and
-:func:`simulate_members` (many cycle-family members at once), and writes
-the broadcasts into one (m, n, t) ``int8`` array. It picks each
-machine's path itself: the per-vertex inbox loop, the model's own
-definition of delivery, for a machine that overrides ``receive``; the
-fold of ``Algorithm.members_receiver`` where the machine gives one; and
-otherwise record-only, one broadcast per distinct (view, round).
+:func:`simulate_members` (many cycle-family members at once). Every run
+fills an (m, n, t) ``int8`` transcript its caller owns, at its cells'
+columns; a hosted run's other columns hold the given run's broadcasts.
+The engine picks each machine's path itself: the per-vertex inbox loop,
+the model's own definition of delivery, for a machine that overrides
+``receive``; the fold of ``Algorithm.members_receiver`` where the
+machine gives one; and otherwise record-only, one broadcast per
+distinct (view, round).
 """
 
 import json
@@ -91,7 +93,10 @@ def _check_fields(n, mode, ids, input_edges):
 
 
 def _normalize_edge(e):
-    u, v = e
+    try:
+        u, v = e
+    except ValueError:  # too many or too few endpoints
+        raise ValueError(f"input edge {e!r} is not a pair") from None
     _require_ints("edge endpoints", e)
     if u == v:
         raise ValueError(f"self-loop {e} is not a valid edge")
@@ -383,7 +388,8 @@ def simulate(instance, algorithm, t):
                n * t * (n * inbox + PY_OP) + inbox * n * n * PY_OP,
                (8 * t + 640) * n + inbox * 30 * n * n)
     views, view_index = tuple(map(instance.view, range(n))), np.arange(n)[None]
-    states, index, codes = _run_rounds(views, view_index, algorithm, t, instance)
+    codes = np.empty((1, n, t), dtype=np.int8)
+    states, index = _run_rounds(views, view_index, algorithm, t, instance, codes, slice(None))
     yes = algorithm.decide_run(views, view_index, states, index, codes)
     codes = codes[0]
     codes.flags.writeable = False
@@ -411,20 +417,21 @@ def members_work(m, n, mode, algorithm, t, verdicts=False):
     inbox = _overrides_receive(algorithm)
     port_sums = _law_instance(n, mode)._port_sums()
     folds = not inbox and algorithm.members_receiver(port_sums) is not None
+    views = min(m * n, n * (n - 1) * (n - 2) // 2)  # distinct (own id, two input ports)
     # Python-level calls: n + t per cell on the inbox loop, at worst one
-    # digest per cell, or one per distinct view (an own id and two input
-    # ports) and round
+    # digest per cell, or one per view and round
     if inbox:
         calls = m * n * (n + t)
     elif folds:
         calls = m * n * t
     else:
-        calls = min(m * n, n * (n - 1) * (n - 2) // 2) * (t + 1)
+        calls = views * (t + 1)
     # array passes over the cells: each round's and, with verdicts, the
     # decide's over the transcript and its O(log n) labelling rounds
     cells = m * n * (t + 1 + verdicts * (t + n.bit_length()))
-    # the int8 transcripts, a fold's intp index of each round, the decide's arrays
-    memory = m * n * (2 * t + 64 + (folds + verdicts) * 8 * t)
+    # per cell, the int8 transcripts, the view keys' and a fold's digests'
+    # np.unique temporaries and the decide's arrays; per view, a VertexView and state
+    memory = m * n * (2 * t + 72 + 16 * folds + verdicts * 8 * t) + 512 * views
     return 20 * cells + calls * PY_OP, memory
 
 
@@ -446,7 +453,8 @@ def simulate_hosted(instance, algorithm, t, hosted, codes):
     Given :func:`simulate`'s transcript of `instance` itself, the rows are
     that run's. Given another instance's, they are what the hosted
     vertices send while every other vertex behaves as in that run. The
-    same round engine runs every machine, as in :func:`simulate`.
+    same round engine runs every machine, as in :func:`simulate`, on a
+    copy of `codes` whose hosted rows it fills: `codes` is never written.
     """
     if t < 0:
         raise ValueError("round count must be nonnegative")
@@ -460,9 +468,9 @@ def simulate_hosted(instance, algorithm, t, hosted, codes):
     check_work(f"{t} rounds of {len(hosted)} hosted vertices on {n}",
                *hosted_work(n, len(hosted), t, algorithm))
     views = tuple(map(instance.view, hosted))
-    _, _, hosted_codes = _run_rounds(views, np.arange(len(views))[None], algorithm, t,
-                                     instance, (hosted, codes))
-    return views, hosted_codes[0]
+    columns, transcript = np.array(hosted, dtype=np.intp), codes[None].copy()
+    _run_rounds(views, np.arange(len(views))[None], algorithm, t, instance, transcript, columns)
+    return views, transcript[0].take(columns, axis=0)
 
 
 def _inbox_step(port_row, algorithm, vertices):
@@ -505,7 +513,7 @@ def _check_payloads(payloads, round_no, index, vertices):
         )
 
 
-def _run_rounds(views, view_index, algorithm, t, ports, hosting=None):
+def _run_rounds(views, view_index, algorithm, t, ports, transcript, columns):
     """The one round engine: every run of a machine goes through it.
 
     Vertex v of member j starts from ``views[view_index[j, v]]``, an
@@ -513,38 +521,33 @@ def _run_rounds(views, view_index, algorithm, t, ports, hosting=None):
     ``ports``, the same for every member. The engine picks the path: a
     machine that overrides ``receive`` gets one state per member-vertex
     and the inbox loop of :func:`_inbox_step`; any other initializes once
-    per view and, given a fold by ``members_receiver``, folds an (m, n)
+    per view and, given a fold by ``members_receiver``, folds an (m, N)
     digest array and broadcasts once per distinct (digest, round), else
     is record-only and broadcasts once per (view, round).
 
-    ``hosting = (columns, transcript)`` makes the m = 1 member the
-    vertices ``columns`` of a run on n vertices, whose others broadcast
-    as the (n, t) ``int8`` ``transcript`` says. The fold and the inbox
-    loop hear whole rounds: ``heard[j, u]`` is the code of what u broadcast.
-
-    Returns the distinct final states, the (m, n) index of each vertex's
-    among them, and the (m, n, t) ``int8`` transcript (n is a hosted
-    run's number of columns): vertex v of member j broadcast the Symbol
-    of code ``codes[j, v, r]`` in round r + 1.
+    The caller owns the (m, N, t) ``int8`` ``transcript`` the run fills:
+    the n cells are the vertices ``columns`` (``slice(None)``, or an
+    ascending ``intp`` array) of a run on N vertices, and in round r the
+    engine writes their broadcasts into ``transcript[:, columns, r - 1]``.
+    The fold and the inbox loop then hear that whole round, other columns
+    as the caller left them: ``heard[j, u]`` is the code of what u
+    broadcast in member j. Returns the distinct final states and the
+    (m, n) index of each cell's among them.
     """
-    columns, transcript = hosting or (slice(None), None)
-    vertices = range(view_index.shape[1]) if transcript is None else columns
+    vertices = np.arange(transcript.shape[1])[columns]
     fold = deliver = None
     if _overrides_receive(algorithm):
-        deliver = _inbox_step(ports.port_row, algorithm, vertices)
+        deliver = _inbox_step(ports.port_row, algorithm, vertices.tolist())
         views = [views[k] for k in view_index.ravel().tolist()]
         view_index = np.arange(len(views)).reshape(view_index.shape)
     else:
         fold = algorithm.members_receiver(ports._port_sums())
     states = [algorithm.initialize(view) for view in views]
-    if fold is not None:
-        digests = np.array([state[0] for state in states])[view_index]
-        if transcript is not None:  # whole rounds are folded; unhosted digests never broadcast
-            own = digests
-            digests = np.zeros((1, len(transcript)), dtype=own.dtype)
-            digests[:, columns] = own
+    if fold is not None:  # digests of columns outside the cells are folded, never broadcast
+        own = np.array([state[0] for state in states])
+        digests = np.zeros(transcript.shape[:2], dtype=own.dtype)
+        digests[:, columns] = own[view_index]
     index = view_index
-    codes = np.empty(view_index.shape + (t,), dtype=np.int8)
     for r in range(1, t + 1):
         if fold is not None:
             values, index = np.unique(digests[:, columns], return_inverse=True)
@@ -553,20 +556,15 @@ def _run_rounds(views, view_index, algorithm, t, ports, hosting=None):
         payloads = [algorithm.broadcast(state, r) for state in states]
         _check_payloads(payloads, r, index, vertices)
         # a Symbol is a small int, so bytes() packs the payloads at C speed
-        heard = codes[:, :, r - 1] = np.frombuffer(bytes(payloads), dtype=np.int8)[index]
-        if fold is None and deliver is None:
-            continue
-        if transcript is not None:
-            heard, own = transcript[None, :, r - 1].copy(), heard
-            heard[:, columns] = own
+        transcript[:, columns, r - 1] = np.frombuffer(bytes(payloads), dtype=np.int8)[index]
         if fold is not None:
-            digests = fold(digests, r, heard)
-        else:
-            states = deliver(states, r, heard)
+            digests = fold(digests, r, transcript[:, :, r - 1])
+        elif deliver is not None:
+            states = deliver(states, r, transcript[:, :, r - 1])
     if fold is None:
-        return states, view_index, codes
+        return states, view_index
     values, index = np.unique(digests[:, columns], return_inverse=True)
-    return [(d,) for d in values.tolist()], index.reshape(view_index.shape), codes
+    return [(d,) for d in values.tolist()], index.reshape(view_index.shape)
 
 
 @dataclass(frozen=True)
@@ -620,7 +618,8 @@ def simulate_members(neighbors, mode, algorithm, t, verdicts=False):
         VertexView(mode, n, key // (n * n), frozenset((key // n % n, key % n)), all_ids)
         for key in keys.tolist()
     ]
-    states, state_index, codes = _run_rounds(views, view_index, algorithm, t, law)
+    codes = np.empty((m, n, t), dtype=np.int8)
+    states, state_index = _run_rounds(views, view_index, algorithm, t, law, codes, slice(None))
     if not verdicts:
         return MemberRuns(codes)
     yes = algorithm.decide_run(views, view_index, states, state_index, codes)

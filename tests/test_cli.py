@@ -347,6 +347,15 @@ class TestReportDiscipline:
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         assert_usage_error(capsys, [a.format(dir=tmp_path) for a in argv], message)
 
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1, 2], [2, 3]], "input edge [0, 1, 2] is not a pair"),
+        ({"a": 1}, "input edge 'a' is not a pair"),
+    ], ids=["triple", "object"])
+    def test_edge_that_is_not_a_pair_is_named(self, tmp_path, capsys, edges, message):
+        path = tmp_path / "edges.json"
+        path.write_text(json.dumps({"n": 4, "input_edges": edges}))
+        assert_usage_error(capsys, ["simulate", "--instance", str(path), "--t", "1"], message)
+
     def test_simulate_takes_no_tape_option(self):
         # a machine's fixed public tape is one of its parameters, like --seed
         from bcclab.cli import build_parser

@@ -1166,7 +1166,9 @@ class TestSimulateHosted:
                         for sent in (own, noise):
                             for size in (0, 1, 4, n):
                                 hosted = sorted(rng.sample(range(n), size))
+                                given = sent.tobytes()
                                 views, got = simulate_hosted(inst, make(), t, hosted, sent)
+                                assert sent.flags.writeable and sent.tobytes() == given
                                 run = simulate(inst, Replay(make(), inst.ids, hosted, sent), t)
                                 assert got.dtype == np.int8 and got.shape == (size, t)
                                 assert got.tolist() == [list(map(int, run.sent[v])) for v in hosted]

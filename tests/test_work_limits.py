@@ -22,7 +22,7 @@ from bcclab import joinmatrix as jm
 from bcclab import matching as mt
 from bcclab import partitions as pt
 from bcclab import sim
-from bcclab.algorithms import AlwaysSilent, IdExchange
+from bcclab.algorithms import AlwaysSilent, FullExchangeSparse, IdExchange, RandomTable
 from bcclab.cli import main
 from bcclab.crossing import splitting_pairs
 from bcclab.errors import ResourceLimitError
@@ -176,6 +176,31 @@ def test_run_estimate_bounds_its_peak(n, algorithm, t):
     try:
         base = tracemalloc.get_traced_memory()[0]
         sim.simulate(inst, algorithm, t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak <= memory
+
+
+@pytest.mark.parametrize("side", ["one", "two"])
+@pytest.mark.parametrize("mode, algorithm, t, verdicts", [
+    *[(sim.KT0, AlwaysSilent(), t, False) for t in (0, 2)],
+    *[(sim.KT0, RandomTable(5, modulus=3), t, False) for t in (1, 2, 4)],
+    (sim.KT1, FullExchangeSparse(), 8, True),
+], ids=["record-only-t0", "record-only-t2", "fold-t1", "fold-t2", "fold-t4",
+        "full-exchange-sparse-kt1-verdicts-t8"])
+def test_members_estimate_bounds_its_peak(side, mode, algorithm, t, verdicts):
+    # the batch's views and a fold's digest arrays are counted, not only
+    # its transcripts
+    fam = fm.enumerate_family(8)
+    neighbors = fam.one_cycle_neighbors() if side == "one" else fam.two_cycle_neighbors()
+    memory = estimate(sim.simulate_members, neighbors, mode, algorithm, t, verdicts,
+                      site="a batch")[2]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sim.simulate_members(neighbors, mode, algorithm, t, verdicts)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -409,7 +434,7 @@ class TestCommandsRefuseFirst:
         err = capsys.readouterr().err.splitlines()
         assert err == [
             "bcclab: error: a batch of 1814400 members on 11 vertices over 4 rounds is estimated"
-            " at 5.189e+09 steps and 2.076e+09 bytes, over the limits of 4e+09 steps and"
+            " at 5.189e+09 steps and 2.236e+09 bytes, over the limits of 4e+09 steps and"
             " 2.147e+09 bytes"
         ]
 
